@@ -10,7 +10,7 @@ spatially aligned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -220,11 +220,14 @@ def build_forward_graph(
 # public array-level operations
 
 
-def _const_linear(p: LinearParams) -> LinearParams:
-    return LinearParams(
-        ad.constant(p.weight),
-        None if p.bias is None else ad.constant(p.bias),
-    )
+def _constants(params):
+    """Copy of a params dataclass with every array leaf wrapped in ad.constant."""
+    if params is None:
+        return None
+    if is_dataclass(params):
+        leaves = {f.name: _constants(getattr(params, f.name)) for f in fields(params)}
+        return replace(params, **leaves)
+    return ad.constant(params)
 
 
 def extract_expert_knowledge(
@@ -245,13 +248,9 @@ def extract_expert_knowledge(
             f"expert feature has {expert_feature.channels} channels, extractor expects {kv_in}"
         )
     resized = bilinear_interpolate(expert_feature, x.height, x.width)
-    cap = CrossAttentionParams(
-        query=_const_linear(params.query),
-        key=_const_linear(params.key),
-        value=_const_linear(params.value),
-        out=_const_linear(params.out),
+    out = _extract(
+        ad.constant(x.tokens()), ad.constant(resized.tokens()), _constants(params), heads
     )
-    out = _extract(ad.constant(x.tokens()), ad.constant(resized.tokens()), cap, heads)
     return FeatureMap.from_tokens(out.value, x.height, x.width)
 
 
@@ -272,11 +271,10 @@ def gate_weights(
     expected = params.hidden.weight.shape[0]
     if joint != expected:
         raise ShapeError(f"gating input width {joint} does not match MLP fan-in {expected}")
-    gp = GatingParams(hidden=_const_linear(params.hidden), logits=_const_linear(params.logits))
     node = _gate(
         ad.constant(gating_input.visual_token),
         ad.constant(gating_input.text_token.values),
-        gp,
+        _constants(params),
         selection,
         mode,
     )
@@ -306,21 +304,7 @@ def transformer_block(x: FeatureMap, params: TransformerBlockParams, heads: int 
             f"input has {x.channels} channels, block is configured for "
             f"{params.attn_query.weight.shape[0]}"
         )
-
-    def const_norm(p):
-        return None if p is None else LayerNormParams(ad.constant(p.gamma), ad.constant(p.beta))
-
-    tp = TransformerBlockParams(
-        attn_query=_const_linear(params.attn_query),
-        attn_key=_const_linear(params.attn_key),
-        attn_value=_const_linear(params.attn_value),
-        attn_out=_const_linear(params.attn_out),
-        norm_attn=const_norm(params.norm_attn),
-        ffn_in=_const_linear(params.ffn_in),
-        ffn_out=_const_linear(params.ffn_out),
-        norm_ffn=const_norm(params.norm_ffn),
-    )
-    out = _transformer(ad.constant(x.tokens()), tp, heads)
+    out = _transformer(ad.constant(x.tokens()), _constants(params), heads)
     return FeatureMap.from_tokens(out.value, x.height, x.width)
 
 

@@ -12,25 +12,12 @@ from mova.errors import ValidationError
 from mova.experts import ExpertRegistry, Sample
 from mova.harness.train import SelectionProvider, ToyTrainConfig, train_toy
 from mova.routing import ExpertSelection
-from mova.routing_data import construct_routing_set, load_loss_records
+from mova.routing_data import load_loss_records
 
 _ABLATION_ROUTE_SALT = 0xAB1A7E
 
 MODES = ("dynamic", "random-routing", "all-experts", "uniform-gating", "fixed-K:<k>")
 _FIXED_K = re.compile(r"^fixed-K:(\d+)$")
-
-
-def _oracle_provider(config: ToyTrainConfig, registry: ExpertRegistry) -> SelectionProvider:
-    losses = {r.sample_id: r for r in load_loss_records(f"{config.corpus_dir}/losses.jsonl")}
-
-    def provider(sample: Sample) -> ExpertSelection:
-        record = losses.get(sample.sample_id)
-        if record is None:
-            raise ValidationError(f"no loss record for sample {sample.sample_id!r}")
-        annotation = construct_routing_set(record, registry, config.cap)
-        return ExpertSelection(tuple(registry.index_of(n) for n in annotation.experts))
-
-    return provider
 
 
 def _random_provider(config: ToyTrainConfig, registry: ExpertRegistry) -> SelectionProvider:
@@ -67,17 +54,14 @@ def _fixed_k_provider(config: ToyTrainConfig, registry: ExpertRegistry, k: int) 
 def _arm(config: ToyTrainConfig, registry: ExpertRegistry, mode: str):
     """Per-mode (train config, selection provider).
 
-    The dynamic and uniform-gating arms share the config's routing (a fixed
-    selection when configured, the loss oracle otherwise), so that pair
+    The dynamic and uniform-gating arms keep the trainer's default routing (a
+    fixed selection when configured, the loss oracle otherwise), so that pair
     isolates the gating mechanism.
     """
     if mode == "dynamic":
-        provider = None if config.selection else _oracle_provider(config, registry)
-        return config, provider
+        return config, None
     if mode == "uniform-gating":
-        uniform = replace(config, adapter=replace(config.adapter, gating_mode="uniform"))
-        provider = None if config.selection else _oracle_provider(uniform, registry)
-        return uniform, provider
+        return replace(config, adapter=replace(config.adapter, gating_mode="uniform")), None
     if mode == "random-routing":
         return config, _random_provider(config, registry)
     if mode == "all-experts":

@@ -32,10 +32,10 @@ from mova.experts import (
 from mova.numerics import autodiff as ad
 from mova.numerics.gradcheck import rel_error
 from mova.numerics.tensor import FeatureMap
-from mova.routing import ExpertSelection
+from mova.routing import ExpertSelection, oracle_selection
 from mova.routing_data import (
     DEFAULT_CAP,
-    construct_routing_set,
+    construct_routing_set,  # noqa: F401 -- unused here; perfbench/tracer.py binds this name
     load_loss_records,
     load_samples,
 )
@@ -152,13 +152,12 @@ class _CorpusRunner:
         def oracle_provider(sample: Sample) -> ExpertSelection:
             record = self.losses.get(sample.sample_id)
             if record is None:
+                losses_path = Path(self.config.corpus_dir) / "losses.jsonl"
                 raise ValidationError(
-                    f"sample {sample.sample_id!r} has no loss record for oracle selection"
+                    f"sample {sample.sample_id!r} has no loss record in {losses_path} "
+                    "for oracle selection"
                 )
-            annotation = construct_routing_set(record, self.registry, self.config.cap)
-            return ExpertSelection(
-                tuple(self.registry.index_of(name) for name in annotation.experts)
-            )
+            return oracle_selection(record, self.registry, self.config.cap)
 
         return oracle_provider
 

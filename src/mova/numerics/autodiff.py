@@ -7,7 +7,8 @@ are never mutated and evaluation stays pure.
 
 The op set is intentionally small: exactly what the adapter network and the
 toy trainer need. Shapes are the caller's contract; ops assert only what
-their math requires.
+their math requires. Softmax and 2x pooling take their forward values from
+the :mod:`mova.numerics.ops` kernels and add only their VJPs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from mova.errors import ShapeError
+from mova.numerics.ops import avg_pool_2x_tokens, stable_softmax
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -218,9 +220,7 @@ def gelu(a: Node) -> Node:
 
 
 def softmax_vec(a: Node) -> Node:
-    v = a.value
-    e = np.exp(v - v.max())
-    p = e / e.sum()
+    p = stable_softmax(a.value)
 
     def vjp(g):
         return p * (g - float(np.dot(g, p)))
@@ -229,9 +229,7 @@ def softmax_vec(a: Node) -> Node:
 
 
 def row_softmax(a: Node) -> Node:
-    v = a.value
-    e = np.exp(v - v.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    p = stable_softmax(a.value)
 
     def vjp(g):
         return p * (g - (g * p).sum(axis=1, keepdims=True))
@@ -266,11 +264,8 @@ def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-6) -> Node
 
 def avg_pool_2x_rows(x: Node, height: int, width: int) -> Node:
     """2x average pooling of row-major (height*width, C) tokens."""
+    pooled = avg_pool_2x_tokens(x.value, height, width)
     t, c = x.shape
-    if t != height * width or height % 2 or width % 2:
-        raise ShapeError(f"cannot 2x-pool {t} tokens as even {height}x{width} grid")
-    grid = x.value.reshape(height // 2, 2, width // 2, 2, c)
-    pooled = grid.mean(axis=(1, 3)).reshape((height // 2) * (width // 2), c)
 
     def vjp(g):
         gg = g.reshape(height // 2, 1, width // 2, 1, c) / 4.0

@@ -1,7 +1,9 @@
 """Deterministic dense kernels: matmul, softmax, interpolation, pooling, attention.
 
 All functions are pure. Summation orders are fixed, so identical inputs give
-bitwise-identical outputs.
+bitwise-identical outputs. ``stable_softmax`` and ``avg_pool_2x_tokens`` are
+array kernels without a finiteness check: the autodiff tape takes its forward
+values from them, and the validated public functions below call them too.
 """
 
 from __future__ import annotations
@@ -23,6 +25,21 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
+def stable_softmax(x: np.ndarray) -> np.ndarray:
+    """Unchecked softmax over the last axis, shifted by the row max for stability."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def avg_pool_2x_tokens(tokens: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Mean of each disjoint 2x2 block of row-major (height*width, C) tokens."""
+    t, c = tokens.shape
+    if t != height * width or height % 2 or width % 2:
+        raise ShapeError(f"cannot 2x-pool {t} tokens as even {height}x{width} grid")
+    blocks = tokens.reshape(height // 2, 2, width // 2, 2, c)
+    return blocks.mean(axis=(1, 3)).reshape((height // 2) * (width // 2), c)
+
+
 def softmax(v, mask=None) -> np.ndarray:
     """Stable softmax of a vector, optionally restricted to a boolean mask.
 
@@ -33,20 +50,13 @@ def softmax(v, mask=None) -> np.ndarray:
     v = as_finite_array(v, "softmax input")
     if v.ndim != 1:
         raise ShapeError(f"softmax expects a vector, got shape {v.shape}")
-    if mask is None:
-        support = np.ones(v.shape[0], dtype=bool)
-    else:
-        support = np.asarray(mask, dtype=bool)
-        if support.shape != v.shape:
-            raise ShapeError(
-                f"mask length {support.shape} does not match vector {v.shape}"
-            )
+    support = np.ones(v.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if support.shape != v.shape:
+        raise ShapeError(f"mask length {support.shape} does not match vector {v.shape}")
     if not support.any():
         raise EmptySupportError("softmax mask excludes every entry")
-    sub = v[support]
-    e = np.exp(sub - sub.max())
     out = np.zeros_like(v)
-    out[support] = e / e.sum()
+    out[support] = stable_softmax(v[support])
     return out
 
 
@@ -88,11 +98,8 @@ def global_avg_pool(f: FeatureMap) -> np.ndarray:
 
 def avg_pool_2x(f: FeatureMap) -> FeatureMap:
     """Halve both spatial extents by averaging disjoint 2x2 blocks."""
-    c, h, w = f.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"avg_pool_2x needs even extents, got {h}x{w}")
-    blocks = f.data.reshape(c, h // 2, 2, w // 2, 2)
-    return FeatureMap(blocks.mean(axis=(2, 4)))
+    pooled = avg_pool_2x_tokens(f.tokens(), f.height, f.width)
+    return FeatureMap.from_tokens(pooled, f.height // 2, f.width // 2)
 
 
 def adaptive_avg_pool(f: FeatureMap, grid: int) -> FeatureMap:
@@ -128,8 +135,4 @@ def scaled_dot_attention(q, k, v) -> np.ndarray:
         raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"key/value token counts differ: {k.shape} vs {v.shape}")
-    scores = (q @ k.T) / np.sqrt(q.shape[1])
-    scores -= scores.max(axis=1, keepdims=True)
-    e = np.exp(scores)
-    probs = e / e.sum(axis=1, keepdims=True)
-    return probs @ v
+    return stable_softmax((q @ k.T) * (1.0 / np.sqrt(q.shape[1]))) @ v

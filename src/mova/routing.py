@@ -167,6 +167,12 @@ def coarse_image_tokens(base: FeatureMap, grid: int = 8) -> np.ndarray:
     return pooled.data.reshape(c, grid * grid).T.copy()
 
 
+def oracle_selection(record: LossRecord, registry: ExpertRegistry, cap: int) -> ExpertSelection:
+    """The loss oracle's routed experts: those beating the base loss, lowest first."""
+    annotation = construct_routing_set(record, registry, cap)
+    return ExpertSelection(tuple(registry.index_of(name) for name in annotation.experts))
+
+
 def _require(condition: bool, what: str) -> None:
     if not condition:
         raise MissingContextError(what)
@@ -197,10 +203,7 @@ def route(
         _require(context.losses is not None, "oracle strategy needs loss records")
         record = context.losses.get(sample.sample_id)
         _require(record is not None, f"no loss record for sample {sample.sample_id!r}")
-        annotation = construct_routing_set(record, registry, context.cap)
-        selection = ExpertSelection(
-            tuple(registry.index_of(name) for name in annotation.experts)
-        )
+        selection = oracle_selection(record, registry, context.cap)
         raw = render_selection(selection) if selection.k else ""
         return RoutingDecision(selection, raw, strategy)
     if strategy == "random":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from mova.experts import (
     generate_expert_feature,
 )
 from mova.numerics.ops import global_avg_pool
+
+_Record = TypeVar("_Record")
 
 _CORPUS_SALT = 0xC0285
 DEFAULT_CAP = 3
@@ -95,25 +97,44 @@ def construct_routing_set(
 # ---------------------------------------------------------------------------
 # JSONL formats
 #
+# samples.jsonl:      {"sample_id": str, "image_seed": int, "question": str,
+#                      "answer_vector": [float, ...], "planted_expert": str | null}
 # losses.jsonl:       {"sample_id": str, "base_loss": float, "expert_losses": [float x N]}
 # routing.jsonl:      {"sample_id": str, "experts": [str, ...]}
 # ground_truth.jsonl: {"sample_id": str, "planted": str}
+# Sample ids are unique within losses.jsonl and ground_truth.jsonl.
 
 
-def _iter_jsonl(path) -> Iterable[tuple[int, dict]]:
+def _read_jsonl(
+    path, what: str, parse: Callable[[dict], _Record], unique: bool = False
+) -> Iterator[tuple[int, _Record]]:
+    """Yield (line number, parse(object)) for every non-blank line of a JSONL file.
+
+    Bad JSON, a missing key, or a value of the wrong type or form raises a
+    ValidationError naming path:line (json.JSONDecodeError is a ValueError).
+    With ``unique``, a repeated ``sample_id`` is rejected the same way.
+    """
     try:
         fh = open(path, "r")
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read ({exc})") from exc
+    seen: set[str] = set()
     with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
+                obj = json.loads(line)
+                record = parse(obj)
+                if unique:
+                    sample_id = obj["sample_id"]
+                    if sample_id in seen:
+                        raise ValidationError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
+                    seen.add(sample_id)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(f"{path}:{lineno}: malformed {what} ({exc})") from exc
+            yield lineno, record
 
 
 def _dump_jsonl(path, objects: Iterable[dict]) -> None:
@@ -122,20 +143,21 @@ def _dump_jsonl(path, objects: Iterable[dict]) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _loss_record(obj: dict) -> LossRecord:
+    return LossRecord(
+        sample_id=obj["sample_id"],
+        base_loss=float(obj["base_loss"]),
+        expert_losses=tuple(float(v) for v in obj["expert_losses"]),
+    )
+
+
+def _read_loss_records(path) -> Iterator[tuple[int, LossRecord]]:
+    return _read_jsonl(path, "loss record", _loss_record, unique=True)
+
+
 def load_loss_records(path) -> list[LossRecord]:
-    records = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            records.append(
-                LossRecord(
-                    sample_id=obj["sample_id"],
-                    base_loss=float(obj["base_loss"]),
-                    expert_losses=tuple(float(v) for v in obj["expert_losses"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed loss record ({exc})") from exc
-    return records
+    """Records in file order; a repeated sample id is an error."""
+    return [record for _, record in _read_loss_records(path)]
 
 
 def save_loss_records(path, records: Sequence[LossRecord]) -> None:
@@ -153,17 +175,10 @@ def save_loss_records(path, records: Sequence[LossRecord]) -> None:
 
 
 def load_annotations(path) -> list[RoutingAnnotation]:
-    annotations = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            annotations.append(
-                RoutingAnnotation(
-                    sample_id=obj["sample_id"], experts=tuple(obj["experts"])
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed annotation ({exc})") from exc
-    return annotations
+    def parse(obj):
+        return RoutingAnnotation(sample_id=obj["sample_id"], experts=tuple(obj["experts"]))
+
+    return [a for _, a in _read_jsonl(path, "annotation", parse)]
 
 
 def save_annotations(path, annotations: Sequence[RoutingAnnotation]) -> None:
@@ -181,61 +196,34 @@ def save_ground_truth(path, truth: Mapping[str, str]) -> None:
 
 
 def load_ground_truth(path) -> dict[str, str]:
-    truth: dict[str, str] = {}
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            sample_id = obj["sample_id"]
-            if sample_id in truth:
-                raise ValidationError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
-            truth[sample_id] = obj["planted"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed ground truth ({exc})") from exc
-    return truth
+    def parse(obj):
+        return obj["sample_id"], obj["planted"]
+
+    return dict(pair for _, pair in _read_jsonl(path, "ground truth", parse, unique=True))
 
 
 def load_samples(path) -> list[Sample]:
-    samples = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            samples.append(
-                Sample(
-                    sample_id=obj["sample_id"],
-                    image_seed=int(obj["image_seed"]),
-                    question=obj["question"],
-                    answer_vector=tuple(float(v) for v in obj["answer_vector"]),
-                    planted_expert=obj.get("planted_expert"),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed sample ({exc})") from exc
-    return samples
+    def parse(obj):
+        return Sample(
+            sample_id=obj["sample_id"],
+            image_seed=int(obj["image_seed"]),
+            question=obj["question"],
+            answer_vector=tuple(float(v) for v in obj["answer_vector"]),
+            planted_expert=obj.get("planted_expert"),
+        )
+
+    return [sample for _, sample in _read_jsonl(path, "sample", parse)]
 
 
 def build_annotations(losses_path, registry: ExpertRegistry, cap: int, out_path) -> int:
     """One annotation line per loss record, order preserved; returns the count."""
-    seen: set[str] = set()
     annotations = []
-    for lineno, obj in _iter_jsonl(losses_path):
-        try:
-            record = LossRecord(
-                sample_id=obj["sample_id"],
-                base_loss=float(obj["base_loss"]),
-                expert_losses=tuple(float(v) for v in obj["expert_losses"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(
-                f"{losses_path}:{lineno}: malformed loss record ({exc})"
-            ) from exc
+    for lineno, record in _read_loss_records(losses_path):
         if len(record.expert_losses) != len(registry):
             raise ValidationError(
                 f"{losses_path}:{lineno}: expected {len(registry)} expert losses, "
                 f"got {len(record.expert_losses)}"
             )
-        if record.sample_id in seen:
-            raise ValidationError(
-                f"{losses_path}:{lineno}: duplicate sample id {record.sample_id!r}"
-            )
-        seen.add(record.sample_id)
         annotations.append(construct_routing_set(record, registry, cap))
     save_annotations(out_path, annotations)
     return len(annotations)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from mova.adapter.network import _attention
+from mova.numerics import FeatureMap, avg_pool_2x, scaled_dot_attention, softmax
 from mova.numerics import autodiff as ad
 from mova.numerics.gradcheck import finite_diff_check
 
@@ -80,6 +82,23 @@ def test_layer_norm_all_inputs():
 
 def test_avg_pool_rows():
     check_op(lambda x: ad.avg_pool_2x_rows(x, 4, 6), (24, 3))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tape_forward_is_bitwise_the_numerics_kernel(seed):
+    """The validated numerics functions and the tape ops run one kernel each."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(7) * 10
+    assert softmax(v).tobytes() == ad.softmax_vec(ad.constant(v)).value.tobytes()
+
+    # Width 5 makes "/ sqrt(d)" and "* (1 / sqrt(d))" round differently.
+    q, k, val = (rng.standard_normal(shape) for shape in ((6, 5), (9, 5), (9, 3)))
+    tape = _attention(ad.constant(q), ad.constant(k), ad.constant(val), heads=1)
+    assert scaled_dot_attention(q, k, val).tobytes() == tape.value.tobytes()
+
+    f = FeatureMap(rng.standard_normal((3, 8, 6)))
+    pooled = ad.avg_pool_2x_rows(ad.constant(f.tokens()), f.height, f.width)
+    assert avg_pool_2x(f).tokens().tobytes() == pooled.value.tobytes()
 
 
 def test_backward_requires_scalar_root():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,22 @@ class TestRoute:
             "--losses", str(losses), "--sample-id", "s9",
         )
         assert payload["experts"] == ["pix2struct", "dinov2", "codetr"]
+
+    def test_oracle_rejects_duplicate_sample_id(self, capsys, tmp_path):
+        losses = tmp_path / "dup.jsonl"
+        rows = [[1.5, 1.9, 1.99, 1.0, 2.3, 2.1, 2.0], [3.0, 3.0, 3.0, 3.0, 0.1, 3.0, 3.0]]
+        losses.write_text(
+            "".join(
+                json.dumps({"sample_id": "cli", "base_loss": 2.0, "expert_losses": row}) + "\n"
+                for row in rows
+            )
+        )
+        code, out, err = run_cli(
+            capsys, "route", "--question", "q", "--strategy", "oracle", "--losses", str(losses),
+        )
+        assert code == 1 and out == ""
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:") and ":2" in lines[0]
 
     def test_annotation_strategy_reads_annotations_file(self, capsys, tmp_path):
         annotations = tmp_path / "routing.jsonl"
@@ -232,6 +249,17 @@ class TestTrainAndAblateCli:
         a, b = payload["modes"]["all-experts"], payload["modes"]["fixed-K:7"]
         assert a["eval_loss"] == b["eval_loss"]
 
+    def test_ablate_oracle_arm_without_losses_fails_cleanly(self, capsys, corpus_dir):
+        (Path(corpus_dir) / "losses.jsonl").unlink()
+        code, out, err = run_cli(
+            capsys, "ablate", "--modes", "dynamic", "--corpus", corpus_dir,
+            "--steps", "1", "--batch-size", "2", "--seed", "3", "--eval-samples", "2",
+        )
+        assert code == 1 and out == ""
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "no loss record" in lines[0]
+
 
 class TestExitCodes:
     def test_property_failure_maps_to_exit_2(self, capsys, monkeypatch):
@@ -272,3 +300,27 @@ class TestExitCodes:
         )
         assert code == 1
         assert "error:" in err
+        # A value of the wrong form in a JSONL record names its file and line.
+        losses = tmp_path / "losses.jsonl"
+        losses.write_text(
+            json.dumps({"sample_id": "cli", "base_loss": "abc", "expert_losses": [1.0] * 7}) + "\n"
+        )
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "samples.jsonl").write_text(
+            json.dumps(
+                {"sample_id": "s0", "image_seed": "x", "question": "q", "answer_vector": [0.0]}
+            )
+            + "\n"
+        )
+        toy = tmp_path / "toy.json"
+        toy.write_text(json.dumps({"corpus": str(corpus), "steps": 1}))
+        for argv, where in (
+            (("route", "--question", "q", "--strategy", "oracle", "--losses", str(losses)),
+             "losses.jsonl:1: malformed"),
+            (("train-toy", "--config", str(toy)), "samples.jsonl:1: malformed"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            lines = err.strip().split("\n")
+            assert len(lines) == 1 and lines[0].startswith("error:") and where in lines[0]

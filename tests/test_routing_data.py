@@ -130,6 +130,21 @@ class TestBuildAnnotations:
         )
         with pytest.raises(ValidationError, match=":2"):
             build_annotations(losses, registry, 3, tmp_path / "routing.jsonl")
+        # Malformed records name their line in every loss reader.
+        good = json.dumps({"sample_id": "s0", "base_loss": 2.0, "expert_losses": [1.0] * 7})
+        for bad in (
+            '{"sample_id": "s1", "base_loss": "abc", "expert_losses": [1, 1, 1, 1, 1, 1, 1]}',
+            '{"sample_id": "s1", "expert_losses": [1, 1, 1, 1, 1, 1, 1]}',
+            '{"sample_id": "s1", "base_loss": 2.0, "expert_losses": 3}',
+            '{"sample_id": "s1", "base_loss": 2.0',
+        ):
+            losses.write_text(good + "\n" + bad + "\n")
+            for read in (
+                load_loss_records,
+                lambda path: build_annotations(path, registry, 3, tmp_path / "routing.jsonl"),
+            ):
+                with pytest.raises(ValidationError, match=r"losses\.jsonl:2: malformed"):
+                    read(losses)
 
     def test_duplicate_sample_id_names_line(self, registry, tmp_path):
         losses = tmp_path / "losses.jsonl"
@@ -142,6 +157,8 @@ class TestBuildAnnotations:
         )
         with pytest.raises(ValidationError, match=":2"):
             build_annotations(losses, registry, 3, tmp_path / "routing.jsonl")
+        with pytest.raises(ValidationError, match=":2: duplicate"):
+            load_loss_records(losses)
 
     def test_regeneration_is_byte_identical(self, registry, tmp_path):
         losses = tmp_path / "losses.jsonl"
