@@ -3,7 +3,9 @@ transformer mixing, token reduction, and the output projector.
 
 Every operation is built once as an autodiff graph (numerics.autodiff); the
 public array-in/array-out functions run the same graph over constant nodes, so
-inference and training share one definition of the math. Feature positions are
+inference and training share one definition of the math. The full forward pass
+takes a batch of samples (inference is a batch of one) and dispatches by
+expert: each routed expert's extractor runs once per batch. Feature positions are
 treated as tokens; no positional encodings are added, queries and keys stay
 spatially aligned.
 """
@@ -101,23 +103,22 @@ def lift(params: AdapterParams, trainable=frozenset()) -> tuple[AdapterParams, d
 
 
 def _linear(x: ad.Node, p: LinearParams) -> ad.Node:
-    y = ad.matmul(x, p.weight)
-    return y if p.bias is None else ad.add_bias(y, p.bias)
+    return ad.linear(x, p.weight, p.bias)
 
 
 def _attention(q: ad.Node, k: ad.Node, v: ad.Node, heads: int) -> ad.Node:
-    width = q.shape[1]
+    width = q.shape[-1]
     if width % heads:
         raise ShapeError(f"heads ({heads}) must divide token width ({width})")
+    if heads == 1:
+        return ad.attention(q, k, v)
     d = width // heads
-    outs = []
-    for h in range(heads):
-        qh = ad.slice_cols(q, h * d, (h + 1) * d) if heads > 1 else q
-        kh = ad.slice_cols(k, h * d, (h + 1) * d) if heads > 1 else k
-        vh = ad.slice_cols(v, h * d, (h + 1) * d) if heads > 1 else v
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(d))
-        outs.append(ad.matmul(ad.row_softmax(scores), vh))
-    return outs[0] if heads == 1 else ad.concat_cols(outs)
+    return ad.concat_cols(
+        [
+            ad.attention(*(ad.slice_cols(t, h * d, (h + 1) * d) for t in (q, k, v)))
+            for h in range(heads)
+        ]
+    )
 
 
 def _extract(x_tokens: ad.Node, feat_tokens: ad.Node, cap: CrossAttentionParams, heads: int) -> ad.Node:
@@ -148,67 +149,112 @@ def _gate(
     visual: ad.Node,
     text: ad.Node,
     gp: GatingParams,
-    selection: ExpertSelection,
+    selections: Sequence[ExpertSelection],
     mode: str,
 ) -> ad.Node:
-    """Gate weight vector (K,) over the selection, in selection order."""
+    """Gate weights (B, K): row b is sample b's softmax over its own selection,
+    in selection order, and exactly 0 in the slots past its K."""
+    kmax = max(s.k for s in selections)
     if mode == "uniform":
-        return ad.constant(np.full(selection.k, 1.0 / selection.k))
-    row = ad.reshape(ad.concat_vec(visual, text), (1, -1))
-    hidden = ad.tanh(_linear(row, gp.hidden))
-    logits = ad.reshape(_linear(hidden, gp.logits), (-1,))
-    return ad.softmax_vec(ad.gather_vec(logits, selection.indices))
+        return ad.constant(
+            [[1.0 / s.k for _ in range(s.k)] + [0.0] * (kmax - s.k) for s in selections]
+        )
+    hidden = ad.tanh(_linear(ad.concat_cols([visual, text]), gp.hidden))
+    logits = _linear(hidden, gp.logits)
+    rows, n = logits.shape
+    flat = ad.reshape(logits, (-1,))
+    # Padded slots gather a -inf appended past the last logit.
+    index = np.full((rows, kmax), rows * n)
+    for row, s in enumerate(selections):
+        index[row, : s.k] = row * n + np.asarray(s.indices, dtype=int)
+    if any(s.k < kmax for s in selections):
+        flat = ad.concat_vec(flat, ad.constant([-np.inf]))
+    return ad.softmax_vec(ad.gather_vec(flat, index))
 
 
 def _residual_mlp(x: ad.Node, r) -> ad.Node:
     return ad.add(x, _linear(ad.gelu(_linear(x, r.fc1)), r.fc2))
 
 
+@dataclass(frozen=True)
+class ForwardInput:
+    """One sample of a forward pass: its features, its routing and its question."""
+
+    base: FeatureMap
+    expert_features: Mapping[str, FeatureMap]
+    selection: ExpertSelection
+    question: str
+
+
 def build_forward_graph(
-    base: FeatureMap,
-    expert_features: Mapping[str, FeatureMap],
-    selection: ExpertSelection,
-    question: str,
+    batch: Sequence[ForwardInput],
     lifted: AdapterParams,
     config: AdapterConfig,
 ) -> tuple[ad.Node, list[ad.Node]]:
-    """Full adapter forward pass; returns (output tokens node, per-block gate nodes)."""
-    c, h, w = base.shape
+    """Adapter forward pass over a batch, dispatched by expert.
+
+    Returns the output tokens node (B, H/2 * W/2, llm_dim) and one gate node
+    (B, K) per block, where K is the batch's largest selection; there are no
+    gate nodes when no sample routes an expert. In each block every expert
+    that some sample routes runs its extractor once, over the stacked tokens
+    of just those samples, so a routed-out feature never enters the graph.
+    The weighted conditionals are summed back per sample in selection order;
+    a sample with K=0 passes its tokens straight to the transformer.
+    """
+    c, h, w = batch[0].base.shape
     if c != config.hidden_dim:
         raise ShapeError(f"base feature has {c} channels, config hidden_dim is {config.hidden_dim}")
     if h % 2 or w % 2:
         raise ShapeError(f"base spatial extents must be even for token reduction, got {h}x{w}")
-    selection.validate_against(len(lifted.expert_names))
-    selected_names = [lifted.expert_names[i] for i in selection.indices]
-    feat_tokens: dict[str, ad.Node] = {}
-    for name in selected_names:
-        if name not in expert_features:
-            raise FeatureMismatchError(f"no feature map supplied for routed expert {name!r}")
-        feat = expert_features[name]
-        kv_in = lifted.blocks[0].extractors[name].key.weight.shape[0]
-        if feat.channels != kv_in:
-            raise ShapeError(
-                f"expert {name!r} feature has {feat.channels} channels, extractor expects {kv_in}"
-            )
-        feat_tokens[name] = ad.constant(bilinear_interpolate(feat, h, w).tokens())
+    kmax = max(sample.selection.k for sample in batch)
+    # Per routed expert: the (sample, selection position, resized tokens) that route it.
+    routed: dict[str, list[tuple[int, int, np.ndarray]]] = {}
+    texts = np.zeros((len(batch), config.text_dim))
+    for row, sample in enumerate(batch):
+        if sample.base.shape != (c, h, w):
+            raise ShapeError(f"base features differ in shape: {(c, h, w)} vs {sample.base.shape}")
+        sample.selection.validate_against(len(lifted.expert_names))
+        for pos, idx in enumerate(sample.selection.indices):
+            name = lifted.expert_names[idx]
+            if name not in sample.expert_features:
+                raise FeatureMismatchError(f"no feature map supplied for routed expert {name!r}")
+            feat = sample.expert_features[name]
+            kv_in = lifted.blocks[0].extractors[name].key.weight.shape[0]
+            if feat.channels != kv_in:
+                raise ShapeError(
+                    f"expert {name!r} feature has {feat.channels} channels, "
+                    f"extractor expects {kv_in}"
+                )
+            resized = bilinear_interpolate(feat, h, w).tokens()
+            routed.setdefault(name, []).append((row, pos, resized))
+        if sample.selection.k:
+            texts[row] = encode_text(sample.question, config.text_dim).values
 
-    x = ad.constant(base.tokens())
+    x = ad.constant(np.stack([sample.base.tokens() for sample in batch]))
+    text = ad.constant(texts)
+    selections = [sample.selection for sample in batch]
+    feats = {name: ad.constant(np.stack([t for _, _, t in rows])) for name, rows in routed.items()}
+    # terms[b, pos]: the row of sample b's pos-th conditional among the stacked conditionals.
+    terms = np.full((len(batch), kmax), -1)
+    offset = 0
+    for rows in routed.values():
+        for i, (row, pos, _) in enumerate(rows):
+            terms[row, pos] = offset + i
+        offset += len(rows)
     gates: list[ad.Node] = []
-    text = ad.constant(encode_text(question, config.text_dim).values) if selection.k else None
     for block in lifted.blocks:
-        if selection.k:
-            conditional = [
-                _extract(x, feat_tokens[name], block.extractors[name], config.heads)
-                for name in selected_names
-            ]
-            weights = _gate(ad.mean_rows(x), text, block.gating, selection, config.gating_mode)
-            fused = ad.mul_scalar(conditional[0], ad.pick(weights, 0))
-            for j in range(1, selection.k):
-                fused = ad.add(fused, ad.mul_scalar(conditional[j], ad.pick(weights, j)))
+        if kmax:
+            weights = _gate(ad.mean_rows(x), text, block.gating, selections, config.gating_mode)
+            flat_weights = ad.reshape(weights, (-1,))
+            parts = []
+            for name, rows in routed.items():
+                mine = x if len(rows) == len(batch) else ad.gather_vec(x, [r for r, _, _ in rows])
+                conditional = _extract(mine, feats[name], block.extractors[name], config.heads)
+                slots = [r * kmax + pos for r, pos, _ in rows]
+                parts.append(ad.mul_scalar(conditional, ad.gather_vec(flat_weights, slots)))
             gates.append(weights)
-            x = _transformer(fused, block.transformer, config.heads)
-        else:
-            x = _transformer(x, block.transformer, config.heads)
+            x = ad.scatter_rows(x, parts, terms)
+        x = _transformer(x, block.transformer, config.heads)
     for reducer in lifted.reducers:
         x = _residual_mlp(x, reducer)
     x = ad.avg_pool_2x_rows(x, h, w)
@@ -272,13 +318,13 @@ def gate_weights(
     if joint != expected:
         raise ShapeError(f"gating input width {joint} does not match MLP fan-in {expected}")
     node = _gate(
-        ad.constant(gating_input.visual_token),
-        ad.constant(gating_input.text_token.values),
+        ad.constant(gating_input.visual_token[None]),
+        ad.constant(gating_input.text_token.values[None]),
         _constants(params),
-        selection,
+        [selection],
         mode,
     )
-    return GateWeights(node.value)
+    return GateWeights(node.value[0])
 
 
 def fuse(conditional: Sequence[FeatureMap], weights: GateWeights) -> FeatureMap:
@@ -316,12 +362,13 @@ def adapter_apply(
     params: AdapterParams,
     config: AdapterConfig,
 ) -> AdapterOutput:
-    """Forward pass returning output tokens plus per-block gate weights."""
+    """Forward pass returning output tokens plus per-block gate weights (a batch of one)."""
     lifted, _ = lift(params)
-    out, gates = build_forward_graph(base, expert_features, selection, question, lifted, config)
+    sample = ForwardInput(base, expert_features, selection, question)
+    out, gates = build_forward_graph([sample], lifted, config)
     return AdapterOutput(
-        tokens=out.value,
-        gate_weights=tuple(GateWeights(g.value) for g in gates),
+        tokens=out.value[0],
+        gate_weights=tuple(GateWeights(g.value[0]) for g in gates),
     )
 
 

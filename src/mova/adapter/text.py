@@ -7,6 +7,7 @@ swapped in by replacing :func:`encode_text` wherever it is injected.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -33,12 +34,18 @@ class TextToken:
         return self.values.shape[0]
 
 
+# Seeding a generator per token dominates encode_text, and questions reuse a
+# small vocabulary; the bound keeps an open-ended stream of new words in check.
+@functools.lru_cache(maxsize=4096)
 def _token_vector(token: str, text_dim: int) -> np.ndarray:
+    """Unit vector for one token; cached, so the array is read-only."""
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "little"))
     vec = rng.standard_normal(text_dim)
     norm = np.linalg.norm(vec)
-    return vec / norm if norm > _NORM_FLOOR else vec
+    vec = vec / norm if norm > _NORM_FLOOR else vec
+    vec.flags.writeable = False
+    return vec
 
 
 def encode_text(question: str, text_dim: int) -> TextToken:

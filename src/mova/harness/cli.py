@@ -1,6 +1,6 @@
 """The mova command line.
 
-Exit codes: 0 success, 1 validation/usage error, 2 property or acceptance
+Exit codes: 0 success, 1 validation/usage/file error, 2 property or acceptance
 failure. MOVA_SEED overrides default seeds when the corresponding flag is
 absent. All reports are JSON on stdout or at --report.
 """
@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict, report_path=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if report_path:
         Path(report_path).write_text(text + "\n")
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 1
     try:
         return args.fn(args)
-    except MovaError as exc:
+    except (MovaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

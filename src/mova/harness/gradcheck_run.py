@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from mova.adapter.config import desk_config
-from mova.adapter.network import build_forward_graph, lift
+from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.adapter.params import clone_params, named_arrays
 from mova.adapter.params import init_params
 from mova.experts import default_registry, generate_base_feature, generate_expert_feature
@@ -38,8 +38,9 @@ def full_gradient_check(eps: float = 1e-5, tol: float = 1e-4) -> dict:
 
     def loss_node(p, trainable):
         lifted, tracked = lift(p, trainable)
-        out, _ = build_forward_graph(base, feats, selection, question, lifted, config)
-        diff = ad.sub(ad.gather_vec(ad.mean_rows(out), range(answer.size)), ad.constant(answer))
+        out, _ = build_forward_graph([ForwardInput(base, feats, selection, question)], lifted, config)
+        pooled = ad.reshape(ad.mean_rows(out), (-1,))  # a batch of one
+        diff = ad.sub(ad.gather_vec(pooled, range(answer.size)), ad.constant(answer))
         return ad.mean_all(ad.mul(diff, diff)), tracked
 
     groups = {

@@ -17,6 +17,7 @@ import numpy as np
 
 from mova.adapter.config import desk_config
 from mova.adapter.network import (
+    ForwardInput,
     GatingInput,
     adapter_forward,
     build_forward_graph,
@@ -357,8 +358,9 @@ def _check_gradient_spot():
 
     def loss_and_tracked(p):
         lifted, tracked = lift(p, trainable="all")
-        out, _ = build_forward_graph(base, feats, selection, "find it", lifted, config)
-        diff = ad.sub(ad.gather_vec(ad.mean_rows(out), range(4)), ad.constant(answer))
+        out, _ = build_forward_graph([ForwardInput(base, feats, selection, "find it")], lifted, config)
+        pooled = ad.reshape(ad.mean_rows(out), (-1,))  # a batch of one
+        diff = ad.sub(ad.gather_vec(pooled, range(4)), ad.constant(answer))
         return ad.mean_all(ad.mul(diff, diff)), tracked
 
     loss, tracked = loss_and_tracked(params)

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from mova.adapter.config import AdapterConfig, desk_config
-from mova.adapter.network import build_forward_graph, lift
+from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.adapter.params import AdapterParams, clone_params, init_params, named_arrays
 from mova.errors import TrainingError, ValidationError
 from mova.experts import (
@@ -31,7 +31,6 @@ from mova.experts import (
 )
 from mova.numerics import autodiff as ad
 from mova.numerics.gradcheck import rel_error
-from mova.numerics.tensor import FeatureMap
 from mova.routing import ExpertSelection, oracle_selection
 from mova.routing_data import (
     DEFAULT_CAP,
@@ -44,6 +43,12 @@ _BATCH_SALT = 0x8A7C4
 _GRADCHECK_SALT = 0x96AD
 
 SCOPES = ("gating", "gating+extractor", "full-adapter")
+
+# Samples per tape. A graph holds every activation of its samples until
+# backward frees it: one graph over a 48-sample batch raised peak RSS by about
+# 150 MB, a microbatch of 12 by 12% and one of 8 by 5.6%, while 8 still lets
+# each routed expert's extractor run over several samples at once.
+MICROBATCH = 8
 
 SelectionProvider = Callable[[Sample], ExpertSelection]
 
@@ -129,14 +134,15 @@ class _CorpusRunner:
             else {}
         )
         for sample in self.samples:
+            if not sample.answer_vector:
+                raise ValidationError(f"sample {sample.sample_id!r}: empty answer vector")
             if len(sample.answer_vector) > config.adapter.llm_dim:
                 raise ValidationError(
                     f"sample {sample.sample_id!r}: answer vector longer than llm_dim "
                     f"{config.adapter.llm_dim}"
                 )
         self.selection_for = selection_provider or self._default_provider()
-        self._features: dict[str, tuple[FeatureMap, dict[str, FeatureMap]]] = {}
-        self._selections: dict[str, ExpertSelection] = {}
+        self._inputs: dict[str, ForwardInput] = {}
 
     def _default_provider(self) -> SelectionProvider:
         if self.config.selection is not None:
@@ -161,16 +167,13 @@ class _CorpusRunner:
 
         return oracle_provider
 
-    def selection(self, sample: Sample) -> ExpertSelection:
-        if sample.sample_id not in self._selections:
-            self._selections[sample.sample_id] = self.selection_for(sample)
-        return self._selections[sample.sample_id]
-
-    def features(self, sample: Sample) -> tuple[FeatureMap, dict[str, FeatureMap]]:
-        if sample.sample_id not in self._features:
+    def forward_input(self, sample: Sample) -> ForwardInput:
+        """The sample's features, selection and question, generated once and cached."""
+        if sample.sample_id not in self._inputs:
+            selection = self.selection_for(sample)
             base = generate_base_feature(self.registry, sample.image_seed)
             feats = {}
-            for idx in self.selection(sample).indices:
+            for idx in selection.indices:
                 spec = self.registry.experts[idx]
                 feats[spec.name] = generate_expert_feature(
                     spec,
@@ -178,43 +181,57 @@ class _CorpusRunner:
                     planted=(spec.name == sample.planted_expert),
                     answer_vector=sample.answer_vector,
                 )
-            self._features[sample.sample_id] = (base, feats)
-        return self._features[sample.sample_id]
+            self._inputs[sample.sample_id] = ForwardInput(base, feats, selection, sample.question)
+        return self._inputs[sample.sample_id]
 
-    def loss_graph(self, sample: Sample, lifted: AdapterParams) -> tuple[ad.Node, list[ad.Node]]:
-        base, feats = self.features(sample)
+    def loss_graph(
+        self, samples: list[Sample], lifted: AdapterParams, weight: float
+    ) -> tuple[ad.Node, list[ad.Node]]:
+        """`weight` times the summed per-sample losses of a microbatch, as one graph.
+
+        A sample's loss is the mean squared error between the leading pooled
+        output components and its answer vector.
+        """
         out, gates = build_forward_graph(
-            base, feats, self.selection(sample), sample.question, lifted, self.config.adapter
+            [self.forward_input(s) for s in samples], lifted, self.config.adapter
         )
-        answer = np.asarray(sample.answer_vector)
-        pooled = ad.mean_rows(out)
-        diff = ad.sub(ad.gather_vec(pooled, range(answer.size)), ad.constant(answer))
-        return ad.mean_all(ad.mul(diff, diff)), gates
+        width = out.shape[-1]
+        index, answers, scale = [], [], []
+        for row, sample in enumerate(samples):
+            n = len(sample.answer_vector)
+            index += range(row * width, row * width + n)
+            answers += sample.answer_vector
+            scale += [weight / n] * n
+        pooled = ad.reshape(ad.mean_rows(out), (-1,))
+        diff = ad.sub(ad.gather_vec(pooled, index), ad.constant(answers))
+        # mean_all divides by the entry count; scaling each entry by it first
+        # leaves the weighted sum of per-sample means.
+        per_entry = ad.constant(np.asarray(scale) * len(index))
+        return ad.mean_all(ad.mul(ad.mul(diff, diff), per_entry)), gates
 
     def batch_loss(self, batch: list[Sample], params: AdapterParams, trainable) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean loss over the batch; gradients accumulate across samples."""
+        """Mean loss over the batch; one tape per microbatch, gradients accumulate across them."""
         lifted, tracked = lift(params, trainable)
         total = 0.0
-        for sample in batch:
-            loss, _ = self.loss_graph(sample, lifted)
+        for samples in _microbatches(batch):
+            loss, _ = self.loss_graph(samples, lifted, 1.0 / len(batch))
             if not np.isfinite(loss.value):
-                raise TrainingError(f"non-finite loss on sample {sample.sample_id!r}")
+                ids = ", ".join(repr(s.sample_id) for s in samples)
+                raise TrainingError(f"non-finite loss on samples {ids}")
             total += float(loss.value)
             ad.backward(loss)
         grads = {
-            name: (node.grad if node.grad is not None else np.zeros_like(node.value))
-            / len(batch)
+            name: node.grad if node.grad is not None else np.zeros_like(node.value)
             for name, node in tracked.items()
         }
-        return total / len(batch), grads
+        return total, grads
 
     def batch_loss_value(self, batch: list[Sample], params: AdapterParams) -> float:
         lifted, _ = lift(params)
-        total = 0.0
-        for sample in batch:
-            loss, _ = self.loss_graph(sample, lifted)
-            total += float(loss.value)
-        return total / len(batch)
+        return sum(
+            float(self.loss_graph(samples, lifted, 1.0 / len(batch))[0].value)
+            for samples in _microbatches(batch)
+        )
 
     def evaluate(self, params: AdapterParams) -> tuple[float, dict[str, float]]:
         """Eval loss plus mean gate weight per pool expert over samples and blocks."""
@@ -223,18 +240,25 @@ class _CorpusRunner:
         total = 0.0
         sums = {name: 0.0 for name in params.expert_names}
         denom = 0
-        for sample in eval_set:
-            loss, gates = self.loss_graph(sample, lifted)
+        for samples in _microbatches(eval_set):
+            loss, gates = self.loss_graph(samples, lifted, 1.0 / len(eval_set))
             total += float(loss.value)
-            sel = self.selection(sample)
-            for gate in gates:
-                denom += 1
-                for pos, idx in enumerate(sel.indices):
-                    sums[self.registry.experts[idx].name] += float(gate.value[pos])
+            for row, sample in enumerate(samples):
+                sel = self.forward_input(sample).selection
+                if not sel.k:
+                    continue
+                for gate in gates:
+                    denom += 1
+                    for pos, idx in enumerate(sel.indices):
+                        sums[self.registry.experts[idx].name] += float(gate.value[row, pos])
         mean_gates = {
             name: (sums[name] / denom if denom else 0.0) for name in params.expert_names
         }
-        return total / len(eval_set), mean_gates
+        return total, mean_gates
+
+
+def _microbatches(samples: list[Sample]) -> list[list[Sample]]:
+    return [samples[i : i + MICROBATCH] for i in range(0, len(samples), MICROBATCH)]
 
 
 def _spot_check_gradients(
@@ -311,7 +335,13 @@ def train_toy(
             gradcheck_summary = _spot_check_gradients(runner, params, batch, grads)
         for name, grad in grads.items():
             arrays[name] -= config.learning_rate * grad
+    # A run that diverges on its last update fails here instead of reporting NaN.
+    for name in sorted(trainable):
+        if not np.all(np.isfinite(arrays[name])):
+            raise TrainingError(f"parameter {name} is non-finite after {config.steps} steps")
     eval_loss, mean_gates = runner.evaluate(params)
+    if not np.isfinite(eval_loss):
+        raise TrainingError(f"non-finite eval loss after {config.steps} steps")
     report = TrainReport(
         loss_trace=tuple(trace),
         mean_gate_weights=mean_gates,

@@ -2,13 +2,20 @@
 
 A computation builds a graph of :class:`Node` objects; :func:`backward` on a
 scalar node accumulates vector-Jacobian products into ``node.grad`` for every
-node with ``requires_grad``. Graphs are built fresh per evaluation, so values
+leaf with ``requires_grad``. Graphs are built fresh per evaluation, so values
 are never mutated and evaluation stays pure.
 
+Memory follows the gradient: a node no gradient flows through keeps no parents
+and no VJP closures, so a forward-only graph is freed as it is built, and
+:func:`backward` releases each interior node's grad, parents and closures once
+it has propagated them. Only leaves keep (and accumulate) their grads.
+
 The op set is intentionally small: exactly what the adapter network and the
-toy trainer need. Shapes are the caller's contract; ops assert only what
-their math requires. Softmax and 2x pooling take their forward values from
-the :mod:`mova.numerics.ops` kernels and add only their VJPs.
+toy trainer need. Ops broadcast over leading (batch) axes where the adapter
+needs them to; parameter gradients are summed over those axes. Shapes are the
+caller's contract; ops assert only what their math requires. Softmax,
+attention and 2x pooling take their forward values from the
+:mod:`mova.numerics.ops` kernels and add only their VJPs.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 from scipy.special import erf
 
 from mova.errors import ShapeError
-from mova.numerics.ops import avg_pool_2x_tokens, stable_softmax
+from mova.numerics.ops import avg_pool_2x_tokens, dot_attention, stable_softmax
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -38,9 +45,11 @@ class Node:
         requires_grad: bool = False,
     ):
         self.value = np.asarray(value, dtype=np.float64)
-        self._parents = parents
-        self._vjps = vjps
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        if self.requires_grad:
+            self._parents, self._vjps = parents, vjps
+        else:
+            self._parents, self._vjps = (), ()
         self.grad = None
 
     @property
@@ -57,7 +66,11 @@ def variable(value) -> Node:
 
 
 def backward(root: Node) -> None:
-    """Accumulate gradients of a scalar root into the graph."""
+    """Accumulate gradients of a scalar root into the graph's leaves.
+
+    Interior nodes are spent: each drops its grad, parents and VJP closures as
+    soon as it has passed its gradient on.
+    """
     if root.value.shape != ():
         raise ShapeError(f"backward needs a scalar root, got shape {root.value.shape}")
     if not root.requires_grad:
@@ -78,15 +91,24 @@ def backward(root: Node) -> None:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     root.grad = np.ones(())
-    for node in reversed(order):
-        g = node.grad
+    while order:
+        node = order.pop()
+        parents, vjps, g = node._parents, node._vjps, node.grad
+        if not parents:
+            continue
+        node._parents, node._vjps, node.grad = (), (), None
         if g is None:
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
+        for parent, vjp in zip(parents, vjps):
             if not parent.requires_grad:
                 continue
             contrib = vjp(g)
             parent.grad = contrib if parent.grad is None else parent.grad + contrib
+
+
+def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum g over the leading axes it has beyond `shape` (a shared parameter's gradient)."""
+    return g if g.shape == shape else g.reshape((-1,) + shape).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,28 +138,77 @@ def scale(a: Node, c: float) -> Node:
 
 
 def mul_scalar(a: Node, s: Node) -> Node:
-    """Tensor times a scalar node."""
-    if s.shape != ():
-        raise ShapeError(f"mul_scalar needs a scalar, got shape {s.shape}")
-    return Node(
-        a.value * s.value,
-        (a, s),
-        (lambda g: g * s.value, lambda g: np.asarray((g * a.value).sum())),
-    )
+    """Tensor times a scalar node, or times one scalar per leading row when s is a vector."""
+    if s.value.ndim > 1 or (s.value.ndim == 1 and s.shape[0] != a.shape[0]):
+        raise ShapeError(f"mul_scalar needs a scalar or one per row of {a.shape}, got {s.shape}")
+    sv = s.value.reshape(s.shape + (1,) * (a.value.ndim - s.value.ndim))
+
+    def vjp_s(g):
+        return np.asarray((g * a.value).reshape(s.shape + (-1,)).sum(axis=-1))
+
+    return Node(a.value * sv, (a, s), (lambda g: g * sv, vjp_s))
 
 
 def matmul(a: Node, b: Node) -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
+    """a (..., n, k) @ b (k, m), with the matrix b shared across a's leading axes."""
+    if a.value.ndim < 2 or b.value.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} vs {b.shape}")
+    k, m = b.shape
     return Node(
         a.value @ b.value,
         (a, b),
-        (lambda g: g @ b.value.T, lambda g: a.value.T @ g),
+        (lambda g: g @ b.value.T, lambda g: a.value.reshape(-1, k).T @ g.reshape(-1, m)),
+    )
+
+
+def linear(x: Node, w: Node, b: Node | None = None) -> Node:
+    """x (..., k) @ w (k, m) + b (m,) as one node; w and b are shared across leading axes."""
+    bias = None if b is None else b.shape
+    if w.value.ndim != 2 or x.shape[-1] != w.shape[0] or bias not in (None, w.shape[1:]):
+        raise ShapeError(f"linear shapes incompatible: {x.shape} @ {w.shape} + {bias}")
+    k, m = w.shape
+    y = x.value @ w.value
+    parents: tuple[Node, ...] = (x, w)
+    vjps: tuple = (lambda g: g @ w.value.T, lambda g: x.value.reshape(-1, k).T @ g.reshape(-1, m))
+    if b is not None:
+        y += b.value
+        parents += (b,)
+        vjps += (lambda g: _sum_to(g, (m,)),)
+    return Node(y, parents, vjps)
+
+
+def attention(q: Node, k: Node, v: Node) -> Node:
+    """softmax(q k^T / sqrt(d)) v over the last two axes, as one node.
+
+    Only the attention probabilities are kept for the VJP; the score gradient
+    is computed once and shared by the q and k VJPs.
+    """
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or q.shape[:-2] != k.shape[:-2]:
+        raise ShapeError(f"attention shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
+    out, p = dot_attention(q.value, k.value, v.value)
+    c = 1.0 / np.sqrt(q.shape[-1])
+    memo: list = [None, None]  # (g, gradient of the scaled scores for that g)
+
+    def dscores(g):
+        if memo[0] is not g:
+            dp = g @ np.swapaxes(v.value, -1, -2)
+            memo[:] = g, p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        return memo[1]
+
+    return Node(
+        out,
+        (q, k, v),
+        (
+            lambda g: dscores(g) @ k.value,
+            lambda g: np.swapaxes(dscores(g), -1, -2) @ q.value,
+            lambda g: np.swapaxes(p, -1, -2) @ g,
+        ),
     )
 
 
 def transpose(a: Node) -> Node:
-    return Node(a.value.T, (a,), (lambda g: g.T,))
+    """Swap the last two axes."""
+    return Node(np.swapaxes(a.value, -1, -2), (a,), (lambda g: np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Node, shape) -> Node:
@@ -155,6 +226,7 @@ def concat_vec(a: Node, b: Node) -> Node:
 
 
 def gather_vec(a: Node, indices) -> Node:
+    """a[indices]: entries of a vector, or rows along a's leading axis; any index shape."""
     idx = np.asarray(indices, dtype=int)
 
     def vjp(g):
@@ -163,6 +235,43 @@ def gather_vec(a: Node, indices) -> Node:
         return out
 
     return Node(a.value[idx], (a,), (vjp,))
+
+
+def scatter_rows(base: Node, parts: Sequence[Node], terms) -> Node:
+    """Rows of `base`, with each routed row replaced by a sum of rows of `parts`.
+
+    The parts are stacked along their leading axis. terms[b] lists the stacked
+    rows that make up row b, padded at the end with -1: the result is
+    stacked[terms[b, 0]] + stacked[terms[b, 1]] + ..., added in that order,
+    and a row with no terms is base[b].
+    """
+    terms = np.asarray(terms, dtype=int)
+    stacked = np.concatenate([p.value for p in parts])
+    out = base.value.copy()
+    first = terms[:, 0] >= 0
+    out[first] = stacked[terms[first, 0]]
+    for j in range(1, terms.shape[1]):
+        live = terms[:, j] >= 0
+        out[live] += stacked[terms[live, j]]
+    rows, cols = np.nonzero(terms >= 0)
+    src = terms[rows, cols]
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def base_vjp(g):
+        kept = g.copy()
+        kept[first] = 0.0
+        return kept
+
+    def make_vjp(i):
+        def vjp(g):
+            mine = (src >= offsets[i]) & (src < offsets[i + 1])
+            grad = np.zeros_like(parts[i].value)
+            np.add.at(grad, src[mine] - offsets[i], g[rows[mine]])
+            return grad
+
+        return vjp
+
+    return Node(out, (base, *parts), (base_vjp, *(make_vjp(i) for i in range(len(parts)))))
 
 
 def pick(a: Node, index: int) -> Node:
@@ -186,23 +295,23 @@ def mean_all(a: Node) -> Node:
 
 
 def mean_rows(a: Node) -> Node:
-    """Mean over rows of a (T, C) matrix, yielding (C,)."""
-    t = a.shape[0]
+    """Mean over the token axis of (..., T, C) tokens, yielding (..., C)."""
+    t = a.shape[-2]
 
     def vjp(g):
-        return np.broadcast_to(g / t, a.shape).copy()
+        return np.broadcast_to(np.expand_dims(g / t, -2), a.shape).copy()
 
-    return Node(a.value.mean(axis=0), (a,), (vjp,))
+    return Node(a.value.mean(axis=-2), (a,), (vjp,))
 
 
 def add_bias(x: Node, b: Node) -> Node:
-    """Add a (C,) bias to every row of a (T, C) matrix."""
-    if x.value.ndim != 2 or b.shape != (x.shape[1],):
+    """Add a (C,) bias to every row of (..., T, C) tokens."""
+    if x.value.ndim < 2 or b.shape != (x.shape[-1],):
         raise ShapeError(f"bias {b.shape} does not fit matrix {x.shape}")
     return Node(
         x.value + b.value,
         (x, b),
-        (lambda g: g, lambda g: g.sum(axis=0)),
+        (lambda g: g, lambda g: _sum_to(g, b.shape)),
     )
 
 
@@ -220,29 +329,33 @@ def gelu(a: Node) -> Node:
 
 
 def softmax_vec(a: Node) -> Node:
-    p = stable_softmax(a.value)
+    """Softmax over the last axis; -inf entries (padding) get weight exactly 0.
+
+    A row with no finite entry is all zeros.
+    """
+    x = a.value
+    empty = np.isneginf(x).all(axis=-1, keepdims=True)
+    if empty.any():
+        p = np.where(empty, 0.0, stable_softmax(np.where(empty, 0.0, x)))
+    else:
+        p = stable_softmax(x)
 
     def vjp(g):
-        return p * (g - float(np.dot(g, p)))
+        return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
     return Node(p, (a,), (vjp,))
 
 
-def row_softmax(a: Node) -> Node:
-    p = stable_softmax(a.value)
-
-    def vjp(g):
-        return p * (g - (g * p).sum(axis=1, keepdims=True))
-
-    return Node(p, (a,), (vjp,))
+# Row-wise softmax of token scores is the same last-axis softmax.
+row_softmax = softmax_vec
 
 
 def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-6) -> Node:
-    """Per-row layer normalization of a (T, C) matrix with affine params."""
+    """Per-row layer normalization of (..., T, C) tokens with affine params."""
     v = x.value
-    mu = v.mean(axis=1, keepdims=True)
+    mu = v.mean(axis=-1, keepdims=True)
     centered = v - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     std = np.sqrt(var + eps)
     xhat = centered / std
     out = xhat * gamma.value + beta.value
@@ -251,47 +364,50 @@ def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-6) -> Node
         dxhat = g * gamma.value
         return (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         ) / std
 
     return Node(
         out,
         (x, gamma, beta),
-        (vjp_x, lambda g: (g * xhat).sum(axis=0), lambda g: g.sum(axis=0)),
+        (vjp_x, lambda g: _sum_to(g * xhat, gamma.shape), lambda g: _sum_to(g, beta.shape)),
     )
 
 
 def avg_pool_2x_rows(x: Node, height: int, width: int) -> Node:
-    """2x average pooling of row-major (height*width, C) tokens."""
+    """2x average pooling of row-major (..., height*width, C) tokens."""
     pooled = avg_pool_2x_tokens(x.value, height, width)
-    t, c = x.shape
+    *lead, _, c = x.shape
 
     def vjp(g):
-        gg = g.reshape(height // 2, 1, width // 2, 1, c) / 4.0
-        return np.broadcast_to(gg, (height // 2, 2, width // 2, 2, c)).reshape(t, c).copy()
+        gg = g.reshape(*lead, height // 2, 1, width // 2, 1, c) / 4.0
+        return np.broadcast_to(gg, (*lead, height // 2, 2, width // 2, 2, c)).reshape(x.shape)
 
     return Node(pooled, (x,), (vjp,))
 
 
 def slice_cols(a: Node, lo: int, hi: int) -> Node:
+    """Columns lo:hi of the last axis."""
+
     def vjp(g):
         out = np.zeros_like(a.value)
-        out[:, lo:hi] = g
+        out[..., lo:hi] = g
         return out
 
-    return Node(a.value[:, lo:hi].copy(), (a,), (vjp,))
+    return Node(a.value[..., lo:hi].copy(), (a,), (vjp,))
 
 
 def concat_cols(parts: Sequence[Node]) -> Node:
-    widths = [p.shape[1] for p in parts]
+    """Concatenation along the last axis."""
+    widths = [p.shape[-1] for p in parts]
     offsets = np.cumsum([0] + widths)
 
     def make_vjp(i):
-        return lambda g: g[:, offsets[i]:offsets[i + 1]]
+        return lambda g: g[..., offsets[i]:offsets[i + 1]]
 
     return Node(
-        np.concatenate([p.value for p in parts], axis=1),
+        np.concatenate([p.value for p in parts], axis=-1),
         tuple(parts),
         tuple(make_vjp(i) for i in range(len(parts))),
     )

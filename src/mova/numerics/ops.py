@@ -1,9 +1,10 @@
 """Deterministic dense kernels: matmul, softmax, interpolation, pooling, attention.
 
 All functions are pure. Summation orders are fixed, so identical inputs give
-bitwise-identical outputs. ``stable_softmax`` and ``avg_pool_2x_tokens`` are
-array kernels without a finiteness check: the autodiff tape takes its forward
-values from them, and the validated public functions below call them too.
+bitwise-identical outputs. ``stable_softmax``, ``dot_attention`` and
+``avg_pool_2x_tokens`` are array kernels without a finiteness check that work
+over any leading (batch) axes: the autodiff tape takes its forward values from
+them, and the validated public functions below call them too.
 """
 
 from __future__ import annotations
@@ -31,13 +32,19 @@ def stable_softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked softmax(q k^T / sqrt(d)) v over the last two axes; returns (output, probabilities)."""
+    p = stable_softmax((q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1])))
+    return p @ v, p
+
+
 def avg_pool_2x_tokens(tokens: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Mean of each disjoint 2x2 block of row-major (height*width, C) tokens."""
-    t, c = tokens.shape
+    """Mean of each disjoint 2x2 block of row-major (..., height*width, C) tokens."""
+    *lead, t, c = tokens.shape
     if t != height * width or height % 2 or width % 2:
         raise ShapeError(f"cannot 2x-pool {t} tokens as even {height}x{width} grid")
-    blocks = tokens.reshape(height // 2, 2, width // 2, 2, c)
-    return blocks.mean(axis=(1, 3)).reshape((height // 2) * (width // 2), c)
+    blocks = tokens.reshape(*lead, height // 2, 2, width // 2, 2, c)
+    return blocks.mean(axis=(-4, -2)).reshape(*lead, (height // 2) * (width // 2), c)
 
 
 def softmax(v, mask=None) -> np.ndarray:
@@ -135,4 +142,4 @@ def scaled_dot_attention(q, k, v) -> np.ndarray:
         raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"key/value token counts differ: {k.shape} vs {v.shape}")
-    return stable_softmax((q @ k.T) * (1.0 / np.sqrt(q.shape[1]))) @ v
+    return dot_attention(q, k, v)[0]

@@ -176,9 +176,11 @@ def save_loss_records(path, records: Sequence[LossRecord]) -> None:
 
 def load_annotations(path) -> list[RoutingAnnotation]:
     def parse(obj):
+        if not isinstance(obj["experts"], list):
+            raise TypeError(f"experts must be a list, got {type(obj['experts']).__name__}")
         return RoutingAnnotation(sample_id=obj["sample_id"], experts=tuple(obj["experts"]))
 
-    return [a for _, a in _read_jsonl(path, "annotation", parse)]
+    return [a for _, a in _read_jsonl(path, "annotation", parse, unique=True)]
 
 
 def save_annotations(path, annotations: Sequence[RoutingAnnotation]) -> None:

@@ -51,22 +51,46 @@ def test_scale_and_mul_scalar():
 
 def test_matmul_both_arguments():
     check_op(ad.matmul, (4, 3), (3, 5))
+    check_op(ad.matmul, (2, 4, 3), (3, 5))
+
+
+def test_fused_linear_and_attention():
+    check_op(ad.linear, (4, 3), (3, 5), (5,))
+    check_op(ad.linear, (2, 4, 3), (3, 5), (5,))
+    check_op(lambda x, w: ad.linear(x, w), (2, 4, 3), (3, 5))
+    check_op(ad.attention, (4, 3), (6, 3), (6, 2))
+    check_op(ad.attention, (2, 4, 3), (2, 6, 3), (2, 6, 2))
+
+
+def test_batched_mixing_ops():
+    # Stacked rows 0-1 come from the first part and 2-4 from the second;
+    # row 1 of the base is not routed and passes through.
+    terms = [[0, 3], [-1, -1], [2, -1], [4, 1]]
+    check_op(lambda b, p, q: ad.scatter_rows(b, [p, q], terms), (4, 2, 3), (2, 2, 3), (3, 2, 3))
+    check_op(ad.mul_scalar, (3, 2, 2), (3,))
+    check_op(lambda a: ad.gather_vec(a, [2, 0, 2]), (3, 4, 2))
+    check_op(lambda a: ad.gather_vec(a, [[4, 1], [0, 0]]), (6,))
 
 
 def test_structural_ops():
     check_op(ad.transpose, (3, 5))
+    check_op(ad.transpose, (2, 3, 5))
     check_op(lambda a: ad.reshape(a, (6, 2)), (3, 4))
     check_op(ad.concat_vec, (4,), (3,))
     check_op(lambda a: ad.gather_vec(a, [4, 1, 1, 0]), (6,))
     check_op(lambda a: ad.pick(a, 2), (5,))
     check_op(lambda a: ad.slice_cols(a, 1, 3), (4, 5))
     check_op(lambda a, b: ad.concat_cols([a, b]), (3, 2), (3, 4))
+    check_op(lambda a: ad.slice_cols(a, 1, 3), (2, 4, 5))
+    check_op(lambda a, b: ad.concat_cols([a, b]), (2, 3, 2), (2, 3, 4))
 
 
 def test_reductions():
     check_op(ad.mean_all, (4, 3))
     check_op(ad.mean_rows, (6, 3))
     check_op(lambda x, b: ad.add_bias(x, b), (5, 4), (4,))
+    check_op(ad.mean_rows, (2, 6, 3))
+    check_op(lambda x, b: ad.add_bias(x, b), (2, 5, 4), (4,))
 
 
 def test_nonlinearities():
@@ -74,14 +98,24 @@ def test_nonlinearities():
     check_op(ad.gelu, (4, 4))
     check_op(ad.softmax_vec, (6,))
     check_op(ad.row_softmax, (4, 5))
+    check_op(ad.softmax_vec, (2, 3, 5))
 
 
 def test_layer_norm_all_inputs():
     check_op(ad.layer_norm_rows, (6, 8), (8,), (8,), tol=1e-5)
+    check_op(ad.layer_norm_rows, (2, 6, 8), (8,), (8,), tol=1e-5)
 
 
 def test_avg_pool_rows():
     check_op(lambda x: ad.avg_pool_2x_rows(x, 4, 6), (24, 3))
+    check_op(lambda x: ad.avg_pool_2x_rows(x, 4, 6), (2, 24, 3))
+
+
+def test_softmax_padding_gets_exactly_zero():
+    v = np.array([[0.3, -np.inf, 1.7, -np.inf], [-np.inf] * 4])
+    p = ad.softmax_vec(ad.constant(v)).value
+    assert p[0, [0, 2]].tobytes() == softmax(v[0, [0, 2]]).tobytes()
+    assert not p[0, [1, 3]].any() and not p[1].any()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -117,6 +151,19 @@ def test_grad_accumulates_across_backward_calls():
     second = ad.mean_all(ad.mul(x, x))
     ad.backward(second)
     assert np.allclose(x.grad, 2 * once)
+
+
+def test_nodes_keep_only_what_backward_needs():
+    c = ad.tanh(ad.constant(np.ones(3)))
+    assert c._parents == () and c._vjps == ()
+    x = ad.variable(np.array([0.5, -1.0]))
+    h = ad.tanh(ad.mul(x, x))
+    loss = ad.mean_all(h)
+    assert h._parents and loss._parents
+    ad.backward(loss)
+    for interior in (h, loss):
+        assert interior.grad is None and interior._parents == () and interior._vjps == ()
+    assert x.grad is not None
 
 
 def test_constants_receive_no_gradient():

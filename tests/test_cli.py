@@ -315,10 +315,18 @@ class TestExitCodes:
         )
         toy = tmp_path / "toy.json"
         toy.write_text(json.dumps({"corpus": str(corpus), "steps": 1}))
+        # A file that cannot be opened or written is exit 1 too, not a traceback.
+        existing = tmp_path / "existing.txt"
+        existing.write_text("x")
         for argv, where in (
             (("route", "--question", "q", "--strategy", "oracle", "--losses", str(losses)),
              "losses.jsonl:1: malformed"),
             (("train-toy", "--config", str(toy)), "samples.jsonl:1: malformed"),
+            (("route", "--question", "q", "--strategy", "scripted", "--response", "A",
+              "--experts", str(tmp_path / "nofile.json")), "nofile.json"),
+            (("gen-synthetic", "--samples", "2", "--out", str(existing)), "existing.txt"),
+            (("fuse", "--question", "q", "--strategy", "scripted", "--response", "A",
+              "--out", str(tmp_path)), str(tmp_path)),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == ""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mova.adapter import desk_config, init_params
-from mova.adapter.network import build_forward_graph, lift
+from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.adapter.params import clone_params, named_arrays
 from mova.experts import default_registry, generate_base_feature, generate_expert_feature
 from mova.numerics import autodiff as ad
@@ -30,8 +30,10 @@ def instance():
 def loss_and_tracked(instance, params, trainable):
     _registry, config, _params, base, features, selection, answer = instance
     lifted, tracked = lift(params, trainable)
-    out, _ = build_forward_graph(base, features, selection, "find the signal", lifted, config)
-    diff = ad.sub(ad.gather_vec(ad.mean_rows(out), range(4)), ad.constant(answer))
+    sample = ForwardInput(base, features, selection, "find the signal")
+    out, _ = build_forward_graph([sample], lifted, config)
+    pooled = ad.reshape(ad.mean_rows(out), (-1,))  # a batch of one
+    diff = ad.sub(ad.gather_vec(pooled, range(4)), ad.constant(answer))
     return ad.mean_all(ad.mul(diff, diff)), tracked
 
 

@@ -145,6 +145,11 @@ class TestBuildAnnotations:
             ):
                 with pytest.raises(ValidationError, match=r"losses\.jsonl:2: malformed"):
                     read(losses)
+        # An experts string is not split into characters.
+        routing = tmp_path / "routing.jsonl"
+        routing.write_text(json.dumps({"sample_id": "cli", "experts": "sam"}) + "\n")
+        with pytest.raises(ValidationError, match=r"routing\.jsonl:1: malformed annotation"):
+            load_annotations(routing)
 
     def test_duplicate_sample_id_names_line(self, registry, tmp_path):
         losses = tmp_path / "losses.jsonl"
@@ -159,6 +164,15 @@ class TestBuildAnnotations:
             build_annotations(losses, registry, 3, tmp_path / "routing.jsonl")
         with pytest.raises(ValidationError, match=":2: duplicate"):
             load_loss_records(losses)
+        routing = tmp_path / "routing.jsonl"
+        routing.write_text(
+            "".join(
+                json.dumps({"sample_id": "cli", "experts": [name]}) + "\n"
+                for name in ("dinov2", "sam")
+            )
+        )
+        with pytest.raises(ValidationError, match=r"routing\.jsonl:2: .*duplicate"):
+            load_annotations(routing)
 
     def test_regeneration_is_byte_identical(self, registry, tmp_path):
         losses = tmp_path / "losses.jsonl"
