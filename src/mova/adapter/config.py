@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from mova.errors import ValidationError
+from mova.errors import ValidationError, read_json_object
 
 GATING_MODES = ("dynamic", "uniform")
 
@@ -33,9 +34,14 @@ class AdapterConfig:
             "ffn_expansion": self.ffn_expansion,
             "heads": self.heads,
         }
+        for key, value in {**dims, "seed": self.seed}.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{key} must be an integer, got {value!r}")
         for key, value in dims.items():
             if value < 1:
                 raise ValidationError(f"{key} must be >= 1, got {value}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.gating_mode not in GATING_MODES:
             raise ValidationError(
                 f"gating_mode must be one of {GATING_MODES}, got {self.gating_mode!r}"
@@ -66,12 +72,7 @@ def save_config(config: AdapterConfig, path) -> None:
 
 
 def load_config(path) -> AdapterConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: adapter config must be a JSON object")
+    raw = read_json_object(path, "adapter config")
     known = {f for f in AdapterConfig.__dataclass_fields__}
     unknown = set(raw) - known
     if unknown:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from mova.adapter.config import AdapterConfig
-from mova.errors import ValidationError
+from mova.errors import ValidationError, read_json_object
 from mova.experts import ExpertRegistry
 from mova.numerics.movt import load_tensor, save_tensor
 
@@ -228,16 +228,20 @@ def save_params(params: AdapterParams, directory) -> None:
 
 
 def load_params(directory, config: AdapterConfig, registry: ExpertRegistry) -> AdapterParams:
+    """Read a parameter directory; every manifest file name must be a plain name inside it."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ValidationError(f"{directory}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_json_object(manifest_path, "parameter manifest")
     tensors = manifest.get("tensors", {})
+    expert_names = manifest.get("expert_names", [])
+    if not (isinstance(tensors, dict) and isinstance(expert_names, list)):
+        raise ValidationError(f"{manifest_path}: needs a 'tensors' object and an 'expert_names' list")
     template = init_params(config, registry)
-    if tuple(manifest.get("expert_names", ())) != template.expert_names:
+    if tuple(expert_names) != template.expert_names:
         raise ValidationError(
-            f"{directory}: manifest expert names {manifest.get('expert_names')} "
+            f"{directory}: manifest expert names {expert_names} "
             f"do not match registry {list(template.expert_names)}"
         )
     expected = {name for name, _ in named_arrays(template)}
@@ -247,6 +251,9 @@ def load_params(directory, config: AdapterConfig, registry: ExpertRegistry) -> A
         raise ValidationError(
             f"{directory}: manifest tensors mismatch (missing {missing}, extra {extra})"
         )
+    for name, filename in tensors.items():
+        if not isinstance(filename, str) or filename in ("", ".", "..") or Path(filename).name != filename:
+            raise ValidationError(f"{manifest_path}: {name} file {filename!r} is not a plain file name")
 
     def fn(name, arr):
         loaded = load_tensor(directory / tensors[name])

@@ -1,4 +1,7 @@
-"""Exception hierarchy. Every error raised by the library derives from MovaError."""
+"""Exception hierarchy (every library error derives from MovaError) and the JSON file reader."""
+
+import json
+from pathlib import Path
 
 
 class MovaError(Exception):
@@ -59,3 +62,14 @@ class PipelineError(MovaError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def read_json_object(path, what: str) -> dict:
+    """Parse a JSON file that must hold one object (`what` names it in errors)."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: {what} must be a JSON object")
+    return raw

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mova.errors import CapacityError, ValidationError
+from mova.errors import CapacityError, ValidationError, read_json_object
 from mova.numerics.tensor import FeatureMap
 
 _BASE_FEATURE_SALT = 0x0B45E
@@ -42,10 +42,10 @@ class ExpertSpec:
     def __post_init__(self):
         if len(self.letter) != 1 or self.letter not in string.ascii_uppercase:
             raise ValidationError(f"expert {self.name!r}: letter {self.letter!r} must be A..Z")
-        if not self.name:
-            raise ValidationError("expert name must be non-empty")
-        if not self.description:
-            raise ValidationError(f"expert {self.name!r}: description must be non-empty")
+        if not self.name or not isinstance(self.name, str):
+            raise ValidationError(f"expert name must be a non-empty string, got {self.name!r}")
+        if not self.description or not isinstance(self.description, str):
+            raise ValidationError(f"expert {self.name!r}: description must be a non-empty string")
         if min(self.channels, self.height, self.width) < 1:
             raise ValidationError(f"expert {self.name!r}: feature extents must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -109,6 +109,10 @@ class Sample:
     answer_vector: tuple[float, ...] = field(default_factory=tuple)
     planted_expert: str | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.question, str) or self.image_seed < 0:  # numpy seeds are >= 0
+            raise ValidationError(f"sample {self.sample_id!r}: needs a string question and image_seed >= 0")
+
 
 def generate_base_feature(registry: ExpertRegistry, image_seed: int) -> FeatureMap:
     """Seeded standard-normal stand-in for the base encoder feature."""
@@ -170,10 +174,7 @@ def save_registry(registry: ExpertRegistry, path) -> None:
 
 
 def load_registry(path) -> ExpertRegistry:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json_object(path, "registry")
     try:
         base = raw["base"]
         experts = tuple(
@@ -194,7 +195,7 @@ def load_registry(path) -> ExpertRegistry:
             base_height=int(base["height"]),
             base_width=int(base["width"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed registry field ({exc})") from exc
 
 

@@ -17,14 +17,11 @@ import numpy as np
 
 from mova.adapter.config import desk_config
 from mova.adapter.network import (
-    ForwardInput,
     GatingInput,
     adapter_forward,
-    build_forward_graph,
     extract_expert_knowledge,
     fuse,
     gate_weights,
-    lift,
 )
 from mova.adapter.params import clone_params, init_params, named_arrays
 from mova.adapter.text import encode_text
@@ -37,9 +34,8 @@ from mova.experts import (
     load_registry,
     save_registry,
 )
+from mova.harness.gradcheck_run import planted_sample_loss, probe_gradients
 from mova.harness.train import ToyTrainConfig, train_toy, training_batch_indices
-from mova.numerics import autodiff as ad
-from mova.numerics.gradcheck import rel_error
 from mova.numerics.movt import load_tensor, save_tensor
 from mova.numerics.ops import (
     bilinear_interpolate,
@@ -346,44 +342,18 @@ def _check_residual_identity():
 
 def _check_gradient_spot():
     registry, config, params = _adapter_fixture()
-    base = generate_base_feature(registry, 21)
     answer = np.random.default_rng(_SUITE_SEED + 11).standard_normal(4)
-    feats = {
-        spec.name: generate_expert_feature(
-            spec, 21, planted=(spec.name == "pix2struct"), answer_vector=answer
-        )
-        for spec in registry.experts
-    }
-    selection = ExpertSelection((0, 3))
-
-    def loss_and_tracked(p):
-        lifted, tracked = lift(p, trainable="all")
-        out, _ = build_forward_graph([ForwardInput(base, feats, selection, "find it")], lifted, config)
-        pooled = ad.reshape(ad.mean_rows(out), (-1,))  # a batch of one
-        diff = ad.sub(ad.gather_vec(pooled, range(4)), ad.constant(answer))
-        return ad.mean_all(ad.mul(diff, diff)), tracked
-
-    loss, tracked = loss_and_tracked(params)
-    ad.backward(loss)
+    loss = planted_sample_loss(registry, config, params, 21, answer, "find it")
     rng = np.random.default_rng(_SUITE_SEED + 12)
     names = sorted(
-        n for n in tracked
+        n for n, _ in named_arrays(params)
         if ".gate." in n or ".extract.dinov2." in n or n.startswith("projector")
     )
     arrays = dict(named_arrays(params))
-    eps = 1e-5
-    for name in [names[int(i)] for i in rng.choice(len(names), size=10, replace=False)]:
-        flat = int(rng.integers(arrays[name].size))
-        work = clone_params(params)
-        target = dict(named_arrays(work))[name]
-        original = target.flat[flat]
-        target.flat[flat] = original + eps
-        f_plus = float(loss_and_tracked(work)[0].value)
-        target.flat[flat] = original - eps
-        f_minus = float(loss_and_tracked(work)[0].value)
-        numeric = (f_plus - f_minus) / (2 * eps)
-        analytic = float(tracked[name].grad.flat[flat]) if tracked[name].grad is not None else 0.0
-        assert rel_error(analytic, numeric) < 1e-4
+    chosen = [names[int(i)] for i in rng.choice(len(names), size=10, replace=False)]
+    entries = {name: [int(rng.integers(arrays[name].size))] for name in chosen}
+    for name, result in probe_gradients(loss, params, entries, eps=1e-5).items():
+        assert result.max_rel_error < 1e-4, f"{name}: {result.max_rel_error}"
 
 
 # ---------------------------------------------------------------------------

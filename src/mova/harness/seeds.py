@@ -15,12 +15,16 @@ ENV_SEED = "MOVA_SEED"
 
 def resolve_seed(flag_value: int | None, default: int) -> int:
     """Flag wins; otherwise MOVA_SEED if set; otherwise the built-in default."""
-    if flag_value is not None:
-        return flag_value
     env = os.environ.get(ENV_SEED)
-    if env is None:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"{ENV_SEED}={env!r} is not an integer seed") from None
+    if flag_value is not None:
+        seed = flag_value
+    elif env is None:
+        seed = default
+    else:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValidationError(f"{ENV_SEED}={env!r} is not an integer seed") from None
+    if seed < 0:  # numpy's generators take only non-negative seeds
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed

@@ -9,18 +9,19 @@ corpus samples, so a zero learning rate leaves the loss trace constant.
 
 from __future__ import annotations
 
-import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from mova.adapter.config import AdapterConfig, desk_config
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.adapter.params import AdapterParams, clone_params, init_params, named_arrays
-from mova.errors import TrainingError, ValidationError
+from mova.errors import NumericError, TrainingError, ValidationError, read_json_object
 from mova.experts import (
     ExpertRegistry,
     Sample,
@@ -30,7 +31,7 @@ from mova.experts import (
     load_registry,
 )
 from mova.numerics import autodiff as ad
-from mova.numerics.gradcheck import rel_error
+from mova.numerics.gradcheck import finite_diff_check
 from mova.routing import ExpertSelection, oracle_selection
 from mova.routing_data import (
     DEFAULT_CAP,
@@ -70,12 +71,18 @@ class ToyTrainConfig:
     gradcheck_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
-        if self.learning_rate < 0:
-            raise ValidationError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key in ("steps", "batch_size", "seed", "eval_samples", "cap", "gradcheck_entries"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{key} must be an integer, got {value!r}")
+        for key in ("learning_rate", "gradcheck_eps", "gradcheck_tol"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValidationError(f"{key} must be a finite number, got {value!r}")
+        lows = {"steps": 1, "batch_size": 1, "seed": 0, "learning_rate": 0, "eval_samples": 0, "gradcheck_entries": 0}
+        for key, low in lows.items():
+            if getattr(self, key) < low:
+                raise ValidationError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.scope not in SCOPES:
             raise ValidationError(f"scope must be one of {SCOPES}, got {self.scope!r}")
 
@@ -110,6 +117,34 @@ def scope_names(params: AdapterParams, scope: str) -> set[str]:
         return set(names)
     keep = {".gate."} if scope == "gating" else {".gate.", ".extract."}
     return {n for n in names if any(tag in n for tag in keep)}
+
+
+def answer_loss(
+    batch: Sequence[ForwardInput],
+    answers: Sequence[Sequence[float]],
+    lifted: AdapterParams,
+    config: AdapterConfig,
+    weight: float = 1.0,
+) -> tuple[ad.Node, list[ad.Node]]:
+    """The toy task loss as one graph: (`weight` times the summed sample losses, gates).
+
+    A sample's loss is the mean squared error between the leading pooled output
+    components and its answer. Training and every gradient check use this graph.
+    """
+    out, gates = build_forward_graph(list(batch), lifted, config)
+    width = out.shape[-1]
+    index, targets, scale = [], [], []
+    for row, answer in enumerate(answers):
+        n = len(answer)
+        index += range(row * width, row * width + n)
+        targets += list(answer)
+        scale += [weight / n] * n
+    pooled = ad.reshape(ad.mean_rows(out), (-1,))
+    diff = ad.sub(ad.gather_vec(pooled, index), ad.constant(targets))
+    # mean_all divides by the entry count; scaling each entry by it first
+    # leaves the weighted sum of per-sample means.
+    per_entry = ad.constant(np.asarray(scale) * len(index))
+    return ad.mean_all(ad.mul(ad.mul(diff, diff), per_entry)), gates
 
 
 class _CorpusRunner:
@@ -184,40 +219,11 @@ class _CorpusRunner:
             self._inputs[sample.sample_id] = ForwardInput(base, feats, selection, sample.question)
         return self._inputs[sample.sample_id]
 
-    def loss_graph(
-        self, samples: list[Sample], lifted: AdapterParams, weight: float
-    ) -> tuple[ad.Node, list[ad.Node]]:
-        """`weight` times the summed per-sample losses of a microbatch, as one graph.
-
-        A sample's loss is the mean squared error between the leading pooled
-        output components and its answer vector.
-        """
-        out, gates = build_forward_graph(
-            [self.forward_input(s) for s in samples], lifted, self.config.adapter
-        )
-        width = out.shape[-1]
-        index, answers, scale = [], [], []
-        for row, sample in enumerate(samples):
-            n = len(sample.answer_vector)
-            index += range(row * width, row * width + n)
-            answers += sample.answer_vector
-            scale += [weight / n] * n
-        pooled = ad.reshape(ad.mean_rows(out), (-1,))
-        diff = ad.sub(ad.gather_vec(pooled, index), ad.constant(answers))
-        # mean_all divides by the entry count; scaling each entry by it first
-        # leaves the weighted sum of per-sample means.
-        per_entry = ad.constant(np.asarray(scale) * len(index))
-        return ad.mean_all(ad.mul(ad.mul(diff, diff), per_entry)), gates
-
     def batch_loss(self, batch: list[Sample], params: AdapterParams, trainable) -> tuple[float, dict[str, np.ndarray]]:
         """Mean loss over the batch; one tape per microbatch, gradients accumulate across them."""
         lifted, tracked = lift(params, trainable)
         total = 0.0
-        for samples in _microbatches(batch):
-            loss, _ = self.loss_graph(samples, lifted, 1.0 / len(batch))
-            if not np.isfinite(loss.value):
-                ids = ", ".join(repr(s.sample_id) for s in samples)
-                raise TrainingError(f"non-finite loss on samples {ids}")
+        for _samples, loss, _gates in self._graphs(batch, lifted):
             total += float(loss.value)
             ad.backward(loss)
         grads = {
@@ -227,21 +233,27 @@ class _CorpusRunner:
         return total, grads
 
     def batch_loss_value(self, batch: list[Sample], params: AdapterParams) -> float:
-        lifted, _ = lift(params)
-        return sum(
-            float(self.loss_graph(samples, lifted, 1.0 / len(batch))[0].value)
-            for samples in _microbatches(batch)
-        )
+        return sum(float(loss.value) for _s, loss, _g in self._graphs(batch, lift(params)[0]))
+
+    def _graphs(self, batch: list[Sample], lifted: AdapterParams):
+        """(samples, finite loss, gates) per microbatch, each loss weighted by 1/len(batch)."""
+        for start in range(0, len(batch), MICROBATCH):
+            samples = batch[start : start + MICROBATCH]
+            inputs = [self.forward_input(s) for s in samples]
+            answers = [s.answer_vector for s in samples]
+            loss, gates = answer_loss(inputs, answers, lifted, self.config.adapter, 1.0 / len(batch))
+            if not np.isfinite(loss.value):
+                ids = ", ".join(repr(s.sample_id) for s in samples)
+                raise TrainingError(f"non-finite loss on samples {ids}")
+            yield samples, loss, gates
 
     def evaluate(self, params: AdapterParams) -> tuple[float, dict[str, float]]:
         """Eval loss plus mean gate weight per pool expert over samples and blocks."""
         eval_set = self.samples[: min(self.config.eval_samples, len(self.samples))]
-        lifted, _ = lift(params)
         total = 0.0
         sums = {name: 0.0 for name in params.expert_names}
         denom = 0
-        for samples in _microbatches(eval_set):
-            loss, gates = self.loss_graph(samples, lifted, 1.0 / len(eval_set))
+        for samples, loss, gates in self._graphs(eval_set, lift(params)[0]):
             total += float(loss.value)
             for row, sample in enumerate(samples):
                 sel = self.forward_input(sample).selection
@@ -257,10 +269,6 @@ class _CorpusRunner:
         return total, mean_gates
 
 
-def _microbatches(samples: list[Sample]) -> list[list[Sample]]:
-    return [samples[i : i + MICROBATCH] for i in range(0, len(samples), MICROBATCH)]
-
-
 def _spot_check_gradients(
     runner: _CorpusRunner,
     params: AdapterParams,
@@ -272,36 +280,33 @@ def _spot_check_gradients(
     rng = np.random.default_rng([_GRADCHECK_SALT, config.seed])
     arrays = dict(named_arrays(params))
     names = sorted(grads)
-    entries: list[tuple[str, int]] = []
+    entries: dict[str, list[int]] = {}
     budget = min(config.gradcheck_entries, sum(arrays[n].size for n in names))
     order = list(rng.permutation(len(names)))
-    while len(entries) < budget:
-        name = names[order[len(entries) % len(names)]]
-        entries.append((name, int(rng.integers(arrays[name].size))))
+    for drawn in range(budget):
+        name = names[order[drawn % len(names)]]
+        entries.setdefault(name, []).append(int(rng.integers(arrays[name].size)))
     worst = 0.0
-    eps = config.gradcheck_eps
-    for name, flat in entries:
-        arr = arrays[name]
-        original = arr.flat[flat]
-        arr.flat[flat] = original + eps
-        f_plus = runner.batch_loss_value(batch, params)
-        arr.flat[flat] = original - eps
-        f_minus = runner.batch_loss_value(batch, params)
-        arr.flat[flat] = original
-        numeric = (f_plus - f_minus) / (2 * eps)
-        worst = max(worst, rel_error(float(grads[name].flat[flat]), numeric))
-    summary = {
-        "max_rel_error": worst,
-        "entries_checked": len(entries),
-        "eps": eps,
-        "tolerance": config.gradcheck_tol,
-    }
+    try:
+        for name, flats in entries.items():
+            result = finite_diff_check(
+                arrays[name], lambda _block: runner.batch_loss_value(batch, params), grads[name],
+                eps=config.gradcheck_eps, op_name=name, indices=flats,
+            )
+            worst = max(worst, result.max_rel_error)
+    except (NumericError, TrainingError) as exc:
+        raise TrainingError(f"step-0 gradient check failed: {exc}") from exc
     if worst > config.gradcheck_tol:
         raise TrainingError(
             f"step-0 gradient check failed: max relative error {worst:.3e} "
             f"exceeds {config.gradcheck_tol:.1e}"
         )
-    return summary
+    return {
+        "max_rel_error": worst,
+        "entries_checked": budget,
+        "eps": config.gradcheck_eps,
+        "tolerance": config.gradcheck_tol,
+    }
 
 
 def train_toy(
@@ -359,35 +364,24 @@ def train_toy(
 def load_toy_config(path) -> tuple[ToyTrainConfig, ExpertRegistry]:
     """Read toy.json; relative paths resolve against the config file."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    if "corpus" not in raw:
+    raw = read_json_object(path, "toy config")
+    if not isinstance(raw.get("corpus"), str):
         raise ValidationError(f"{path}: toy config needs a 'corpus' directory")
-    root = path.parent
-
-    def resolve(p):
-        p = Path(p)
-        return p if p.is_absolute() else root / p
-
-    registry = (
-        load_registry(resolve(raw["experts"])) if raw.get("experts") else default_registry()
-    )
-    known = {
-        "steps", "learning_rate", "batch_size", "seed", "scope",
-        "eval_samples", "cap", "gradcheck_entries", "gradcheck_eps", "gradcheck_tol",
-    }
+    known = set(ToyTrainConfig.__dataclass_fields__) - {"corpus_dir", "adapter", "selection"}
     unknown = set(raw) - known - {"corpus", "experts", "adapter", "selection"}
     if unknown:
         raise ValidationError(f"{path}: unknown toy config keys {sorted(unknown)}")
-    kwargs = {k: raw[k] for k in known if k in raw}
     selection = raw.get("selection")
-    try:
+    if selection is not None and not isinstance(selection, list):
+        raise ValidationError(f"{path}: 'selection' must be a list of expert names")
+    kwargs = {k: raw[k] for k in known if k in raw}
+    # Joining an absolute path to the config's directory gives the absolute path.
+    try:  # a TypeError here is a value of the wrong JSON type
+        registry = load_registry(path.parent / raw["experts"]) if raw.get("experts") else default_registry()
         adapter = AdapterConfig(**raw["adapter"]) if "adapter" in raw else desk_config()
         config = ToyTrainConfig(
-            corpus_dir=str(resolve(raw["corpus"])),
-            selection=tuple(selection) if selection else None,
+            corpus_dir=str(path.parent / raw["corpus"]),
+            selection=None if selection is None else tuple(selection),
             adapter=adapter,
             **kwargs,
         )

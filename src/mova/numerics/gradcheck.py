@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mova.errors import NumericError, ShapeError
+from mova.errors import NumericError, ShapeError, ValidationError
 
 # Relative-error denominator floor; avoids blowup where both gradients vanish.
 REL_ERR_FLOOR = 1e-8
@@ -26,11 +26,14 @@ class GradCheckReport:
 
 
 def _probe(scalar_fn: Callable[[np.ndarray], float], theta: np.ndarray, flat: int, eps: float) -> float:
-    work = theta.copy()
-    work.flat[flat] = theta.flat[flat] + eps
-    f_plus = float(scalar_fn(work))
-    work.flat[flat] = theta.flat[flat] - eps
-    f_minus = float(scalar_fn(work))
+    original = theta.flat[flat]
+    try:
+        theta.flat[flat] = original + eps
+        f_plus = float(scalar_fn(theta))
+        theta.flat[flat] = original - eps
+        f_minus = float(scalar_fn(theta))
+    finally:
+        theta.flat[flat] = original
     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
         raise NumericError(f"non-finite function value while probing element {flat}")
     return (f_plus - f_minus) / (2.0 * eps)
@@ -51,21 +54,23 @@ def finite_diff_check(
     """Compare an analytic gradient against central differences.
 
     Checks every element of ``param_block`` (or just ``indices`` of its flat
-    view when given) and reports the maximum relative error.
+    view when given) and reports the maximum relative error. Each element is
+    moved by +-eps in place and restored, so ``scalar_fn`` may read the live
+    array through whatever shares it. Non-finite gradients raise NumericError.
     """
-    theta = np.asarray(param_block, dtype=np.float64)
     grad = np.asarray(analytic_grad, dtype=np.float64)
-    if theta.shape != grad.shape:
+    if param_block.shape != grad.shape:
         raise ShapeError(
-            f"gradient shape {grad.shape} does not match parameters {theta.shape}"
+            f"gradient shape {grad.shape} does not match parameters {param_block.shape}"
         )
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    probe_at = range(theta.size) if indices is None else indices
+    if not eps > 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
+    bad = np.flatnonzero(~np.isfinite(grad))
+    if bad.size:
+        raise NumericError(f"{op_name}: non-finite analytic gradient at element {bad[0]}")
+    probe_at = range(param_block.size) if indices is None else indices
     worst = 0.0
-    count = 0
     for flat in probe_at:
-        numeric = _probe(scalar_fn, theta, flat, eps)
+        numeric = _probe(scalar_fn, param_block, int(flat), eps)
         worst = max(worst, rel_error(float(grad.flat[flat]), numeric))
-        count += 1
-    return GradCheckReport(op_name=op_name, max_rel_error=worst, count=count, eps=eps)
+    return GradCheckReport(op_name=op_name, max_rel_error=worst, count=len(probe_at), eps=eps)

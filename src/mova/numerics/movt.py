@@ -8,6 +8,7 @@ load and narrowed to float32 on save.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -36,7 +37,7 @@ def save_tensor(path, array) -> None:
 def load_tensor(path) -> np.ndarray:
     try:
         raw = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ValidationError(f"{path}: cannot read MOVT file ({exc})") from exc
     if len(raw) < 6 or raw[:4] != MAGIC:
         raise ValidationError(f"{path}: not a MOVT file (bad magic)")
@@ -49,7 +50,7 @@ def load_tensor(path) -> np.ndarray:
     dims = struct.unpack_from(f"<{rank}I", raw, 6)
     if any(d < 1 for d in dims):
         raise ValidationError(f"{path}: MOVT extents must be >= 1, got {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: np.prod wraps at 2**64
     expected = header_end + 4 * count
     if len(raw) != expected:
         raise ValidationError(

@@ -102,20 +102,18 @@ def construct_routing_set(
 # losses.jsonl:       {"sample_id": str, "base_loss": float, "expert_losses": [float x N]}
 # routing.jsonl:      {"sample_id": str, "experts": [str, ...]}
 # ground_truth.jsonl: {"sample_id": str, "planted": str}
-# Sample ids are unique within losses.jsonl and ground_truth.jsonl.
+# Sample ids are unique within each file.
 
 
-def _read_jsonl(
-    path, what: str, parse: Callable[[dict], _Record], unique: bool = False
-) -> Iterator[tuple[int, _Record]]:
+def _read_jsonl(path, what: str, parse: Callable[[dict], _Record]) -> Iterator[tuple[int, _Record]]:
     """Yield (line number, parse(object)) for every non-blank line of a JSONL file.
 
     Bad JSON, a missing key, or a value of the wrong type or form raises a
     ValidationError naming path:line (json.JSONDecodeError is a ValueError).
-    With ``unique``, a repeated ``sample_id`` is rejected the same way.
+    A repeated ``sample_id`` is rejected the same way.
     """
     try:
-        fh = open(path, "r")
+        fh = open(path, "rb")  # json.loads decodes, so bad UTF-8 fails at its line
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read ({exc})") from exc
     seen: set[str] = set()
@@ -127,12 +125,11 @@ def _read_jsonl(
             try:
                 obj = json.loads(line)
                 record = parse(obj)
-                if unique:
-                    sample_id = obj["sample_id"]
-                    if sample_id in seen:
-                        raise ValidationError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
-                    seen.add(sample_id)
-            except (KeyError, TypeError, ValueError) as exc:
+                sample_id = obj["sample_id"]
+                if sample_id in seen:
+                    raise ValidationError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
+                seen.add(sample_id)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}:{lineno}: malformed {what} ({exc})") from exc
             yield lineno, record
 
@@ -152,7 +149,7 @@ def _loss_record(obj: dict) -> LossRecord:
 
 
 def _read_loss_records(path) -> Iterator[tuple[int, LossRecord]]:
-    return _read_jsonl(path, "loss record", _loss_record, unique=True)
+    return _read_jsonl(path, "loss record", _loss_record)
 
 
 def load_loss_records(path) -> list[LossRecord]:
@@ -180,7 +177,7 @@ def load_annotations(path) -> list[RoutingAnnotation]:
             raise TypeError(f"experts must be a list, got {type(obj['experts']).__name__}")
         return RoutingAnnotation(sample_id=obj["sample_id"], experts=tuple(obj["experts"]))
 
-    return [a for _, a in _read_jsonl(path, "annotation", parse, unique=True)]
+    return [a for _, a in _read_jsonl(path, "annotation", parse)]
 
 
 def save_annotations(path, annotations: Sequence[RoutingAnnotation]) -> None:
@@ -201,7 +198,7 @@ def load_ground_truth(path) -> dict[str, str]:
     def parse(obj):
         return obj["sample_id"], obj["planted"]
 
-    return dict(pair for _, pair in _read_jsonl(path, "ground truth", parse, unique=True))
+    return dict(pair for _, pair in _read_jsonl(path, "ground truth", parse))
 
 
 def load_samples(path) -> list[Sample]:

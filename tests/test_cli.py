@@ -318,6 +318,40 @@ class TestExitCodes:
         # A file that cannot be opened or written is exit 1 too, not a traceback.
         existing = tmp_path / "existing.txt"
         existing.write_text("x")
+        # toy.json: not an object, a fractional count, a selection that is one
+        # string; and a corpus whose image seed numpy cannot take.
+        negative = tmp_path / "negative"
+        negative.mkdir()
+        (negative / "samples.jsonl").write_text(
+            json.dumps({"sample_id": "s0", "image_seed": -1, "question": "q", "answer_vector": [0.0]})
+        )
+        toys = {}
+        for name, payload in (
+            ("toy_int.json", 5),
+            ("toy_steps.json", {"corpus": str(corpus), "steps": 1.5}),
+            ("toy_selection.json", {"corpus": str(corpus), "selection": "dinov2"}),
+            ("toy_seed.json", {"corpus": str(negative)}),
+        ):
+            toys[name] = tmp_path / name
+            toys[name].write_text(json.dumps(payload))
+        # experts.json with an infinite extent (Python's json reads Infinity).
+        infinite = tmp_path / "infinite.json"
+        save_registry(default_registry(), infinite)
+        doc = json.loads(infinite.read_text())
+        doc["experts"][0]["channels"] = float("inf")
+        infinite.write_text(json.dumps(doc))
+        # Parameter manifests: a file name outside the directory, and bad JSON.
+        from mova.adapter import desk_config, init_params, save_params
+
+        escaping, broken = tmp_path / "escaping", tmp_path / "broken"
+        for params_dir in (escaping, broken):
+            save_params(init_params(desk_config(), default_registry()), params_dir)
+        manifest = json.loads((escaping / "manifest.json").read_text())
+        (tmp_path / "outside.movt").write_bytes((escaping / "projector.out.weight.movt").read_bytes())
+        manifest["tensors"]["projector.out.weight"] = "../outside.movt"
+        (escaping / "manifest.json").write_text(json.dumps(manifest))
+        (broken / "manifest.json").write_text('{"tensors": ')
+        fuse = ("fuse", "--question", "q", "--strategy", "all", "--out", str(tmp_path / "t.movt"))
         for argv, where in (
             (("route", "--question", "q", "--strategy", "oracle", "--losses", str(losses)),
              "losses.jsonl:1: malformed"),
@@ -327,6 +361,17 @@ class TestExitCodes:
             (("gen-synthetic", "--samples", "2", "--out", str(existing)), "existing.txt"),
             (("fuse", "--question", "q", "--strategy", "scripted", "--response", "A",
               "--out", str(tmp_path)), str(tmp_path)),
+            (("train-toy", "--config", str(toys["toy_int.json"])), "must be a JSON object"),
+            (("train-toy", "--config", str(toys["toy_steps.json"])), "steps must be an integer"),
+            (("train-toy", "--config", str(toys["toy_selection.json"])),
+             "'selection' must be a list"),
+            (("train-toy", "--config", str(toys["toy_seed.json"])), "image_seed >= 0"),
+            ((*fuse, "--experts", str(infinite)), "infinite.json: malformed registry field"),
+            ((*fuse, "--params", str(escaping)), "'../outside.movt' is not a plain file name"),
+            ((*fuse, "--params", str(broken)), "manifest.json: not valid JSON"),
+            (("route", "--question", "q", "--strategy", "random", "--seed", "-1"),
+             "seed must be >= 0"),
+            (("gradcheck", "--eps", "0"), "eps must be positive"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == ""

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from mova.adapter import desk_config, init_params
-from mova.adapter.network import ForwardInput, build_forward_graph, lift
-from mova.adapter.params import clone_params, named_arrays
-from mova.experts import default_registry, generate_base_feature, generate_expert_feature
+from mova.adapter.params import named_arrays
+from mova.experts import default_registry
+from mova.harness.gradcheck_run import planted_sample_loss, probe_gradients
 from mova.numerics import autodiff as ad
-from mova.numerics import finite_diff_check
-from mova.routing import ExpertSelection
 
 
 @pytest.fixture(scope="module")
@@ -15,45 +13,17 @@ def instance():
     registry = default_registry()
     config = desk_config(seed=2)
     params = init_params(config, registry, seed=21)
-    base = generate_base_feature(registry, 5)
     answer = np.random.default_rng(17).standard_normal(4)
-    features = {
-        spec.name: generate_expert_feature(
-            spec, 5, planted=(spec.name == "pix2struct"), answer_vector=answer
-        )
-        for spec in registry.experts
-    }
-    selection = ExpertSelection((0, 3))
-    return registry, config, params, base, features, selection, answer
-
-
-def loss_and_tracked(instance, params, trainable):
-    _registry, config, _params, base, features, selection, answer = instance
-    lifted, tracked = lift(params, trainable)
-    sample = ForwardInput(base, features, selection, "find the signal")
-    out, _ = build_forward_graph([sample], lifted, config)
-    pooled = ad.reshape(ad.mean_rows(out), (-1,))  # a batch of one
-    diff = ad.sub(ad.gather_vec(pooled, range(4)), ad.constant(answer))
-    return ad.mean_all(ad.mul(diff, diff)), tracked
+    return params, planted_sample_loss(registry, config, params, 5, answer, "find the signal")
 
 
 def check_block(instance, name, max_entries=None):
-    params = instance[2]
-    loss, tracked = loss_and_tracked(instance, params, {name})
-    ad.backward(loss)
-    analytic = tracked[name].grad
-    block = dict(named_arrays(params))[name]
-    assert analytic is not None and analytic.shape == block.shape
-
-    def scalar_fn(values):
-        work = clone_params(params)
-        dict(named_arrays(work))[name][...] = values
-        return float(loss_and_tracked(instance, work, frozenset())[0].value)
-
+    params, loss = instance
+    size = dict(named_arrays(params))[name].size
     indices = None
-    if max_entries is not None and block.size > max_entries:
-        indices = np.random.default_rng(1).choice(block.size, max_entries, replace=False)
-    report = finite_diff_check(block, scalar_fn, analytic, eps=1e-5, op_name=name, indices=indices)
+    if max_entries is not None and size > max_entries:
+        indices = np.random.default_rng(1).choice(size, max_entries, replace=False)
+    report = probe_gradients(loss, params, {name: indices}, eps=1e-5)[name]
     assert report.max_rel_error < 1e-4, f"{name}: {report.max_rel_error}"
 
 
@@ -81,8 +51,8 @@ def test_transformer_and_norm_params_match_finite_differences(instance):
 
 
 def test_unrouted_extractor_gradient_is_zero(instance):
-    params = instance[2]
-    loss, tracked = loss_and_tracked(instance, params, {"block0.extract.sam.value.weight"})
-    ad.backward(loss)
+    _params, loss = instance
+    root, tracked = loss({"block0.extract.sam.value.weight"})
+    ad.backward(root)
     grad = tracked["block0.extract.sam.value.weight"].grad
     assert grad is None or not grad.any()

@@ -7,7 +7,15 @@ from mova.experts import default_registry, save_registry
 from mova.harness.ablate import run_ablation
 from mova.harness.pipeline import run_pipeline
 from mova.harness.properties import run_property_suite
-from mova.harness.train import ToyTrainConfig, load_toy_config, scope_names, train_toy
+from mova.adapter.params import named_arrays
+from mova.harness.train import (
+    ToyTrainConfig,
+    _CorpusRunner,
+    _spot_check_gradients,
+    load_toy_config,
+    scope_names,
+    train_toy,
+)
 from mova.numerics import load_tensor
 from mova.routing import RoutingContext
 from mova.routing_data import generate_synthetic_corpus
@@ -167,6 +175,14 @@ class TestTrainToy:
         for steps in (40, 2):
             with pytest.raises(TrainingError):
                 train_toy(tiny_config(corpus, learning_rate=1e6, steps=steps), registry)
+
+    def test_spot_check_fails_on_non_finite_gradient(self, corpus, registry):
+        config = tiny_config(corpus)
+        runner = _CorpusRunner(registry, config)
+        params = init_params(config.adapter, registry)
+        grads = {name: np.full_like(arr, np.nan) for name, arr in named_arrays(params)}
+        with pytest.raises(TrainingError, match="step-0 gradient check failed: .*non-finite"):
+            _spot_check_gradients(runner, params, runner.samples[:4], grads)
 
     def test_load_toy_config_resolves_relative_paths(self, corpus, registry, tmp_path):
         import json

@@ -68,6 +68,10 @@ def test_rejects_truncated_payload(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ValidationError, match="payload"):
         load_tensor(path)
+    # Extents whose product wraps to 0 in uint64 must not pass the length check.
+    path.write_bytes(MAGIC + struct.pack("<BB3I", 1, 3, 2**31, 2**31, 4))
+    with pytest.raises(ValidationError, match="payload"):
+        load_tensor(path)
 
 
 def test_rejects_non_finite_values(tmp_path):

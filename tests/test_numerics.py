@@ -228,12 +228,14 @@ class TestScaledDotAttention:
 class TestFiniteDiffCheck:
     def test_quadratic(self, rng):
         theta = rng.standard_normal(6)
+        before = theta.tobytes()
         report = finite_diff_check(
             theta, lambda t: float((t**2).sum()), 2 * theta, eps=1e-5, op_name="quadratic"
         )
         assert report.max_rel_error < 1e-7
         assert report.count == 6
         assert report.eps == 1e-5
+        assert theta.tobytes() == before  # probed in place, restored exactly
 
     def test_constant_function(self, rng):
         theta = rng.standard_normal((2, 3))
@@ -248,6 +250,14 @@ class TestFiniteDiffCheck:
 
         with pytest.raises(NumericError, match="element 1"):
             finite_diff_check(theta, bad, np.zeros(2))
+        assert theta.tolist() == [1.0, 2.0]  # restored although the probe failed
+
+    def test_non_finite_analytic_gradient_names_tensor(self):
+        # max(worst, nan) keeps worst, so a NaN gradient must fail before any comparison.
+        theta = np.array([1.0, 2.0])
+        for grad in (np.full(2, np.nan), np.array([2.0, np.inf])):
+            with pytest.raises(NumericError, match="w: non-finite analytic gradient"):
+                finite_diff_check(theta, lambda t: float((t**2).sum()), grad, op_name="w")
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -173,6 +173,17 @@ class TestBuildAnnotations:
         )
         with pytest.raises(ValidationError, match=r"routing\.jsonl:2: .*duplicate"):
             load_annotations(routing)
+        # Two samples under one id would share the first one's cached features.
+        samples = tmp_path / "samples.jsonl"
+        self.write_losses(
+            samples,
+            [
+                {"sample_id": "s00000", "image_seed": seed, "question": "q", "answer_vector": [0.5]}
+                for seed in (1, 2)
+            ],
+        )
+        with pytest.raises(ValidationError, match=r"samples\.jsonl:2: .*duplicate"):
+            load_samples(samples)
 
     def test_regeneration_is_byte_identical(self, registry, tmp_path):
         losses = tmp_path / "losses.jsonl"
