@@ -2,7 +2,8 @@
 
 One group per module's invariant list, run with fixed seeds. Checks raise
 AssertionError (or any MovaError) to fail; the report counts passes and
-failures per group.
+failures per group. This is the only copy of these invariants: pytest runs
+each check in `property_checks` as its own test.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from mova.routing_data import (
 _SUITE_SEED = 20240521
 
 GateFn = Callable[[GatingInput, ExpertSelection, object, str], np.ndarray]
+Check = Callable[[], None]
 
 
 def _default_gate_fn(gating_input, selection, params, mode) -> np.ndarray:
@@ -113,7 +115,7 @@ def _check_softmax_simplex():
 def _check_softmax_shift_invariance():
     rng = np.random.default_rng(_SUITE_SEED + 1)
     for _ in range(100):
-        v = rng.standard_normal(int(rng.integers(1, 10)))
+        v = rng.standard_normal(int(rng.integers(1, 11)))
         c = float(rng.standard_normal() * 50)
         assert np.max(np.abs(softmax(v + c) - softmax(v))) <= 1e-12
 
@@ -121,7 +123,7 @@ def _check_softmax_shift_invariance():
 def _check_bilinear_identity_and_bounds():
     rng = np.random.default_rng(_SUITE_SEED + 2)
     for _ in range(20):
-        c, h, w = int(rng.integers(1, 4)), int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        c, h, w = int(rng.integers(1, 5)), int(rng.integers(1, 8)), int(rng.integers(1, 8))
         f = FeatureMap(rng.standard_normal((c, h, w)))
         same = bilinear_interpolate(f, h, w)
         assert same.data.tobytes() == f.data.tobytes()
@@ -152,7 +154,7 @@ def _check_attention_convex_hull():
 def _check_matmul_vs_naive():
     rng = np.random.default_rng(_SUITE_SEED + 4)
     for _ in range(100):
-        m, k, n = (int(rng.integers(1, 8)) for _ in range(3))
+        m, k, n = (int(rng.integers(1, 9)) for _ in range(3))
         a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
         naive = np.zeros((m, n))
         for r in range(m):
@@ -182,35 +184,35 @@ def _check_generation_determinism():
     a = generate_base_feature(registry, 7)
     b = generate_base_feature(registry, 7)
     assert a.data.tobytes() == b.data.tobytes()
-    spec = registry.experts[2]
-    x = generate_expert_feature(spec, 9, planted=True, answer_vector=(0.5, -1.0))
-    y = generate_expert_feature(spec, 9, planted=True, answer_vector=(0.5, -1.0))
-    assert x.data.tobytes() == y.data.tobytes()
+    for spec, planted in ((registry.experts[0], False), (registry.experts[2], True)):
+        x = generate_expert_feature(spec, 9, planted, answer_vector=(0.5, -1.0))
+        y = generate_expert_feature(spec, 9, planted, answer_vector=(0.5, -1.0))
+        assert x.data.tobytes() == y.data.tobytes()
     assert generate_base_feature(registry, 8).data.tobytes() != a.data.tobytes()
 
 
 def _check_planted_probe():
     registry = default_registry()
-    spec = registry.experts[3]
     rng = np.random.default_rng(_SUITE_SEED + 6)
-    answers = rng.standard_normal((64, 4))
-    planted = np.stack(
-        [
-            global_avg_pool(generate_expert_feature(spec, 1000 + i, True, answers[i]))
-            for i in range(64)
-        ]
-    )
-    held_out = np.stack(
-        [
-            global_avg_pool(generate_expert_feature(spec, 5000 + i, False))
-            for i in range(64)
-        ]
-    )
-    w, *_ = np.linalg.lstsq(planted, answers, rcond=None)
-    planted_res = float(((planted @ w - answers) ** 2).mean())
-    held_res = float(((held_out @ w - answers) ** 2).mean())
-    assert planted_res < 1e-6
-    assert held_res >= 10 * planted_res
+    for spec in registry.experts[3:5]:
+        answers = rng.standard_normal((64, 4))
+        planted = np.stack(
+            [
+                global_avg_pool(generate_expert_feature(spec, 1000 + i, True, answers[i]))
+                for i in range(64)
+            ]
+        )
+        held_out = np.stack(
+            [
+                global_avg_pool(generate_expert_feature(spec, 5000 + i, False))
+                for i in range(64)
+            ]
+        )
+        w, *_ = np.linalg.lstsq(planted, answers, rcond=None)
+        planted_res = float(((planted @ w - answers) ** 2).mean())
+        held_res = float(((held_out @ w - answers) ** 2).mean())
+        assert planted_res < 1e-6
+        assert held_res >= 10 * planted_res
 
 
 def _check_registry_roundtrip():
@@ -363,8 +365,11 @@ def _check_gradient_spot():
 def _check_prompt_parse_roundtrip():
     registry = default_registry()
     n = len(registry)
-    prompt = build_routing_prompt(registry, "Where is the ### sign?\n###\nStill the question.")
-    assert extract_question(prompt) == "Where is the ### sign?\n###\nStill the question."
+    for question in (
+        "Where is the ### sign?\n###\nStill the question.",
+        "what does ### mean?\n###\nanswer me",
+    ):
+        assert extract_question(build_routing_prompt(registry, question)) == question
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
             selection = ExpertSelection(subset)
@@ -374,7 +379,7 @@ def _check_prompt_parse_roundtrip():
 
 def _check_parse_idempotent():
     registry = default_registry()
-    for response in ("A, D", "B", "G, A, C.", "E D A"):
+    for response in ("A, D", "B", "G.", "B A C", "G, A, C.", "E D A"):
         once = render_selection(parse_routing_response(response, registry))
         twice = render_selection(parse_routing_response(once, registry))
         assert once == twice
@@ -382,10 +387,11 @@ def _check_parse_idempotent():
 
 def _check_coarse_mean_preservation():
     rng = np.random.default_rng(_SUITE_SEED + 13)
-    base = FeatureMap(rng.standard_normal((5, 16, 16)))
-    tokens = coarse_image_tokens(base, grid=8)
-    assert tokens.shape == (64, 5)
-    assert abs(tokens.mean() - base.data.mean()) <= 1e-9
+    for size in (16, 24):
+        base = FeatureMap(rng.standard_normal((5, size, size)))
+        tokens = coarse_image_tokens(base, grid=8)
+        assert tokens.shape == (64, 5)
+        assert abs(tokens.mean() - base.data.mean()) <= 1e-9
 
 
 def _check_random_cap():
@@ -407,6 +413,10 @@ def _oracle_routing_set(record: LossRecord, cap: int) -> list[int]:
         if loss < record.base_loss
     )
     return [idx for _, idx in qualifying[:cap]]
+
+
+# Three experts beat the base loss and one ties it: the cap and the strict inequality bind.
+_FIXED_RECORD = LossRecord("s", 2.0, (1.5, 1.9, 1.99, 1.0, 2.3, 2.1, 2.0))
 
 
 def _random_records(count: int, n: int, seed: int) -> list[LossRecord]:
@@ -441,30 +451,32 @@ def _check_constructor_vs_bruteforce():
 def _check_monotonicity():
     registry = default_registry()
     rng = np.random.default_rng(_SUITE_SEED + 15)
-    for record in _random_records(300, len(registry), _SUITE_SEED + 16):
+    for record in [_FIXED_RECORD, *_random_records(300, len(registry), _SUITE_SEED + 16)]:
         before = construct_routing_set(record, registry, 3)
         for name in before.experts:
             idx = registry.index_of(name)
-            lowered = list(record.expert_losses)
-            lowered[idx] = lowered[idx] * float(rng.random())
-            after = construct_routing_set(
-                LossRecord(record.sample_id, record.base_loss, tuple(lowered)), registry, 3
-            )
-            assert name in after.experts
+            for factor in (0.5, float(rng.random())):
+                lowered = list(record.expert_losses)
+                lowered[idx] = lowered[idx] * factor
+                after = construct_routing_set(
+                    LossRecord(record.sample_id, record.base_loss, tuple(lowered)), registry, 3
+                )
+                assert name in after.experts
 
 
 def _check_scale_invariance():
     registry = default_registry()
-    for record in _random_records(300, len(registry), _SUITE_SEED + 17):
-        scaled = LossRecord(
-            record.sample_id,
-            record.base_loss * 3.5,
-            tuple(v * 3.5 for v in record.expert_losses),
-        )
-        assert (
-            construct_routing_set(record, registry, 3).experts
-            == construct_routing_set(scaled, registry, 3).experts
-        )
+    for record in [_FIXED_RECORD, *_random_records(300, len(registry), _SUITE_SEED + 17)]:
+        for factor in (2.5, 3.5):
+            scaled = LossRecord(
+                record.sample_id,
+                record.base_loss * factor,
+                tuple(v * factor for v in record.expert_losses),
+            )
+            assert (
+                construct_routing_set(record, registry, 3).experts
+                == construct_routing_set(scaled, registry, 3).experts
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +539,10 @@ def _check_ablation_fairness():
 # ---------------------------------------------------------------------------
 
 
-def run_property_suite(gate_fn: GateFn | None = None) -> SuiteReport:
-    """Run every invariant group; failures are results, not exceptions."""
+def property_checks(gate_fn: GateFn | None = None) -> dict[str, list[tuple[str, Check]]]:
+    """Every invariant check as {group: [(name, check)]}, in report order."""
     gate_fn = gate_fn or _default_gate_fn
-    groups: dict[str, list[tuple[str, Callable[[], None]]]] = {
+    return {
         "numerics": [
             ("softmax_simplex", _check_softmax_simplex),
             ("softmax_shift_invariance", _check_softmax_shift_invariance),
@@ -571,8 +583,12 @@ def run_property_suite(gate_fn: GateFn | None = None) -> SuiteReport:
             ("ablation_fairness", _check_ablation_fairness),
         ],
     }
+
+
+def run_property_suite(gate_fn: GateFn | None = None) -> SuiteReport:
+    """Run every invariant group; failures are results, not exceptions."""
     report: dict[str, GroupResult] = {}
-    for group, checks in groups.items():
+    for group, checks in property_checks(gate_fn).items():
         result = GroupResult()
         for name, check in checks:
             try:

@@ -108,8 +108,8 @@ def construct_routing_set(
 def _read_jsonl(path, what: str, parse: Callable[[dict], _Record]) -> Iterator[tuple[int, _Record]]:
     """Yield (line number, parse(object)) for every non-blank line of a JSONL file.
 
-    Bad JSON, a missing key, or a value of the wrong type or form raises a
-    ValidationError naming path:line (json.JSONDecodeError is a ValueError).
+    Bad JSON, a missing key, a wrong value or a record its type rejects raises
+    a ValidationError naming path:line (json.JSONDecodeError is a ValueError).
     A repeated ``sample_id`` is rejected the same way.
     """
     try:
@@ -126,11 +126,12 @@ def _read_jsonl(path, what: str, parse: Callable[[dict], _Record]) -> Iterator[t
                 obj = json.loads(line)
                 record = parse(obj)
                 sample_id = obj["sample_id"]
-                if sample_id in seen:
-                    raise ValidationError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
-                seen.add(sample_id)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                duplicate = sample_id in seen  # an unhashable id raises TypeError here
+            except (ValidationError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}:{lineno}: malformed {what} ({exc})") from exc
+            if duplicate:
+                raise ValidationError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
+            seen.add(sample_id)
             yield lineno, record
 
 
@@ -232,6 +233,8 @@ def score_routing_accuracy(
     annotations: Sequence[RoutingAnnotation], ground_truth: Mapping[str, str]
 ) -> float:
     """Fraction of samples whose annotation contains the planted expert."""
+    if not annotations:
+        raise ValidationError("no annotations to score")
     ids = {a.sample_id for a in annotations}
     if len(ids) != len(annotations):
         raise ValidationError("duplicate sample ids among annotations")
@@ -287,8 +290,8 @@ def generate_synthetic_corpus(
     """
     if num_samples < 1:
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
-    if noise_scale < 0:
-        raise ValidationError(f"noise_scale must be >= 0, got {noise_scale}")
+    if not (np.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValidationError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     min_channels = min(spec.channels for spec in registry.experts)
     if not 1 <= answer_dim <= min_channels:
         raise ValidationError(

@@ -352,6 +352,9 @@ class TestExitCodes:
         (escaping / "manifest.json").write_text(json.dumps(manifest))
         (broken / "manifest.json").write_text('{"tensors": ')
         fuse = ("fuse", "--question", "q", "--strategy", "all", "--out", str(tmp_path / "t.movt"))
+        empty_routing, empty_truth = tmp_path / "empty_r.jsonl", tmp_path / "empty_t.jsonl"
+        empty_routing.write_text("")
+        empty_truth.write_text("")
         for argv, where in (
             (("route", "--question", "q", "--strategy", "oracle", "--losses", str(losses)),
              "losses.jsonl:1: malformed"),
@@ -372,8 +375,13 @@ class TestExitCodes:
             (("route", "--question", "q", "--strategy", "random", "--seed", "-1"),
              "seed must be >= 0"),
             (("gradcheck", "--eps", "0"), "eps must be positive"),
+            (("score-routing", "--annotations", str(empty_routing), "--truth", str(empty_truth)),
+             "no annotations to score"),
+            (("gen-synthetic", "--samples", "2", "--noise", "nan", "--out", str(tmp_path / "nan")),
+             "noise_scale must be finite"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == ""
             lines = err.strip().split("\n")
             assert len(lines) == 1 and lines[0].startswith("error:") and where in lines[0]
+        assert not (tmp_path / "nan").exists()  # rejected before any corpus file is written

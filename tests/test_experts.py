@@ -28,11 +28,6 @@ class TestRegistry:
         assert registry.experts[0].name == "dinov2"
         assert registry.experts[3].name == "pix2struct"
 
-    def test_roundtrip_is_lossless(self, registry, tmp_path):
-        path = tmp_path / "experts.json"
-        save_registry(registry, path)
-        assert load_registry(path) == registry
-
     def test_empty_expert_list_rejected(self):
         with pytest.raises(ValidationError):
             ExpertRegistry(experts=(), base_channels=8, base_height=8, base_width=8)
@@ -70,27 +65,11 @@ class TestRegistry:
 
 
 class TestBaseFeature:
-    def test_deterministic(self, registry):
-        a = generate_base_feature(registry, 42)
-        b = generate_base_feature(registry, 42)
-        assert a.data.tobytes() == b.data.tobytes()
-
-    def test_different_seeds_differ(self, registry):
-        a = generate_base_feature(registry, 42)
-        b = generate_base_feature(registry, 43)
-        assert np.any(a.data != b.data)
-
     def test_shape_follows_registry(self, registry):
         assert generate_base_feature(registry, 0).shape == (8, 8, 8)
 
 
 class TestExpertFeature:
-    def test_deterministic(self, registry):
-        spec = registry.experts[0]
-        a = generate_expert_feature(spec, 7)
-        b = generate_expert_feature(spec, 7)
-        assert a.data.tobytes() == b.data.tobytes()
-
     def test_shape_follows_spec(self, registry):
         assert generate_expert_feature(registry.experts[0], 0).shape == (16, 4, 4)
 
@@ -118,24 +97,3 @@ class TestExpertFeature:
         a = generate_expert_feature(spec, 3, planted=False, answer_vector=(1.0, 2.0))
         b = generate_expert_feature(spec, 3, planted=False)
         assert a.data.tobytes() == b.data.tobytes()
-
-
-class TestLinearProbeInvariant:
-    def test_planted_probe_recovers_and_separates(self, registry):
-        spec = registry.experts[4]
-        rng = np.random.default_rng(77)
-        answers = rng.standard_normal((64, 4))
-        planted = np.stack(
-            [
-                global_avg_pool(generate_expert_feature(spec, 100 + i, True, answers[i]))
-                for i in range(64)
-            ]
-        )
-        held_out = np.stack(
-            [global_avg_pool(generate_expert_feature(spec, 900 + i)) for i in range(64)]
-        )
-        weights, *_ = np.linalg.lstsq(planted, answers, rcond=None)
-        planted_res = float(((planted @ weights - answers) ** 2).mean())
-        held_res = float(((held_out @ weights - answers) ** 2).mean())
-        assert planted_res < 1e-6
-        assert held_res >= 10 * planted_res

@@ -3,10 +3,10 @@ import pytest
 
 from mova.adapter import desk_config, init_params
 from mova.errors import PipelineError, TrainingError, ValidationError
-from mova.experts import default_registry, save_registry
+from mova.experts import default_registry
 from mova.harness.ablate import run_ablation
 from mova.harness.pipeline import run_pipeline
-from mova.harness.properties import run_property_suite
+from mova.harness.properties import property_checks, run_property_suite
 from mova.adapter.params import named_arrays
 from mova.harness.train import (
     ToyTrainConfig,
@@ -142,14 +142,6 @@ class TestTrainToy:
         assert a.loss_trace == b.loss_trace
         assert a.mean_gate_weights == b.mean_gate_weights
 
-    def test_registry_untouched_by_training(self, corpus, registry, tmp_path):
-        before = tmp_path / "before.json"
-        after = tmp_path / "after.json"
-        save_registry(registry, before)
-        train_toy(tiny_config(corpus), registry)
-        save_registry(registry, after)
-        assert before.read_bytes() == after.read_bytes()
-
     def test_scope_filters_trainable_names(self, corpus, registry):
         params = init_params(desk_config(), registry)
         gating = scope_names(params, "gating")
@@ -228,6 +220,17 @@ class TestAblation:
 
 
 class TestPropertySuite:
+    @pytest.mark.parametrize(
+        "check",
+        [
+            pytest.param(check, id=f"{group}/{name}")
+            for group, checks in property_checks().items()
+            for name, check in checks
+        ],
+    )
+    def test_check(self, check):
+        check()
+
     def test_pristine_build_passes_every_group(self):
         import time
 
@@ -235,14 +238,25 @@ class TestPropertySuite:
         report = run_property_suite()
         assert time.perf_counter() - started < 120.0
         assert report.ok, report.summary_dict()
-        assert set(report.groups) == {
-            "numerics",
-            "experts",
-            "gate-simplex",
-            "adapter",
-            "routing",
-            "routing-data",
-            "harness",
+        # Module tests rely on the suite for these invariants: a dropped check must fail here.
+        names = {group: [name for name, _ in checks] for group, checks in property_checks().items()}
+        assert names == {
+            "numerics": [
+                "softmax_simplex", "softmax_shift_invariance", "bilinear_identity_and_bounds",
+                "attention_convex_hull", "matmul_vs_naive", "purity_bitwise",
+            ],
+            "experts": ["generation_determinism", "planted_probe", "registry_roundtrip"],
+            "gate-simplex": ["gate_simplex_1000", "subset_consistency"],
+            "adapter": [
+                "selection_order_equivariance", "irrelevance_exclusion",
+                "residual_identity", "gradient_spot_check",
+            ],
+            "routing": [
+                "prompt_parse_roundtrip", "parse_idempotent",
+                "coarse_mean_preservation", "random_cap",
+            ],
+            "routing-data": ["constructor_vs_bruteforce", "monotonicity", "scale_invariance"],
+            "harness": ["pipeline_determinism", "frozen_experts", "ablation_fairness"],
         }
 
     def test_perturbed_gate_normalization_fails_gate_simplex_group(self):

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -16,9 +14,7 @@ from mova.routing import (
     RoutingContext,
     build_routing_prompt,
     coarse_image_tokens,
-    extract_question,
     parse_routing_response,
-    render_selection,
     route,
 )
 from mova.routing_data import LossRecord, RoutingAnnotation
@@ -70,11 +66,6 @@ class TestPromptTemplate:
         choices = [l for l in lines if len(l) > 2 and l[1] == "." and l[0].isupper()]
         assert len(choices) == 1 and choices[0].startswith("A. ")
 
-    def test_question_containing_fences_round_trips(self, registry):
-        tricky = "what does ### mean?\n###\nanswer me"
-        prompt = build_routing_prompt(registry, tricky)
-        assert extract_question(prompt) == tricky
-
     def test_empty_question_rejected(self, registry):
         with pytest.raises(ValidationError):
             build_routing_prompt(registry, "")
@@ -107,17 +98,6 @@ class TestParseResponse:
         with pytest.raises(EmptyResponseError, match="sure"):
             parse_routing_response("sure, A and D", registry)
 
-    def test_roundtrip_all_subsets(self, registry):
-        for r in range(1, 8):
-            for subset in itertools.combinations(range(7), r):
-                rendered = render_selection(ExpertSelection(subset))
-                assert parse_routing_response(rendered, registry).indices == subset
-
-    def test_parse_is_idempotent_on_canonical_rendering(self, registry):
-        for response in ("A, D", "G.", "B A C"):
-            once = render_selection(parse_routing_response(response, registry))
-            assert render_selection(parse_routing_response(once, registry)) == once
-
 
 class TestCoarseImageTokens:
     def test_48x48_grid8_gives_64_tokens(self, rng):
@@ -136,11 +116,6 @@ class TestCoarseImageTokens:
                 block = base.data[:, 2 * ty : 2 * ty + 2, 2 * tx : 2 * tx + 2]
                 expected = block.mean(axis=(1, 2))
                 assert np.max(np.abs(tokens[ty * 8 + tx] - expected)) < 1e-12
-
-    def test_global_mean_preserved_when_grid_divides(self, rng):
-        base = FeatureMap(rng.standard_normal((5, 24, 24)))
-        tokens = coarse_image_tokens(base, grid=8)
-        assert abs(tokens.mean() - base.data.mean()) < 1e-9
 
     def test_grid_larger_than_map_rejected(self, rng):
         with pytest.raises(Exception):
@@ -187,11 +162,6 @@ class TestRouteStrategies:
         a = route("random", registry, sample, RoutingContext(seed=9))
         b = route("random", registry, sample, RoutingContext(seed=9))
         assert a.selection.indices == b.selection.indices
-
-    def test_random_respects_cap(self, registry, sample):
-        for seed in range(500):
-            decision = route("random", registry, sample, RoutingContext(seed=seed, cap=3))
-            assert 1 <= decision.selection.k <= 3
 
     def test_scripted_parses_response(self, registry, sample):
         decision = route("scripted", registry, sample, RoutingContext(response="A, D"))

@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mova.errors import ValidationError
 from mova.experts import default_registry
@@ -27,16 +25,6 @@ def registry():
     return default_registry()
 
 
-def brute_force_routing_set(record, cap):
-    """Sort-everything oracle: qualifying experts by (loss, index), capped."""
-    qualifying = sorted(
-        (loss, idx)
-        for idx, loss in enumerate(record.expert_losses)
-        if loss < record.base_loss
-    )
-    return [idx for _, idx in qualifying[:cap]]
-
-
 class TestConstructRoutingSet:
     def test_no_expert_beats_base(self, registry):
         record = LossRecord("s", 2.0, (2.0, 2.5, 3.0, 2.0, 2.1, 2.2, 4.0))
@@ -57,37 +45,6 @@ class TestConstructRoutingSet:
         record = LossRecord("s", 1.0, (1.0, 0.999, 1.001, 1.0, 1.0, 1.0, 1.0))
         annotation = construct_routing_set(record, registry)
         assert list(annotation.experts) == ["codetr"]
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force_oracle(self, seed, cap):
-        registry = default_registry()
-        rng = np.random.default_rng(seed)
-        losses = np.round(rng.random(8) * 4, 1)  # coarse grid manufactures ties
-        record = LossRecord(
-            "s", float(losses[0]), tuple(float(v) for v in losses[1:])
-        )
-        annotation = construct_routing_set(record, registry, cap)
-        expected = [registry.experts[i].name for i in brute_force_routing_set(record, cap)]
-        assert list(annotation.experts) == expected
-
-    def test_monotonicity_lowering_a_kept_loss(self, registry):
-        record = LossRecord("s", 2.0, (1.5, 1.9, 1.99, 1.0, 2.3, 2.1, 2.0))
-        kept = construct_routing_set(record, registry).experts
-        for name in kept:
-            idx = registry.index_of(name)
-            lowered = list(record.expert_losses)
-            lowered[idx] /= 2
-            after = construct_routing_set(LossRecord("s", 2.0, tuple(lowered)), registry)
-            assert name in after.experts
-
-    def test_scale_invariance(self, registry):
-        record = LossRecord("s", 2.0, (1.5, 1.9, 1.99, 1.0, 2.3, 2.1, 2.0))
-        scaled = LossRecord("s", 5.0, tuple(2.5 * v for v in record.expert_losses))
-        assert (
-            construct_routing_set(record, registry).experts
-            == construct_routing_set(scaled, registry).experts
-        )
 
     def test_rejects_negative_losses(self):
         with pytest.raises(ValidationError):
@@ -137,6 +94,7 @@ class TestBuildAnnotations:
             '{"sample_id": "s1", "expert_losses": [1, 1, 1, 1, 1, 1, 1]}',
             '{"sample_id": "s1", "base_loss": 2.0, "expert_losses": 3}',
             '{"sample_id": "s1", "base_loss": 2.0',
+            '{"sample_id": "s1", "base_loss": -1.0, "expert_losses": [1, 1, 1, 1, 1, 1, 1]}',
         ):
             losses.write_text(good + "\n" + bad + "\n")
             for read in (
@@ -145,11 +103,20 @@ class TestBuildAnnotations:
             ):
                 with pytest.raises(ValidationError, match=r"losses\.jsonl:2: malformed"):
                     read(losses)
-        # An experts string is not split into characters.
+        # An experts string is not split into characters; a repeated expert is rejected.
         routing = tmp_path / "routing.jsonl"
-        routing.write_text(json.dumps({"sample_id": "cli", "experts": "sam"}) + "\n")
-        with pytest.raises(ValidationError, match=r"routing\.jsonl:1: malformed annotation"):
-            load_annotations(routing)
+        for experts in ("sam", ["sam", "sam"]):
+            routing.write_text(json.dumps({"sample_id": "cli", "experts": experts}) + "\n")
+            with pytest.raises(ValidationError, match=r"routing\.jsonl:1: malformed annotation"):
+                load_annotations(routing)
+        # A record its own type rejects names its line too.
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(
+            json.dumps({"sample_id": "s0", "image_seed": -1, "question": "q", "answer_vector": []})
+            + "\n"
+        )
+        with pytest.raises(ValidationError, match=r"samples\.jsonl:1: malformed sample"):
+            load_samples(samples)
 
     def test_duplicate_sample_id_names_line(self, registry, tmp_path):
         losses = tmp_path / "losses.jsonl"
