@@ -65,11 +65,27 @@ class TestRegistry:
 
 
 class TestBaseFeature:
+    def test_deterministic(self, registry):
+        a = generate_base_feature(registry, 42)
+        b = generate_base_feature(registry, 42)
+        assert a.data.tobytes() == b.data.tobytes()
+
+    def test_different_seeds_differ(self, registry):
+        a = generate_base_feature(registry, 42)
+        b = generate_base_feature(registry, 43)
+        assert np.any(a.data != b.data)
+
     def test_shape_follows_registry(self, registry):
         assert generate_base_feature(registry, 0).shape == (8, 8, 8)
 
 
 class TestExpertFeature:
+    def test_deterministic(self, registry):
+        spec = registry.experts[0]
+        a = generate_expert_feature(spec, 7)
+        b = generate_expert_feature(spec, 7)
+        assert a.data.tobytes() == b.data.tobytes()
+
     def test_shape_follows_spec(self, registry):
         assert generate_expert_feature(registry.experts[0], 0).shape == (16, 4, 4)
 

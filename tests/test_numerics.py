@@ -15,6 +15,19 @@ from mova.numerics import (
 )
 
 
+def naive_matmul(a, b):
+    m, k = a.shape
+    _, n = b.shape
+    out = np.zeros((m, n))
+    for r in range(m):
+        for s in range(n):
+            acc = 0.0
+            for t in range(k):
+                acc += a[r, t] * b[t, s]
+            out[r, s] = acc
+    return out
+
+
 class TestMatmul:
     def test_identity(self, rng):
         a = rng.standard_normal((3, 3))
@@ -23,6 +36,19 @@ class TestMatmul:
     def test_annihilator(self, rng):
         a = rng.standard_normal((4, 3))
         assert np.array_equal(matmul(a, np.zeros((3, 2))), np.zeros((4, 2)))
+
+    def test_matches_naive_triple_loop(self, rng):
+        a = rng.standard_normal((3, 4))
+        b = rng.standard_normal((4, 2))
+        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) < 1e-12
+
+    def test_naive_agreement_100_cases(self):
+        rng = np.random.default_rng(99)
+        for _ in range(100):
+            m, k, n = rng.integers(1, 9, size=3)
+            a = rng.standard_normal((m, k))
+            b = rng.standard_normal((k, n))
+            assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) < 1e-12
 
     def test_shape_error_names_both_operands(self):
         with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
@@ -56,6 +82,11 @@ class TestSoftmax:
 
 
 class TestBilinearInterpolate:
+    def test_same_size_is_bitwise_copy(self, rng):
+        f = FeatureMap(rng.standard_normal((4, 5, 7)))
+        out = bilinear_interpolate(f, 5, 7)
+        assert out.data.tobytes() == f.data.tobytes()
+
     def test_constant_map_stays_constant(self):
         f = FeatureMap(np.full((2, 3, 4), 0.1))
         out = bilinear_interpolate(f, 7, 5)
@@ -76,6 +107,12 @@ class TestBilinearInterpolate:
             oh, ow = rng.integers(1, 9), rng.integers(1, 9)
             out = bilinear_interpolate(f, oh, ow)
             assert np.max(np.abs(out.data - oracles.bilinear_resize(f.data, oh, ow))) < 1e-12
+
+    def test_stays_within_local_bounds(self, rng):
+        f = FeatureMap(rng.standard_normal((2, 4, 6)))
+        out = bilinear_interpolate(f, 9, 5)
+        assert out.data.min() >= f.data.min() - 1e-12
+        assert out.data.max() <= f.data.max() + 1e-12
 
     def test_rejects_bad_extents(self, rng):
         f = FeatureMap(rng.standard_normal((1, 2, 2)))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from mova.routing import (
     RoutingContext,
     build_routing_prompt,
     coarse_image_tokens,
+    extract_question,
     parse_routing_response,
+    render_selection,
     route,
 )
 from mova.routing_data import LossRecord, RoutingAnnotation
@@ -66,6 +70,11 @@ class TestPromptTemplate:
         choices = [l for l in lines if len(l) > 2 and l[1] == "." and l[0].isupper()]
         assert len(choices) == 1 and choices[0].startswith("A. ")
 
+    def test_question_containing_fences_round_trips(self, registry):
+        tricky = "what does ### mean?\n###\nanswer me"
+        prompt = build_routing_prompt(registry, tricky)
+        assert extract_question(prompt) == tricky
+
     def test_empty_question_rejected(self, registry):
         with pytest.raises(ValidationError):
             build_routing_prompt(registry, "")
@@ -97,6 +106,12 @@ class TestParseResponse:
     def test_unrecognized_token_is_not_silently_dropped(self, registry):
         with pytest.raises(EmptyResponseError, match="sure"):
             parse_routing_response("sure, A and D", registry)
+
+    def test_roundtrip_all_subsets(self, registry):
+        for r in range(1, 8):
+            for subset in itertools.combinations(range(7), r):
+                rendered = render_selection(ExpertSelection(subset))
+                assert parse_routing_response(rendered, registry).indices == subset
 
 
 class TestCoarseImageTokens:
