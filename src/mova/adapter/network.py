@@ -362,8 +362,17 @@ def adapter_apply(
     params: AdapterParams,
     config: AdapterConfig,
 ) -> AdapterOutput:
-    """Forward pass returning output tokens plus per-block gate weights (a batch of one)."""
-    lifted, _ = lift(params)
+    """Forward pass returning output tokens plus per-block gate weights (a batch of one).
+
+    Only the routed experts' extractors are lifted into the graph.
+    """
+    names = params.expert_names
+    routed = {names[i] for i in selection.validate_against(len(names)).indices}
+    blocks = [
+        replace(b, extractors={n: e for n, e in b.extractors.items() if n in routed})
+        for b in params.blocks
+    ]
+    lifted, _ = lift(replace(params, blocks=blocks))
     sample = ForwardInput(base, expert_features, selection, question)
     out, gates = build_forward_graph([sample], lifted, config)
     return AdapterOutput(

@@ -23,10 +23,9 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from mova.errors import ShapeError
-from mova.numerics.ops import avg_pool_2x_tokens, dot_attention, stable_softmax
+from mova.numerics.ops import avg_pool_2x_tokens, dot_attention, erf, stable_softmax
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -45,7 +44,12 @@ class Node:
         requires_grad: bool = False,
     ):
         self.value = np.asarray(value, dtype=np.float64)
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        if not requires_grad:
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         if self.requires_grad:
             self._parents, self._vjps = parents, vjps
         else:
@@ -323,9 +327,15 @@ def tanh(a: Node) -> Node:
 def gelu(a: Node) -> Node:
     """Exact (erf-based) GELU."""
     x = a.value
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return Node(x * cdf, (a,), (lambda g: g * (cdf + x * pdf),))
+    cdf = erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+
+    def vjp(g):
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+        return g * (cdf + x * pdf)
+
+    return Node(x * cdf, (a,), (vjp,))
 
 
 def softmax_vec(a: Node) -> Node:
@@ -353,12 +363,12 @@ row_softmax = softmax_vec
 def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-6) -> Node:
     """Per-row layer normalization of (..., T, C) tokens with affine params."""
     v = x.value
-    mu = v.mean(axis=-1, keepdims=True)
-    centered = v - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = v - v.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     std = np.sqrt(var + eps)
-    xhat = centered / std
-    out = xhat * gamma.value + beta.value
+    xhat /= std
+    out = xhat * gamma.value
+    out += beta.value
 
     def vjp_x(g):
         dxhat = g * gamma.value

@@ -1,4 +1,4 @@
-"""Deterministic dense kernels: matmul, softmax, interpolation, pooling, attention.
+"""Deterministic dense kernels: matmul, softmax, erf, interpolation, pooling, attention.
 
 All functions are pure. Summation orders are fixed, so identical inputs give
 bitwise-identical outputs. ``stable_softmax``, ``dot_attention`` and
@@ -8,6 +8,8 @@ them, and the validated public functions below call them too.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,13 +30,79 @@ def matmul(a, b) -> np.ndarray:
 
 def stable_softmax(x: np.ndarray) -> np.ndarray:
     """Unchecked softmax over the last axis, shifted by the row max for stability."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+# Cephes ndtr.c coefficients: erf = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc = exp(-x^2) P(x) / Q(x) for 1 < x < 8. Cephes leaves the leading 1 of U
+# and Q implied (p1evl); it is written out here, and x * 1.0 is exact.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+
+
+def _polevl(x: np.ndarray, coef, out=None) -> np.ndarray:
+    """Cephes polevl: Horner's rule from the highest coefficient, in place."""
+    acc = np.multiply(x, coef[0], out=out)
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def erf(x) -> np.ndarray:
+    """Error function, bit for bit the Cephes erf that scipy.special.erf runs.
+
+    The operation order is Cephes' own. Elements with |x| > 1 are 1 - erfc(|x|)
+    signed like x, and take exp(-x^2) from libm through ``math.exp``: numpy's
+    exp differs from libm in the last bit on some inputs. For |x| >= 8 Cephes'
+    erfc is below 2**-54, so erf rounds to exactly +-1; clamping |x| to 8 keeps
+    those bits and keeps +-inf finite. NaN gives NaN, and -0.0 keeps its sign.
+    Temporaries are reused: each extra live array of 128 KiB or more (one
+    (8, 64, 32) GELU input) comes from the allocator as fresh pages.
+    """
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    inner = np.clip(x, -1.0, 1.0)
+    z = inner * inner
+    out = _polevl(z, _ERF_T)
+    out *= inner
+    out /= _polevl(z, _ERF_U, out=inner)
+    outer = np.flatnonzero(np.abs(x, out=z) > 1.0)
+    if outer.size:
+        xo = x[outer]
+        a = np.minimum(np.abs(xo), 8.0)
+        y = np.fromiter(map(math.exp, (-a * a).tolist()), np.float64, a.size)
+        y *= _polevl(a, _ERFC_P)
+        y /= _polevl(a, _ERFC_Q)
+        out[outer] = np.copysign(1.0 - y, xo)
+    return out.reshape(shape)
 
 
 def dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked softmax(q k^T / sqrt(d)) v over the last two axes; returns (output, probabilities)."""
-    p = stable_softmax((q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1])))
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= 1.0 / np.sqrt(q.shape[-1])
+    p = stable_softmax(scores)
     return p @ v, p
 
 

@@ -217,6 +217,8 @@ def load_samples(path) -> list[Sample]:
 
 def build_annotations(losses_path, registry: ExpertRegistry, cap: int, out_path) -> int:
     """One annotation line per loss record, order preserved; returns the count."""
+    if cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
     annotations = []
     for lineno, record in _read_loss_records(losses_path):
         if len(record.expert_losses) != len(registry):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mova
 from mova.experts import default_registry, save_registry
 from mova.harness.cli import main
 
@@ -375,6 +379,11 @@ class TestExitCodes:
             (("route", "--question", "q", "--strategy", "random", "--seed", "-1"),
              "seed must be >= 0"),
             (("gradcheck", "--eps", "0"), "eps must be positive"),
+            (("gradcheck", "--eps", "inf"), "eps must be positive and finite"),
+            (("gradcheck", "--tol", "nan"), "tol must be positive and finite"),
+            (("gradcheck", "--tol", "-1"), "tol must be positive and finite"),
+            (("build-routing-data", "--losses", str(empty_routing), "--cap", "0",
+              "--out", str(tmp_path / "capped.jsonl")), "cap must be >= 1"),
             (("score-routing", "--annotations", str(empty_routing), "--truth", str(empty_truth)),
              "no annotations to score"),
             (("gen-synthetic", "--samples", "2", "--noise", "nan", "--out", str(tmp_path / "nan")),
@@ -385,3 +394,15 @@ class TestExitCodes:
             lines = err.strip().split("\n")
             assert len(lines) == 1 and lines[0].startswith("error:") and where in lines[0]
         assert not (tmp_path / "nan").exists()  # rejected before any corpus file is written
+        assert not (tmp_path / "capped.jsonl").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only oracle: importing the CLI must not load any of it."""
+    src = str(Path(mova.__file__).resolve().parents[1])
+    code = "import sys, mova.harness.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 import oracles
 from mova.errors import EmptySupportError, NumericError, ShapeError
@@ -10,6 +13,7 @@ from mova.numerics import (
     finite_diff_check,
     global_avg_pool,
     matmul,
+    ops,
     scaled_dot_attention,
     softmax,
 )
@@ -79,6 +83,23 @@ class TestSoftmax:
         out = softmax(np.array([1e4, 0.0, -1e4]))
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) <= 1e-12
+
+
+class TestErf:
+    EDGES = [
+        0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, np.nextafter(1.0, 2.0),
+        np.nextafter(-1.0, -2.0), 8.0, -8.0, np.nextafter(8.0, 0.0), 26.6, -26.7, 27.0,
+        1e300, -1e300, 5e-324, -5e-324, 1e-300,
+    ]
+
+    def test_bitwise_equal_to_scipy_without_warnings(self, rng):
+        draws = [rng.standard_normal((40, 5000)) * s for s in (0.3, 1.0, 3.0, 30.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (*draws, draws[1][:, ::3].T, np.array(self.EDGES), np.float64(-2.5)):
+                got = ops.erf(x)
+                assert got.shape == x.shape
+                assert np.array_equal(got.view(np.int64), scipy_erf(x).view(np.int64))
 
 
 class TestBilinearInterpolate:
