@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from mova.errors import ValidationError, read_json_object
+from mova.errors import Field, ValidationError, check_fields, read_json_object
 
 GATING_MODES = ("dynamic", "uniform")
+
+_DIMS = ("hidden_dim", "text_dim", "llm_dim", "num_blocks", "gating_hidden", "ffn_expansion", "heads")
+_FIELDS = {**dict.fromkeys(_DIMS, Field(int, 1)), "seed": Field(int, 0)}
 
 
 @dataclass(frozen=True)
@@ -25,23 +27,7 @@ class AdapterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dims = {
-            "hidden_dim": self.hidden_dim,
-            "text_dim": self.text_dim,
-            "llm_dim": self.llm_dim,
-            "num_blocks": self.num_blocks,
-            "gating_hidden": self.gating_hidden,
-            "ffn_expansion": self.ffn_expansion,
-            "heads": self.heads,
-        }
-        for key, value in {**dims, "seed": self.seed}.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{key} must be an integer, got {value!r}")
-        for key, value in dims.items():
-            if value < 1:
-                raise ValidationError(f"{key} must be >= 1, got {value}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_fields(self, _FIELDS)
         if self.gating_mode not in GATING_MODES:
             raise ValidationError(
                 f"gating_mode must be one of {GATING_MODES}, got {self.gating_mode!r}"
@@ -71,13 +57,13 @@ def save_config(config: AdapterConfig, path) -> None:
     Path(path).write_text(json.dumps(asdict(config), indent=2, sort_keys=True) + "\n")
 
 
-def load_config(path) -> AdapterConfig:
-    raw = read_json_object(path, "adapter config")
-    known = {f for f in AdapterConfig.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValidationError(f"{path}: unknown adapter config keys {sorted(unknown)}")
-    try:
+def parse_config(raw, path) -> AdapterConfig:
+    """AdapterConfig from the JSON object of adapter.json or toy.json's "adapter"."""
+    try:  # a TypeError is an unknown or missing key, or a value that is not an object
         return AdapterConfig(**raw)
-    except TypeError as exc:
-        raise ValidationError(f"{path}: incomplete adapter config ({exc})") from exc
+    except (TypeError, ValidationError) as exc:
+        raise ValidationError(f"{path}: malformed adapter config ({exc})") from exc
+
+
+def load_config(path) -> AdapterConfig:
+    return parse_config(read_json_object(path, "adapter config"), path)

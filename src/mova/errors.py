@@ -1,6 +1,12 @@
-"""Exception hierarchy (every library error derives from MovaError) and the JSON file reader."""
+"""Exception hierarchy (every library error derives from MovaError), the record
+field checker and the JSON file reader."""
+
+from __future__ import annotations
 
 import json
+import math
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -73,3 +79,58 @@ def read_json_object(path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: {what} must be a JSON object")
     return raw
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+@dataclass(frozen=True)
+class Field:
+    """One record field's check. ``kind`` is int (bools rejected), float (finite;
+    integers stored as float) or str; ``low`` and ``high`` bound a number or a
+    string's length, inclusive. With ``many`` the value is a list or tuple of
+    such values (never a string), stored as a tuple; ``optional`` lets None pass.
+    """
+
+    kind: type
+    low: float | None = None
+    high: float | None = None
+    many: bool = False
+    optional: bool = False
+
+    def check(self, name: str, value):
+        """The checked value; a ValidationError names the field and the value."""
+        if value is None and self.optional:
+            return None
+        if not self.many:
+            return self._one(name, value)
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{name} must be a list, got {value!r}")
+        return tuple([self._one(name, v) for v in value])
+
+    def _one(self, name: str, value):
+        kind = self.kind
+        if type(value) is not kind:  # values read from JSON mostly have it
+            try:
+                if kind is str or isinstance(value, bool):
+                    raise TypeError
+                # A numpy float64 is a float; numpy integers are indexes.
+                value = float(value) if kind is float and isinstance(value, float) else kind(operator.index(value))
+            except (TypeError, OverflowError):
+                raise ValidationError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        size = len(value) if kind is str else value
+        if self.low is not None and size < self.low:
+            bound = "non-empty" if kind is str else f">= {self.low}"
+            raise ValidationError(f"{name} must be {bound}, got {value!r}")
+        if self.high is not None and size > self.high:
+            raise ValidationError(f"{name} must be <= {self.high}, got {value!r}")
+        return value
+
+
+def check_fields(record, fields: dict[str, Field]) -> None:
+    """Check the named attributes of a (frozen dataclass) record, storing each checked value."""
+    values = vars(record)
+    for name, field in fields.items():
+        values[name] = field.check(name, values[name])

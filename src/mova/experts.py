@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from mova.errors import CapacityError, ValidationError, read_json_object
+from mova.errors import CapacityError, Field, ValidationError, check_fields, read_json_object
 from mova.numerics.tensor import FeatureMap
 
 _BASE_FEATURE_SALT = 0x0B45E
@@ -27,6 +27,34 @@ _EXPERT_FEATURE_SALT = 0xE79E87
 _DISTRACTOR_SCALE = 1.0
 
 _MAX_EXPERTS = len(string.ascii_uppercase)
+
+# Bounds on registry geometry, checked at load so a hostile experts.json fails
+# before any feature is generated or any weight allocated.
+# A channel count sizes the (channels, hidden) key and value weights of an
+# extractor in every block, and the base channels are the hidden width itself.
+_MAX_CHANNELS = 4096
+# Every feature map is generated per sample as float64: 2**20 elements is 8 MiB.
+_MAX_FEATURE_ELEMENTS = 2**20
+# Adapter attention is quadratic in the base token count height*width: one
+# 4096-token attention matrix is already 128 MiB of float64.
+_MAX_BASE_TOKENS = 4096
+
+_ELEMENTS = Field(int, 1, _MAX_FEATURE_ELEMENTS)
+_TOKENS = Field(int, 1, _MAX_BASE_TOKENS)
+_SPEC_FIELDS = {
+    "letter": Field(str),
+    "name": Field(str, 1),
+    "description": Field(str, 1),
+    "channels": Field(int, 1, _MAX_CHANNELS),
+    "height": Field(int, 1),
+    "width": Field(int, 1),
+    "seed": Field(int, 0, 2**64 - 1),
+}
+_REGISTRY_FIELDS = {
+    "base_channels": Field(int, 1, _MAX_CHANNELS),
+    "base_height": Field(int, 1),
+    "base_width": Field(int, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -40,16 +68,10 @@ class ExpertSpec:
     seed: int
 
     def __post_init__(self):
+        check_fields(self, _SPEC_FIELDS)
         if len(self.letter) != 1 or self.letter not in string.ascii_uppercase:
             raise ValidationError(f"expert {self.name!r}: letter {self.letter!r} must be A..Z")
-        if not self.name or not isinstance(self.name, str):
-            raise ValidationError(f"expert name must be a non-empty string, got {self.name!r}")
-        if not self.description or not isinstance(self.description, str):
-            raise ValidationError(f"expert {self.name!r}: description must be a non-empty string")
-        if min(self.channels, self.height, self.width) < 1:
-            raise ValidationError(f"expert {self.name!r}: feature extents must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"expert {self.name!r}: seed must fit in 64 bits")
+        _ELEMENTS.check("channels*height*width", self.channels * self.height * self.width)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -68,8 +90,10 @@ class ExpertRegistry:
             raise ValidationError(
                 f"registry must hold 1..{_MAX_EXPERTS} experts, got {len(self.experts)}"
             )
-        if min(self.base_channels, self.base_height, self.base_width) < 1:
-            raise ValidationError("base geometry extents must be >= 1")
+        check_fields(self, _REGISTRY_FIELDS)
+        tokens = self.base_height * self.base_width
+        _TOKENS.check("base_height*base_width", tokens)
+        _ELEMENTS.check("base_channels*base_height*base_width", self.base_channels * tokens)
         names = [e.name for e in self.experts]
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate expert names in registry: {names}")
@@ -101,6 +125,15 @@ class ExpertRegistry:
         return idx
 
 
+_SAMPLE_FIELDS = {
+    "sample_id": Field(str),
+    "image_seed": Field(int, 0),  # numpy seeds are >= 0
+    "question": Field(str),
+    "answer_vector": Field(float, many=True),
+    "planted_expert": Field(str, optional=True),
+}
+
+
 @dataclass(frozen=True)
 class Sample:
     sample_id: str
@@ -110,8 +143,7 @@ class Sample:
     planted_expert: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.question, str) or self.image_seed < 0:  # numpy seeds are >= 0
-            raise ValidationError(f"sample {self.sample_id!r}: needs a string question and image_seed >= 0")
+        check_fields(self, _SAMPLE_FIELDS)
 
 
 def generate_base_feature(registry: ExpertRegistry, image_seed: int) -> FeatureMap:
@@ -147,55 +179,29 @@ def generate_expert_feature(
 # registry serialization (experts.json)
 
 
-def _registry_to_dict(registry: ExpertRegistry) -> dict:
-    return {
-        "base": {
-            "channels": registry.base_channels,
-            "height": registry.base_height,
-            "width": registry.base_width,
-        },
-        "experts": [
-            {
-                "letter": e.letter,
-                "name": e.name,
-                "description": e.description,
-                "channels": e.channels,
-                "height": e.height,
-                "width": e.width,
-                "seed": e.seed,
-            }
-            for e in registry.experts
-        ],
-    }
+_BASE_KEYS = ("channels", "height", "width")
 
 
 def save_registry(registry: ExpertRegistry, path) -> None:
-    Path(path).write_text(json.dumps(_registry_to_dict(registry), indent=2) + "\n")
+    doc = {
+        "base": dict(zip(_BASE_KEYS, registry.base_shape)),
+        "experts": [asdict(e) for e in registry.experts],
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_registry(path) -> ExpertRegistry:
+    """Read experts.json; every rejection names the file and the field."""
     raw = read_json_object(path, "registry")
     try:
-        base = raw["base"]
-        experts = tuple(
-            ExpertSpec(
-                letter=item["letter"],
-                name=item["name"],
-                description=item["description"],
-                channels=int(item["channels"]),
-                height=int(item["height"]),
-                width=int(item["width"]),
-                seed=int(item["seed"]),
-            )
-            for item in raw["experts"]
-        )
+        unknown = set(raw) - {"base", "experts"} | set(raw["base"]) - set(_BASE_KEYS)
+        if unknown:
+            raise ValidationError(f"unknown keys {sorted(unknown)}")
         return ExpertRegistry(
-            experts=experts,
-            base_channels=int(base["channels"]),
-            base_height=int(base["height"]),
-            base_width=int(base["width"]),
+            experts=tuple(ExpertSpec(**item) for item in raw["experts"]),
+            **{f"base_{key}": value for key, value in raw["base"].items()},
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed registry field ({exc})") from exc
 
 

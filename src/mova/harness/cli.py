@@ -29,6 +29,7 @@ from mova.harness.seeds import (
 from mova.harness.train import ToyTrainConfig, load_toy_config, train_toy
 from mova.routing import STRATEGIES, ExpertSelection, RoutingContext, route
 from mova.routing_data import (
+    DEFAULT_CAP,
     build_annotations,
     generate_synthetic_corpus,
     load_annotations,
@@ -61,19 +62,14 @@ def _registry_from(path):
     return load_registry(path) if path else default_registry()
 
 
-def _routing_context(args, registry) -> RoutingContext:
-    annotations = None
-    losses = None
-    if getattr(args, "annotations", None):
-        annotations = {a.sample_id: a for a in load_annotations(args.annotations)}
-    if getattr(args, "losses", None):
-        losses = {r.sample_id: r for r in load_loss_records(args.losses)}
+def _routing_context(args) -> RoutingContext:
+    """The context of the flags _add_routing_flags defines."""
     return RoutingContext(
-        annotations=annotations,
-        losses=losses,
-        seed=resolve_seed(getattr(args, "seed", None), DEFAULT_ROUTE_SEED),
-        cap=getattr(args, "cap", 3),
-        response=getattr(args, "response", None),
+        annotations={a.sample_id: a for a in load_annotations(args.annotations)} if args.annotations else None,
+        losses={r.sample_id: r for r in load_loss_records(args.losses)} if args.losses else None,
+        seed=resolve_seed(args.seed, DEFAULT_ROUTE_SEED),
+        cap=args.cap,
+        response=args.response,
     )
 
 
@@ -87,12 +83,12 @@ def _add_routing_flags(parser, with_question=True):
     parser.add_argument("--sample-id", default="cli")
     parser.add_argument("--response", help="scripted strategy response text")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--cap", type=int, default=3)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
 
 def _cmd_route(args) -> int:
     registry = _registry_from(args.experts)
-    context = _routing_context(args, registry)
+    context = _routing_context(args)
     sample = Sample(sample_id=args.sample_id, image_seed=0, question=args.question)
     try:
         decision = route(args.strategy, registry, sample, context)
@@ -147,7 +143,7 @@ def _cmd_fuse(args) -> int:
         params = load_params(args.params, config, registry)
     else:
         params = init_params(config, registry)
-    context = _routing_context(args, registry)
+    context = _routing_context(args)
     result = run_pipeline(
         registry,
         args.question,
@@ -212,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experts")
     p.add_argument("--losses", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int, default=3)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(fn=_cmd_build_routing_data)
 
     p = sub.add_parser("gen-synthetic", help="generate a planted-signal corpus")

@@ -425,13 +425,7 @@ def _random_records(count: int, n: int, seed: int) -> list[LossRecord]:
     for i in range(count):
         # Coarse quantization manufactures plenty of ties.
         losses = np.round(rng.random(n + 1) * 4, 1)
-        records.append(
-            LossRecord(
-                sample_id=f"r{i}",
-                base_loss=float(losses[0]),
-                expert_losses=tuple(float(v) for v in losses[1:]),
-            )
-        )
+        records.append(LossRecord(f"r{i}", float(losses[0]), losses[1:].tolist()))
     return records
 
 

@@ -9,8 +9,6 @@ corpus samples, so a zero learning rate leaves the loss trace constant.
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,10 +16,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from mova.adapter.config import AdapterConfig, desk_config
+from mova.adapter.config import AdapterConfig, desk_config, parse_config
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.adapter.params import AdapterParams, clone_params, init_params, named_arrays
-from mova.errors import NumericError, TrainingError, ValidationError, read_json_object
+from mova.errors import Field, NumericError, TrainingError, ValidationError, check_fields, read_json_object
 from mova.experts import (
     ExpertRegistry,
     Sample,
@@ -53,6 +51,19 @@ MICROBATCH = 8
 
 SelectionProvider = Callable[[Sample], ExpertSelection]
 
+_FIELDS = {
+    "steps": Field(int, 1),
+    "learning_rate": Field(float, 0),
+    "batch_size": Field(int, 1),
+    "seed": Field(int, 0),
+    "selection": Field(str, many=True, optional=True),
+    "eval_samples": Field(int, 0),
+    "cap": Field(int, 1),
+    "gradcheck_entries": Field(int, 0),
+    "gradcheck_eps": Field(float),
+    "gradcheck_tol": Field(float),
+}
+
 
 @dataclass(frozen=True)
 class ToyTrainConfig:
@@ -71,18 +82,7 @@ class ToyTrainConfig:
     gradcheck_tol: float = 1e-4
 
     def __post_init__(self):
-        for key in ("steps", "batch_size", "seed", "eval_samples", "cap", "gradcheck_entries"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{key} must be an integer, got {value!r}")
-        for key in ("learning_rate", "gradcheck_eps", "gradcheck_tol"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValidationError(f"{key} must be a finite number, got {value!r}")
-        lows = {"steps": 1, "batch_size": 1, "seed": 0, "learning_rate": 0, "eval_samples": 0, "gradcheck_entries": 0}
-        for key, low in lows.items():
-            if getattr(self, key) < low:
-                raise ValidationError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        check_fields(self, _FIELDS)
         if self.scope not in SCOPES:
             raise ValidationError(f"scope must be one of {SCOPES}, got {self.scope!r}")
 
@@ -362,29 +362,18 @@ def train_toy(
 
 
 def load_toy_config(path) -> tuple[ToyTrainConfig, ExpertRegistry]:
-    """Read toy.json; relative paths resolve against the config file."""
+    """Read toy.json: ToyTrainConfig's fields, with "corpus", "experts" and "adapter"
+    in place of corpus_dir and adapter; relative paths resolve against the file."""
     path = Path(path)
     raw = read_json_object(path, "toy config")
-    if not isinstance(raw.get("corpus"), str):
-        raise ValidationError(f"{path}: toy config needs a 'corpus' directory")
-    known = set(ToyTrainConfig.__dataclass_fields__) - {"corpus_dir", "adapter", "selection"}
-    unknown = set(raw) - known - {"corpus", "experts", "adapter", "selection"}
-    if unknown:
-        raise ValidationError(f"{path}: unknown toy config keys {sorted(unknown)}")
-    selection = raw.get("selection")
-    if selection is not None and not isinstance(selection, list):
-        raise ValidationError(f"{path}: 'selection' must be a list of expert names")
-    kwargs = {k: raw[k] for k in known if k in raw}
+    corpus, experts = raw.pop("corpus", None), raw.pop("experts", None)
+    if not isinstance(corpus, str) or not isinstance(experts, (str, type(None))):
+        raise ValidationError(f"{path}: toy config needs a 'corpus' directory and an optional 'experts' file")
     # Joining an absolute path to the config's directory gives the absolute path.
-    try:  # a TypeError here is a value of the wrong JSON type
-        registry = load_registry(path.parent / raw["experts"]) if raw.get("experts") else default_registry()
-        adapter = AdapterConfig(**raw["adapter"]) if "adapter" in raw else desk_config()
-        config = ToyTrainConfig(
-            corpus_dir=str(path.parent / raw["corpus"]),
-            selection=None if selection is None else tuple(selection),
-            adapter=adapter,
-            **kwargs,
-        )
-    except TypeError as exc:
+    registry = load_registry(path.parent / experts) if experts else default_registry()
+    adapter = parse_config(raw.pop("adapter"), path) if "adapter" in raw else desk_config()
+    try:  # a TypeError is an unknown key
+        config = ToyTrainConfig(corpus_dir=str(path.parent / corpus), adapter=adapter, **raw)
+    except (TypeError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed toy config ({exc})") from exc
     return config, registry

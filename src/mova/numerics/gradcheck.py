@@ -25,17 +25,19 @@ class GradCheckReport:
             raise ValueError("max relative error must be nonnegative")
 
 
-def _probe(scalar_fn: Callable[[np.ndarray], float], theta: np.ndarray, flat: int, eps: float) -> float:
+def _probe(scalar_fn, theta: np.ndarray, flat: int, eps: float, op_name: str) -> float:
     original = theta.flat[flat]
     try:
-        theta.flat[flat] = original + eps
-        f_plus = float(scalar_fn(theta))
-        theta.flat[flat] = original - eps
-        f_minus = float(scalar_fn(theta))
+        # A huge eps may overflow inside scalar_fn; the check below reports it once.
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta.flat[flat] = original + eps
+            f_plus = float(scalar_fn(theta))
+            theta.flat[flat] = original - eps
+            f_minus = float(scalar_fn(theta))
     finally:
         theta.flat[flat] = original
     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-        raise NumericError(f"non-finite function value while probing element {flat}")
+        raise NumericError(f"{op_name}: non-finite function value while probing element {flat}")
     return (f_plus - f_minus) / (2.0 * eps)
 
 
@@ -71,6 +73,6 @@ def finite_diff_check(
     probe_at = range(param_block.size) if indices is None else indices
     worst = 0.0
     for flat in probe_at:
-        numeric = _probe(scalar_fn, param_block, int(flat), eps)
+        numeric = _probe(scalar_fn, param_block, int(flat), eps, op_name)
         worst = max(worst, rel_error(float(grad.flat[flat]), numeric))
     return GradCheckReport(op_name=op_name, max_rel_error=worst, count=len(probe_at), eps=eps)

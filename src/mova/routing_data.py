@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from mova.errors import ValidationError
+from mova.errors import Field, ValidationError, check_fields
 from mova.experts import (
     ExpertRegistry,
     Sample,
@@ -47,6 +47,14 @@ def _question_for(rng: np.random.Generator, planted_description: str) -> str:
     return f"{template} Focus: {planted_description}"
 
 
+_LOSS_FIELDS = {
+    "sample_id": Field(str),
+    "base_loss": Field(float, 0),
+    "expert_losses": Field(float, 0, many=True),
+}
+_ANNOTATION_FIELDS = {"sample_id": Field(str), "experts": Field(str, many=True)}
+
+
 @dataclass(frozen=True)
 class LossRecord:
     sample_id: str
@@ -54,11 +62,7 @@ class LossRecord:
     expert_losses: tuple[float, ...]
 
     def __post_init__(self):
-        losses = (self.base_loss, *self.expert_losses)
-        if not all(np.isfinite(v) and v >= 0 for v in losses):
-            raise ValidationError(
-                f"sample {self.sample_id!r}: losses must be finite and >= 0"
-            )
+        check_fields(self, _LOSS_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,7 @@ class RoutingAnnotation:
     experts: tuple[str, ...]
 
     def __post_init__(self):
+        check_fields(self, _ANNOTATION_FIELDS)
         if len(set(self.experts)) != len(self.experts):
             raise ValidationError(
                 f"sample {self.sample_id!r}: duplicate experts in annotation"
@@ -95,22 +100,25 @@ def construct_routing_set(
 
 
 # ---------------------------------------------------------------------------
-# JSONL formats
+# JSONL formats: one object per line with exactly these keys (only
+# planted_expert may be left out). Numbers are finite; integers count as
+# numbers, but no value is converted from another JSON type ("0.5", true).
 #
-# samples.jsonl:      {"sample_id": str, "image_seed": int, "question": str,
-#                      "answer_vector": [float, ...], "planted_expert": str | null}
-# losses.jsonl:       {"sample_id": str, "base_loss": float, "expert_losses": [float x N]}
-# routing.jsonl:      {"sample_id": str, "experts": [str, ...]}
-# ground_truth.jsonl: {"sample_id": str, "planted": str}
+# samples.jsonl:      {"sample_id": string, "image_seed": integer >= 0, "question": string,
+#                      "answer_vector": [number, ...], "planted_expert": string | null}
+# losses.jsonl:       {"sample_id": string, "base_loss": number >= 0,
+#                      "expert_losses": [number >= 0, one per registry expert]}
+# routing.jsonl:      {"sample_id": string, "experts": [string, ...], no repeats}
+# ground_truth.jsonl: {"sample_id": string, "planted": string}
 # Sample ids are unique within each file.
 
 
 def _read_jsonl(path, what: str, parse: Callable[[dict], _Record]) -> Iterator[tuple[int, _Record]]:
     """Yield (line number, parse(object)) for every non-blank line of a JSONL file.
 
-    Bad JSON, a missing key, a wrong value or a record its type rejects raises
-    a ValidationError naming path:line (json.JSONDecodeError is a ValueError).
-    A repeated ``sample_id`` is rejected the same way.
+    Bad JSON, a missing or unknown key, a wrong value or a record its type
+    rejects raises a ValidationError naming path:line (json.JSONDecodeError is
+    a ValueError). A repeated ``sample_id`` is rejected the same way.
     """
     try:
         fh = open(path, "rb")  # json.loads decodes, so bad UTF-8 fails at its line
@@ -127,7 +135,7 @@ def _read_jsonl(path, what: str, parse: Callable[[dict], _Record]) -> Iterator[t
                 record = parse(obj)
                 sample_id = obj["sample_id"]
                 duplicate = sample_id in seen  # an unhashable id raises TypeError here
-            except (ValidationError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (ValidationError, KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{lineno}: malformed {what} ({exc})") from exc
             if duplicate:
                 raise ValidationError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
@@ -136,83 +144,59 @@ def _read_jsonl(path, what: str, parse: Callable[[dict], _Record]) -> Iterator[t
 
 
 def _dump_jsonl(path, objects: Iterable[dict]) -> None:
+    """One sorted-key JSON line per object. A record's fields are its format's
+    keys, so the writers pass vars(record)."""
     with open(path, "w") as fh:
         for obj in objects:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _loss_record(obj: dict) -> LossRecord:
-    return LossRecord(
-        sample_id=obj["sample_id"],
-        base_loss=float(obj["base_loss"]),
-        expert_losses=tuple(float(v) for v in obj["expert_losses"]),
-    )
-
-
-def _read_loss_records(path) -> Iterator[tuple[int, LossRecord]]:
-    return _read_jsonl(path, "loss record", _loss_record)
+def _loss_records(path) -> Iterator[tuple[int, LossRecord]]:
+    return _read_jsonl(path, "loss record", lambda obj: LossRecord(**obj))
 
 
 def load_loss_records(path) -> list[LossRecord]:
     """Records in file order; a repeated sample id is an error."""
-    return [record for _, record in _read_loss_records(path)]
+    return [record for _, record in _loss_records(path)]
 
 
-def save_loss_records(path, records: Sequence[LossRecord]) -> None:
-    _dump_jsonl(
-        path,
-        (
-            {
-                "sample_id": r.sample_id,
-                "base_loss": r.base_loss,
-                "expert_losses": list(r.expert_losses),
-            }
-            for r in records
-        ),
-    )
+def save_loss_records(path, records: Iterable[LossRecord]) -> None:
+    _dump_jsonl(path, map(vars, records))
 
 
 def load_annotations(path) -> list[RoutingAnnotation]:
-    def parse(obj):
-        if not isinstance(obj["experts"], list):
-            raise TypeError(f"experts must be a list, got {type(obj['experts']).__name__}")
-        return RoutingAnnotation(sample_id=obj["sample_id"], experts=tuple(obj["experts"]))
-
-    return [a for _, a in _read_jsonl(path, "annotation", parse)]
+    return [a for _, a in _read_jsonl(path, "annotation", lambda obj: RoutingAnnotation(**obj))]
 
 
-def save_annotations(path, annotations: Sequence[RoutingAnnotation]) -> None:
-    _dump_jsonl(
-        path,
-        ({"sample_id": a.sample_id, "experts": list(a.experts)} for a in annotations),
-    )
-
-
-def save_ground_truth(path, truth: Mapping[str, str]) -> None:
-    _dump_jsonl(
-        path,
-        ({"sample_id": sid, "planted": planted} for sid, planted in truth.items()),
-    )
+def save_annotations(path, annotations: Iterable[RoutingAnnotation]) -> None:
+    _dump_jsonl(path, map(vars, annotations))
 
 
 def load_ground_truth(path) -> dict[str, str]:
     def parse(obj):
-        return obj["sample_id"], obj["planted"]
+        if set(obj) != {"sample_id", "planted"}:
+            raise ValidationError(f"keys must be sample_id and planted, got {sorted(obj)}")
+        return tuple(Field(str).check(key, obj[key]) for key in ("sample_id", "planted"))
 
     return dict(pair for _, pair in _read_jsonl(path, "ground truth", parse))
 
 
-def load_samples(path) -> list[Sample]:
-    def parse(obj):
-        return Sample(
-            sample_id=obj["sample_id"],
-            image_seed=int(obj["image_seed"]),
-            question=obj["question"],
-            answer_vector=tuple(float(v) for v in obj["answer_vector"]),
-            planted_expert=obj.get("planted_expert"),
-        )
+def save_ground_truth(path, truth: Mapping[str, str]) -> None:
+    _dump_jsonl(path, ({"sample_id": sid, "planted": planted} for sid, planted in truth.items()))
 
-    return [sample for _, sample in _read_jsonl(path, "sample", parse)]
+
+def _sample(obj: dict) -> Sample:
+    if "answer_vector" not in obj:  # Sample defaults it for routing-only samples
+        raise KeyError("answer_vector")
+    return Sample(**obj)
+
+
+def load_samples(path) -> list[Sample]:
+    return [sample for _, sample in _read_jsonl(path, "sample", _sample)]
+
+
+def save_samples(path, samples: Iterable[Sample]) -> None:
+    _dump_jsonl(path, map(vars, samples))
 
 
 def build_annotations(losses_path, registry: ExpertRegistry, cap: int, out_path) -> int:
@@ -220,13 +204,11 @@ def build_annotations(losses_path, registry: ExpertRegistry, cap: int, out_path)
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
     annotations = []
-    for lineno, record in _read_loss_records(losses_path):
-        if len(record.expert_losses) != len(registry):
-            raise ValidationError(
-                f"{losses_path}:{lineno}: expected {len(registry)} expert losses, "
-                f"got {len(record.expert_losses)}"
-            )
-        annotations.append(construct_routing_set(record, registry, cap))
+    for lineno, record in _loss_records(losses_path):
+        try:
+            annotations.append(construct_routing_set(record, registry, cap))
+        except ValidationError as exc:
+            raise ValidationError(f"{losses_path}:{lineno}: malformed loss record ({exc})") from exc
     save_annotations(out_path, annotations)
     return len(annotations)
 
@@ -322,7 +304,7 @@ def generate_synthetic_corpus(
                 sample_id=f"s{i:05d}",
                 image_seed=image_seed,
                 question=question,
-                answer_vector=tuple(answer),
+                answer_vector=answer.tolist(),
                 planted_expert=registry.experts[p].name,
             )
         )
@@ -365,37 +347,15 @@ def generate_synthetic_corpus(
     samples_path = out_dir / "samples.jsonl"
     losses_path = out_dir / "losses.jsonl"
     truth_path = out_dir / "ground_truth.jsonl"
-    _dump_jsonl(
-        samples_path,
-        (
-            {
-                "sample_id": s.sample_id,
-                "image_seed": s.image_seed,
-                "question": s.question,
-                "answer_vector": list(s.answer_vector),
-                "planted_expert": s.planted_expert,
-            }
-            for s in samples
-        ),
-    )
+    save_samples(samples_path, samples)
     save_loss_records(
         losses_path,
-        [
-            LossRecord(
-                sample_id=s.sample_id,
-                base_loss=float(base_losses[i]),
-                expert_losses=tuple(float(v) for v in expert_losses[i]),
-            )
-            for i, s in enumerate(samples)
-        ],
-    )
-    _dump_jsonl(
-        truth_path,
         (
-            {"sample_id": s.sample_id, "planted": s.planted_expert}
-            for s in samples
+            LossRecord(s.sample_id, float(base_losses[i]), expert_losses[i].tolist())
+            for i, s in enumerate(samples)
         ),
     )
+    save_ground_truth(truth_path, {s.sample_id: s.planted_expert for s in samples})
     manifest = CorpusManifest(
         directory=str(out_dir),
         samples_path=str(samples_path),

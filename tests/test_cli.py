@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -338,12 +339,31 @@ class TestExitCodes:
         ):
             toys[name] = tmp_path / name
             toys[name].write_text(json.dumps(payload))
-        # experts.json with an infinite extent (Python's json reads Infinity).
-        infinite = tmp_path / "infinite.json"
-        save_registry(default_registry(), infinite)
-        doc = json.loads(infinite.read_text())
-        doc["experts"][0]["channels"] = float("inf")
-        infinite.write_text(json.dumps(doc))
+        # experts.json with an infinite extent (Python's json reads Infinity),
+        # values of the wrong JSON type, and extents past the registry bounds.
+        save_registry(default_registry(), tmp_path / "experts.json")
+        doc = json.loads((tmp_path / "experts.json").read_text())
+        registries = {}
+        for name, part, key, value, field in (
+            ("infinite.json", "experts", "channels", float("inf"), "channels must be an integer"),
+            ("fractional.json", "experts", "channels", 1.9, "channels must be an integer"),
+            ("string.json", "experts", "channels", "16", "channels must be an integer"),
+            ("boolean.json", "experts", "seed", True, "seed must be an integer"),
+            ("wide.json", "experts", "channels", 10000000, "channels must be <="),
+            ("tall.json", "base", "height", 1000000, "base_height*base_width must be <="),
+        ):
+            bad = copy.deepcopy(doc)
+            (bad["experts"][0] if part == "experts" else bad["base"])[key] = value
+            (tmp_path / name).write_text(json.dumps(bad))
+            registries[name] = field
+        # A corpus whose answer vector holds NaN fails where it is read.
+        nan_corpus = tmp_path / "nan_corpus"
+        nan_corpus.mkdir()
+        (nan_corpus / "samples.jsonl").write_text(
+            '{"sample_id": "s0", "image_seed": 1, "question": "q", "answer_vector": [NaN]}\n'
+        )
+        toy_nan = tmp_path / "toy_nan.json"
+        toy_nan.write_text(json.dumps({"corpus": str(nan_corpus), "steps": 1}))
         # Parameter manifests: a file name outside the directory, and bad JSON.
         from mova.adapter import desk_config, init_params, save_params
 
@@ -371,9 +391,11 @@ class TestExitCodes:
             (("train-toy", "--config", str(toys["toy_int.json"])), "must be a JSON object"),
             (("train-toy", "--config", str(toys["toy_steps.json"])), "steps must be an integer"),
             (("train-toy", "--config", str(toys["toy_selection.json"])),
-             "'selection' must be a list"),
-            (("train-toy", "--config", str(toys["toy_seed.json"])), "image_seed >= 0"),
-            ((*fuse, "--experts", str(infinite)), "infinite.json: malformed registry field"),
+             "selection must be a list"),
+            (("train-toy", "--config", str(toys["toy_seed.json"])), "image_seed must be >= 0"),
+            (("train-toy", "--config", str(toy_nan)), "samples.jsonl:1: malformed sample"),
+            *(((*fuse, "--experts", str(tmp_path / name)), f"{name}: malformed registry field ({field}")
+              for name, field in registries.items()),
             ((*fuse, "--params", str(escaping)), "'../outside.movt' is not a plain file name"),
             ((*fuse, "--params", str(broken)), "manifest.json: not valid JSON"),
             (("route", "--question", "q", "--strategy", "random", "--seed", "-1"),
@@ -382,6 +404,9 @@ class TestExitCodes:
             (("gradcheck", "--eps", "inf"), "eps must be positive and finite"),
             (("gradcheck", "--tol", "nan"), "tol must be positive and finite"),
             (("gradcheck", "--tol", "-1"), "tol must be positive and finite"),
+            # A huge eps overflows inside the probe: one line naming the tensor, no warnings.
+            (("gradcheck", "--eps", "1e300"),
+             "block0.extract.dinov2.value.weight: non-finite function value"),
             (("build-routing-data", "--losses", str(empty_routing), "--cap", "0",
               "--out", str(tmp_path / "capped.jsonl")), "cap must be >= 1"),
             (("score-routing", "--annotations", str(empty_routing), "--truth", str(empty_truth)),

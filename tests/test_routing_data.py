@@ -95,6 +95,10 @@ class TestBuildAnnotations:
             '{"sample_id": "s1", "base_loss": 2.0, "expert_losses": 3}',
             '{"sample_id": "s1", "base_loss": 2.0',
             '{"sample_id": "s1", "base_loss": -1.0, "expert_losses": [1, 1, 1, 1, 1, 1, 1]}',
+            # No value is converted from another JSON type.
+            '{"sample_id": "s1", "base_loss": "0.5", "expert_losses": [1, 1, 1, 1, 1, 1, 1]}',
+            '{"sample_id": "s1", "base_loss": true, "expert_losses": [1, 1, 1, 1, 1, 1, 1]}',
+            '{"sample_id": "s1", "base_loss": 2.0, "expert_losses": "0123456"}',
         ):
             losses.write_text(good + "\n" + bad + "\n")
             for read in (
@@ -105,18 +109,31 @@ class TestBuildAnnotations:
                     read(losses)
         # An experts string is not split into characters; a repeated expert is rejected.
         routing = tmp_path / "routing.jsonl"
-        for experts in ("sam", ["sam", "sam"]):
+        for experts in ("sam", ["sam", "sam"], [3]):
             routing.write_text(json.dumps({"sample_id": "cli", "experts": experts}) + "\n")
             with pytest.raises(ValidationError, match=r"routing\.jsonl:1: malformed annotation"):
                 load_annotations(routing)
-        # A record its own type rejects names its line too.
+        truth = tmp_path / "ground_truth.jsonl"
+        for bad in ({"sample_id": "s0", "planted": 3}, {"sample_id": "s0", "planted": "sam", "x": 1}):
+            truth.write_text(json.dumps(bad) + "\n")
+            with pytest.raises(ValidationError, match=r"ground_truth\.jsonl:1: malformed ground truth"):
+                load_ground_truth(truth)
+        # A record its own type rejects names its line too, as does a value of
+        # the wrong JSON type or an unknown key.
         samples = tmp_path / "samples.jsonl"
-        samples.write_text(
-            json.dumps({"sample_id": "s0", "image_seed": -1, "question": "q", "answer_vector": []})
-            + "\n"
-        )
-        with pytest.raises(ValidationError, match=r"samples\.jsonl:1: malformed sample"):
-            load_samples(samples)
+        sample = '{"sample_id": "s0", "image_seed": 1, "question": "q", "answer_vector": [1.5]'
+        for bad in (
+            json.dumps({"sample_id": "s0", "image_seed": -1, "question": "q", "answer_vector": []}),
+            sample.replace('"image_seed": 1', '"image_seed": 1.7') + "}",
+            sample.replace('"image_seed": 1', '"image_seed": true') + "}",
+            sample.replace("[1.5]", "[NaN]") + "}",
+            sample.replace("[1.5]", '["1.5"]') + "}",
+            sample.replace('"s0"', "7") + "}",
+            sample + ', "answer": [1.5]}',
+        ):
+            samples.write_text(bad + "\n")
+            with pytest.raises(ValidationError, match=r"samples\.jsonl:1: malformed sample"):
+                load_samples(samples)
 
     def test_duplicate_sample_id_names_line(self, registry, tmp_path):
         losses = tmp_path / "losses.jsonl"
