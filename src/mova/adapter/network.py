@@ -328,7 +328,8 @@ def gate_weights(
 
 
 def fuse(conditional: Sequence[FeatureMap], weights: GateWeights) -> FeatureMap:
-    """Weighted sum of conditional representations, in selection order."""
+    """Weighted sum of conditional representations, in selection order, by the
+    nodes build_forward_graph runs: mul_scalar, then scatter_rows' ordered sum."""
     if len(conditional) != weights.k:
         raise ShapeError(
             f"{len(conditional)} conditional maps for {weights.k} gate weights"
@@ -337,10 +338,10 @@ def fuse(conditional: Sequence[FeatureMap], weights: GateWeights) -> FeatureMap:
     for m in conditional[1:]:
         if m.shape != shape:
             raise ShapeError(f"conditional maps disagree in shape: {shape} vs {m.shape}")
-    acc = conditional[0].data * weights.weights[0]
-    for j in range(1, weights.k):
-        acc = acc + conditional[j].data * weights.weights[j]
-    return FeatureMap(acc)
+    stacked = ad.constant(np.stack([m.data for m in conditional]))
+    weighted = ad.mul_scalar(stacked, ad.constant(weights.weights))
+    summed = ad.scatter_rows(ad.constant(np.zeros((1, *shape))), [weighted], [range(weights.k)])
+    return FeatureMap(summed.value[0])
 
 
 def transformer_block(x: FeatureMap, params: TransformerBlockParams, heads: int = 1) -> FeatureMap:

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mova.errors import ValidationError
+from mova.errors import Field, ValidationError
 from mova.numerics.tensor import as_finite_array, freeze
 
 _NORM_FLOOR = 1e-12
+_TEXT_DIM = Field(int, 1)
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,7 @@ def _token_vector(token: str, text_dim: int) -> np.ndarray:
 
 def encode_text(question: str, text_dim: int) -> TextToken:
     """Whitespace-tokenized hash embedding, scaled to unit norm; "" maps to zero."""
-    if text_dim < 1:
-        raise ValidationError(f"text_dim must be >= 1, got {text_dim}")
+    _TEXT_DIM.check("text_dim", text_dim)
     tokens = question.split()
     if not tokens:
         return TextToken(np.zeros(text_dim))

@@ -129,6 +129,10 @@ class Field:
         return value
 
 
+# Bounds are inclusive; on floats, ">= the least positive float" is exactly "> 0".
+POSITIVE = Field(float, math.ulp(0.0))
+
+
 def check_fields(record, fields: dict[str, Field]) -> None:
     """Check the named attributes of a (frozen dataclass) record, storing each checked value."""
     values = vars(record)

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from mova.errors import ValidationError
+from mova.errors import Field, ValidationError
 from mova.experts import ExpertRegistry, Sample
 from mova.harness.train import SelectionProvider, ToyTrainConfig, train_toy
 from mova.routing import ExpertSelection
@@ -36,8 +36,7 @@ def _random_provider(config: ToyTrainConfig, registry: ExpertRegistry) -> Select
 
 
 def _fixed_k_provider(config: ToyTrainConfig, registry: ExpertRegistry, k: int) -> SelectionProvider:
-    if not 1 <= k <= len(registry):
-        raise ValidationError(f"fixed-K:{k} is out of range for {len(registry)} experts")
+    Field(int, 1, len(registry)).check("fixed-K", k)
     losses = {r.sample_id: r for r in load_loss_records(f"{config.corpus_dir}/losses.jsonl")}
 
     def provider(sample: Sample) -> ExpertSelection:
@@ -79,9 +78,9 @@ def run_ablation(
     """Train each requested mode under shared seeds; report eval loss per mode."""
     if not modes:
         raise ValidationError("run_ablation needs at least one mode")
+    arms = {mode: _arm(config, registry, mode) for mode in modes}  # all checked before any trains
     results = {}
-    for mode in modes:
-        arm_config, provider = _arm(config, registry, mode)
+    for mode, (arm_config, provider) in arms.items():
         report, _params = train_toy(arm_config, registry, selection_provider=provider)
         results[mode] = {
             "eval_loss": report.eval_loss,

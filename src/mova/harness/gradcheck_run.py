@@ -7,14 +7,12 @@ one-sample loss and the probe loop here also back `mova check` and the tests.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from mova.adapter.config import desk_config
 from mova.adapter.network import ForwardInput, lift
 from mova.adapter.params import init_params, named_arrays
-from mova.errors import NumericError, ValidationError
+from mova.errors import POSITIVE, NumericError
 from mova.experts import default_registry, generate_base_feature, generate_expert_feature
 from mova.harness.train import answer_loss
 from mova.numerics import autodiff as ad
@@ -62,9 +60,8 @@ def probe_gradients(loss, params, entries: dict, eps: float) -> dict[str, GradCh
 
 
 def full_gradient_check(eps: float = 1e-5, tol: float = 1e-4) -> dict:
-    for name, value in (("eps", eps), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{name} must be positive and finite, got {value}")
+    POSITIVE.check("eps", eps)
+    POSITIVE.check("tol", tol)
     registry = default_registry()
     config = desk_config(seed=_CHECK_SEED)
     params = init_params(config, registry, seed=_CHECK_SEED)

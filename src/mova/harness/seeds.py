@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from mova.errors import ValidationError
+from mova.errors import Field, ValidationError
 
 DEFAULT_IMAGE_SEED = 42
 DEFAULT_ROUTE_SEED = 42
@@ -25,6 +25,4 @@ def resolve_seed(flag_value: int | None, default: int) -> int:
             seed = int(env)
         except ValueError:
             raise ValidationError(f"{ENV_SEED}={env!r} is not an integer seed") from None
-    if seed < 0:  # numpy's generators take only non-negative seeds
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return seed
+    return Field(int, 0).check("seed", seed)  # numpy's generators take only non-negative seeds

@@ -9,6 +9,7 @@ corpus samples, so a zero learning rate leaves the loss trace constant.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,8 +19,10 @@ import numpy as np
 
 from mova.adapter.config import AdapterConfig, desk_config, parse_config
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
-from mova.adapter.params import AdapterParams, clone_params, init_params, named_arrays
-from mova.errors import Field, NumericError, TrainingError, ValidationError, check_fields, read_json_object
+from mova.adapter.params import AdapterParams, init_params, named_arrays
+from mova.errors import (
+    POSITIVE, Field, NumericError, TrainingError, ValidationError, check_fields, read_json_object,
+)
 from mova.experts import (
     ExpertRegistry,
     Sample,
@@ -60,8 +63,8 @@ _FIELDS = {
     "eval_samples": Field(int, 0),
     "cap": Field(int, 1),
     "gradcheck_entries": Field(int, 0),
-    "gradcheck_eps": Field(float),
-    "gradcheck_tol": Field(float),
+    "gradcheck_eps": POSITIVE,
+    "gradcheck_tol": POSITIVE,
 }
 
 
@@ -309,20 +312,25 @@ def _spot_check_gradients(
     }
 
 
+@contextlib.contextmanager
+def _fails_as(what: str):
+    """Numpy overflow, invalid values and zero division in the block raise a TrainingError naming `what`."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingError(f"{what}: {exc}") from exc
+
+
 def train_toy(
     config: ToyTrainConfig,
     registry: ExpertRegistry,
     selection_provider: SelectionProvider | None = None,
-    initial_params: AdapterParams | None = None,
 ) -> tuple[TrainReport, AdapterParams]:
     """Run gradient descent on the configured scopes; returns (report, trained params)."""
     started = time.perf_counter()
     runner = _CorpusRunner(registry, config, selection_provider)
-    params = (
-        clone_params(initial_params)
-        if initial_params is not None
-        else init_params(config.adapter, registry)
-    )
+    params = init_params(config.adapter, registry)
     trainable = scope_names(params, config.scope)
     arrays = dict(named_arrays(params))
     batch_idx = training_batch_indices(len(runner.samples), config)
@@ -330,21 +338,17 @@ def train_toy(
 
     trace: list[float] = []
     gradcheck_summary: dict = {}
+    # A diverging step fails where it overflows, so no parameter turns non-finite.
     for step in range(config.steps):
-        try:
+        with _fails_as(f"step {step}"):
             loss, grads = runner.batch_loss(batch, params, trainable)
-        except TrainingError as exc:
-            raise TrainingError(f"step {step}: {exc}") from exc
-        trace.append(loss)
-        if step == 0:
-            gradcheck_summary = _spot_check_gradients(runner, params, batch, grads)
-        for name, grad in grads.items():
-            arrays[name] -= config.learning_rate * grad
-    # A run that diverges on its last update fails here instead of reporting NaN.
-    for name in sorted(trainable):
-        if not np.all(np.isfinite(arrays[name])):
-            raise TrainingError(f"parameter {name} is non-finite after {config.steps} steps")
-    eval_loss, mean_gates = runner.evaluate(params)
+            trace.append(loss)
+            if step == 0:  # the probe ignores overflow itself and reports it once
+                gradcheck_summary = _spot_check_gradients(runner, params, batch, grads)
+            for name, grad in grads.items():
+                arrays[name] -= config.learning_rate * grad
+    with _fails_as(f"eval after {config.steps} steps"):
+        eval_loss, mean_gates = runner.evaluate(params)
     if not np.isfinite(eval_loss):
         raise TrainingError(f"non-finite eval loss after {config.steps} steps")
     report = TrainReport(

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mova.errors import NumericError, ShapeError, ValidationError
+from mova.errors import POSITIVE, NumericError, ShapeError
 
 # Relative-error denominator floor; avoids blowup where both gradients vanish.
 REL_ERR_FLOOR = 1e-8
@@ -65,8 +65,7 @@ def finite_diff_check(
         raise ShapeError(
             f"gradient shape {grad.shape} does not match parameters {param_block.shape}"
         )
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    POSITIVE.check("eps", eps)
     bad = np.flatnonzero(~np.isfinite(grad))
     if bad.size:
         raise NumericError(f"{op_name}: non-finite analytic gradient at element {bad[0]}")

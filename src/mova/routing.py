@@ -16,9 +16,11 @@ import numpy as np
 
 from mova.errors import (
     EmptyResponseError,
+    Field,
     MissingContextError,
     UnknownExpertError,
     ValidationError,
+    check_fields,
 )
 from mova.experts import ExpertRegistry, Sample
 from mova.numerics.ops import adaptive_avg_pool
@@ -48,6 +50,9 @@ PROMPT_CLOSING = (
 
 STRATEGIES = ("annotation", "oracle", "random", "all", "scripted")
 
+_SELECTION_FIELDS = {"indices": Field(int, 0, many=True)}
+_CONTEXT_FIELDS = {"seed": Field(int, 0, optional=True), "cap": Field(int, 1)}
+
 
 @dataclass(frozen=True)
 class ExpertSelection:
@@ -56,23 +61,16 @@ class ExpertSelection:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
-            raise ValidationError(f"negative expert index in selection {idx}")
-        if len(set(idx)) != len(idx):
-            raise ValidationError(f"duplicate expert indices in selection {idx}")
-        object.__setattr__(self, "indices", idx)
+        check_fields(self, _SELECTION_FIELDS)
+        if len(set(self.indices)) != len(self.indices):
+            raise ValidationError(f"duplicate expert indices in selection {self.indices}")
 
     @property
     def k(self) -> int:
         return len(self.indices)
 
     def validate_against(self, n_experts: int) -> "ExpertSelection":
-        for i in self.indices:
-            if i >= n_experts:
-                raise ValidationError(
-                    f"selection index {i} out of range for {n_experts} experts"
-                )
+        Field(int, 0, n_experts - 1, many=True).check("indices", self.indices)
         return self
 
     def letters(self) -> tuple[str, ...]:
@@ -93,13 +91,16 @@ class RoutingDecision:
 
 @dataclass(frozen=True)
 class RoutingContext:
-    """Strategy-specific inputs for route()."""
+    """Strategy-specific inputs for route(); cap and seed are checked whatever the strategy."""
 
     annotations: Mapping[str, RoutingAnnotation] | None = None
     losses: Mapping[str, LossRecord] | None = None
     seed: int | None = None
     cap: int = DEFAULT_CAP
     response: str | None = None
+
+    def __post_init__(self):
+        check_fields(self, _CONTEXT_FIELDS)
 
 
 def build_routing_prompt(registry: ExpertRegistry, question: str) -> str:
@@ -208,9 +209,7 @@ def route(
         return RoutingDecision(selection, raw, strategy)
     if strategy == "random":
         _require(context.seed is not None, "random strategy needs a seed")
-        if context.cap < 1:
-            raise ValidationError(f"routing cap must be >= 1, got {context.cap}")
-        rng = np.random.default_rng([_RANDOM_ROUTE_SALT, int(context.seed)])
+        rng = np.random.default_rng([_RANDOM_ROUTE_SALT, context.seed])
         cap = min(context.cap, n)
         k = int(rng.integers(1, cap + 1))
         chosen = rng.choice(n, size=k, replace=False)

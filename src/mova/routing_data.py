@@ -53,6 +53,7 @@ _LOSS_FIELDS = {
     "expert_losses": Field(float, 0, many=True),
 }
 _ANNOTATION_FIELDS = {"sample_id": Field(str), "experts": Field(str, many=True)}
+_CAP = Field(int, 1)
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ def construct_routing_set(
     record: LossRecord, registry: ExpertRegistry, cap: int = DEFAULT_CAP
 ) -> RoutingAnnotation:
     """Experts strictly beating the base loss, capped, ordered by ascending loss."""
-    if cap < 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
+    _CAP.check("cap", cap)
     if len(record.expert_losses) != len(registry):
         raise ValidationError(
             f"sample {record.sample_id!r}: {len(record.expert_losses)} expert losses "
@@ -201,8 +201,7 @@ def save_samples(path, samples: Iterable[Sample]) -> None:
 
 def build_annotations(losses_path, registry: ExpertRegistry, cap: int, out_path) -> int:
     """One annotation line per loss record, order preserved; returns the count."""
-    if cap < 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
+    _CAP.check("cap", cap)
     annotations = []
     for lineno, record in _loss_records(losses_path):
         try:
@@ -272,15 +271,10 @@ def generate_synthetic_corpus(
     fit on the samples it carries, the base probe on all samples, plus
     `noise_scale * |N(0,1)|` observation noise.
     """
-    if num_samples < 1:
-        raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
-    if not (np.isfinite(noise_scale) and noise_scale >= 0):
-        raise ValidationError(f"noise_scale must be finite and >= 0, got {noise_scale}")
-    min_channels = min(spec.channels for spec in registry.experts)
-    if not 1 <= answer_dim <= min_channels:
-        raise ValidationError(
-            f"answer_dim must be in [1, {min_channels}] for this registry, got {answer_dim}"
-        )
+    Field(int, 1).check("num_samples", num_samples)
+    # Checked, not stored: an integer scale is written to manifest.json as given.
+    Field(float, 0).check("noise_scale", noise_scale)
+    Field(int, 1, min(spec.channels for spec in registry.experts)).check("answer_dim", answer_dim)
     if planted_pool is None:
         pool = tuple(range(len(registry)))
     else:
@@ -338,9 +332,13 @@ def generate_synthetic_corpus(
         fit_rows = rows if rows.size else all_rows
         expert_losses[:, j] = _probe_residuals(pooled_experts[j], answers, fit_rows)
 
-    noise = noise_scale * np.abs(rng.standard_normal((num_samples, n + 1)))
-    base_losses = base_losses + noise[:, 0]
-    expert_losses = expert_losses + noise[:, 1:]
+    try:
+        with np.errstate(over="raise"):
+            noise = noise_scale * np.abs(rng.standard_normal((num_samples, n + 1)))
+            base_losses = base_losses + noise[:, 0]
+            expert_losses = expert_losses + noise[:, 1:]
+    except FloatingPointError:
+        raise ValidationError(f"noise_scale {noise_scale!r} makes a loss overflow") from None
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

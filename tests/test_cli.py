@@ -324,7 +324,8 @@ class TestExitCodes:
         existing = tmp_path / "existing.txt"
         existing.write_text("x")
         # toy.json: not an object, a fractional count, a selection that is one
-        # string; and a corpus whose image seed numpy cannot take.
+        # string, a gradient-check eps or tolerance that is not > 0; and a corpus
+        # whose image seed numpy cannot take.
         negative = tmp_path / "negative"
         negative.mkdir()
         (negative / "samples.jsonl").write_text(
@@ -336,6 +337,8 @@ class TestExitCodes:
             ("toy_steps.json", {"corpus": str(corpus), "steps": 1.5}),
             ("toy_selection.json", {"corpus": str(corpus), "selection": "dinov2"}),
             ("toy_seed.json", {"corpus": str(negative)}),
+            ("toy_eps.json", {"corpus": str(negative), "gradcheck_eps": 0}),
+            ("toy_tol.json", {"corpus": str(negative), "gradcheck_tol": -1}),
         ):
             toys[name] = tmp_path / name
             toys[name].write_text(json.dumps(payload))
@@ -379,6 +382,8 @@ class TestExitCodes:
         empty_routing, empty_truth = tmp_path / "empty_r.jsonl", tmp_path / "empty_t.jsonl"
         empty_routing.write_text("")
         empty_truth.write_text("")
+        valid = tmp_path / "valid"
+        run_json(capsys, "gen-synthetic", "--samples", "12", "--seed", "3", "--out", str(valid))
         for argv, where in (
             (("route", "--question", "q", "--strategy", "oracle", "--losses", str(losses)),
              "losses.jsonl:1: malformed"),
@@ -393,6 +398,11 @@ class TestExitCodes:
             (("train-toy", "--config", str(toys["toy_selection.json"])),
              "selection must be a list"),
             (("train-toy", "--config", str(toys["toy_seed.json"])), "image_seed must be >= 0"),
+            # Rejected at load (the corpus is never read), naming the file.
+            (("train-toy", "--config", str(toys["toy_eps.json"])),
+             "toy_eps.json: malformed toy config (gradcheck_eps must be >= 5e-324, got 0.0)"),
+            (("train-toy", "--config", str(toys["toy_tol.json"])),
+             "toy_tol.json: malformed toy config (gradcheck_tol must be >= 5e-324, got -1.0)"),
             (("train-toy", "--config", str(toy_nan)), "samples.jsonl:1: malformed sample"),
             *(((*fuse, "--experts", str(tmp_path / name)), f"{name}: malformed registry field ({field}")
               for name, field in registries.items()),
@@ -400,26 +410,36 @@ class TestExitCodes:
             ((*fuse, "--params", str(broken)), "manifest.json: not valid JSON"),
             (("route", "--question", "q", "--strategy", "random", "--seed", "-1"),
              "seed must be >= 0"),
-            (("gradcheck", "--eps", "0"), "eps must be positive"),
-            (("gradcheck", "--eps", "inf"), "eps must be positive and finite"),
-            (("gradcheck", "--tol", "nan"), "tol must be positive and finite"),
-            (("gradcheck", "--tol", "-1"), "tol must be positive and finite"),
+            (("gradcheck", "--eps", "0"), "eps must be >= 5e-324"),
+            (("gradcheck", "--eps", "inf"), "eps must be a finite number"),
+            (("gradcheck", "--tol", "nan"), "tol must be a finite number"),
+            (("gradcheck", "--tol", "-1"), "tol must be >= 5e-324"),
             # A huge eps overflows inside the probe: one line naming the tensor, no warnings.
             (("gradcheck", "--eps", "1e300"),
              "block0.extract.dinov2.value.weight: non-finite function value"),
             (("build-routing-data", "--losses", str(empty_routing), "--cap", "0",
               "--out", str(tmp_path / "capped.jsonl")), "cap must be >= 1"),
+            # The cap is checked whatever the strategy, also where it is unused.
+            (("route", "--question", "q", "--strategy", "all", "--cap", "0"), "cap must be >= 1"),
+            (("route", "--question", "q", "--strategy", "scripted", "--response", "A", "--cap", "-5"),
+             "cap must be >= 1"),
+            ((*fuse, "--cap", "0"), "cap must be >= 1"),
+            # A diverging run fails at its first overflow, with no numpy warning lines.
+            (("ablate", "--modes", "dynamic", "--corpus", str(valid), "--lr", "1e308", "--steps", "2",
+              "--report", str(tmp_path / "ablate.json")), "step 1: overflow encountered"),
+            (("gen-synthetic", "--samples", "50", "--noise", "1e308", "--out", str(tmp_path / "huge")),
+             "noise_scale 1e+308 makes a loss overflow"),
             (("score-routing", "--annotations", str(empty_routing), "--truth", str(empty_truth)),
              "no annotations to score"),
             (("gen-synthetic", "--samples", "2", "--noise", "nan", "--out", str(tmp_path / "nan")),
-             "noise_scale must be finite"),
+             "noise_scale must be a finite number"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == ""
             lines = err.strip().split("\n")
             assert len(lines) == 1 and lines[0].startswith("error:") and where in lines[0]
-        assert not (tmp_path / "nan").exists()  # rejected before any corpus file is written
-        assert not (tmp_path / "capped.jsonl").exists()
+        for written in ("nan", "huge", "capped.jsonl", "ablate.json", "t.movt"):
+            assert not (tmp_path / written).exists()  # rejected before any file is written
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,11 +1,13 @@
-"""Fuzz the mova CLI with malformed input files.
+"""Fuzz the mova CLI with malformed input files and extreme flag values.
 
-Each example corrupts one file that a command reads (experts.json, toy.json,
-a JSONL file, a parameter manifest or a MOVT tensor) and calls `cli.main`
-in-process. Whatever the input, the exit code must be 0, 1 or 2, no exception
-may escape, a failure prints one `error:` line, and a success prints strict
-JSON (no NaN or Infinity). Fuzzed numbers stay small, so no example trains
-for more than 2 steps or allocates a large feature map.
+Each file example corrupts one file that a command reads (experts.json,
+toy.json, a JSONL file, a parameter manifest or a MOVT tensor); each flag
+example gives one numeric flag NaN, an infinity, a negative, zero or a huge
+value. Both call `cli.main` in-process. Whatever the input, the exit code must
+be 0, 1 or 2, no exception may escape, a failure prints one `error:` line, and
+a success prints strict JSON (no NaN or Infinity). Fuzzed numbers stay small
+where a valid one sets the amount of work, so no example trains for more than
+3 steps or allocates a large feature map.
 """
 
 import contextlib
@@ -222,3 +224,78 @@ def test_malformed_movt(base, data):
     ]))
     with replaced(base / "params" / name, content):
         assert_contract(*run_main(*fuse(base, "--params", base / "params")))
+
+
+# Flag values as typed on a command line. Integer flags reject the float spellings.
+EXTREMES = ("nan", "inf", "-inf", "-1", "-1e308", "0", "-0.0", "0.5", "1e-320")
+HUGE = ("1e308", "1e300", str(2**63), "1" + "0" * 40)
+
+
+def flag_values(huge):
+    """Extreme values, plus (with `huge`) values too large for any count or seed."""
+    if huge:
+        return st.sampled_from(EXTREMES + HUGE) | st.integers(-(10**40), 10**40).map(str) | st.floats().map(str)
+    return st.sampled_from(EXTREMES) | st.integers(-(10**40), 3).map(str) | st.floats(max_value=3).map(str)
+
+
+def is_positive(text):
+    try:
+        return 0 < float(text) < float("inf")
+    except ValueError:
+        return False
+
+
+def flag_command(base, command):
+    """A valid, small command line; the fuzzed flag is appended and overrides its default."""
+    corpus = base / "corpus"
+    return {
+        "route": ("route", "--question", "q", "--strategy", "random"),
+        "build-routing-data": ("build-routing-data", "--losses", corpus / "losses.jsonl",
+                               "--out", base / "r.jsonl"),
+        "fuse": fuse(base, "--strategy", "random"),
+        "gen-synthetic": ("gen-synthetic", "--samples", 3, "--out", base / "out"),
+        "ablate": ("ablate", "--modes", "dynamic", "--corpus", corpus, "--steps", 1, "--batch-size", 2,
+                   "--eval-samples", 2),
+        "gradcheck": ("gradcheck",),
+    }[command]
+
+
+# (command, flag, whether huge values are drawn). A huge --samples or --steps is
+# left out: it is valid and would generate or train for hours. So is a gradcheck
+# whose --eps and --tol are both valid, which runs the full audit (see below).
+NUMERIC_FLAGS = [
+    ("route", "--cap", True),
+    ("route", "--seed", True),
+    ("build-routing-data", "--cap", True),
+    ("fuse", "--cap", True),
+    ("fuse", "--seed", True),
+    ("fuse", "--image-seed", True),
+    ("gen-synthetic", "--samples", False),
+    ("gen-synthetic", "--seed", True),
+    ("gen-synthetic", "--noise", True),
+    ("gen-synthetic", "--answer-dim", True),
+    ("ablate", "--steps", False),
+    ("ablate", "--lr", True),
+    ("ablate", "--batch-size", True),
+    ("ablate", "--eval-samples", True),
+    ("ablate", "--seed", True),
+    ("ablate", "fixed-K:<k>", True),
+    ("gradcheck", "--eps", True),
+    ("gradcheck", "--tol", True),
+]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@pytest.mark.parametrize(
+    ("command", "flag", "huge"), NUMERIC_FLAGS, ids=[f"{c} {f}" for c, f, _ in NUMERIC_FLAGS]
+)
+@given(data=st.data())
+def test_numeric_flag(base, command, flag, huge, data):
+    values = flag_values(huge)
+    if command == "gradcheck":
+        # The other flag keeps its valid default, so this one must not be valid too.
+        values = values.filter(lambda v: not is_positive(v))
+    value = data.draw(values)
+    # "--flag=value", since argparse reads "-1e308" or "-inf" after a space as an option.
+    extra = f"--modes=fixed-K:{value}" if flag == "fixed-K:<k>" else f"{flag}={value}"
+    assert_contract(*run_main(*flag_command(base, command), extra))
