@@ -4,8 +4,8 @@ transformer mixing, token reduction, and the output projector.
 Every operation is built once as an autodiff graph (numerics.autodiff); the
 public array-in/array-out functions run the same graph over constant nodes, so
 inference and training share one definition of the math. The full forward pass
-takes a batch of samples (inference is a batch of one) and dispatches by
-expert: each routed expert's extractor runs once per batch. Feature positions are
+takes a batch of samples (inference is a batch of one) and extracts every
+routed (sample, expert) pair of the batch at once. Feature positions are
 treated as tokens; no positional encodings are added, queries and keys stay
 spatially aligned.
 """
@@ -13,6 +13,7 @@ spatially aligned.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass, replace
+from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -121,12 +122,25 @@ def _attention(q: ad.Node, k: ad.Node, v: ad.Node, heads: int) -> ad.Node:
     )
 
 
-def _extract(x_tokens: ad.Node, feat_tokens: ad.Node, cap: CrossAttentionParams, heads: int) -> ad.Node:
-    q = _linear(x_tokens, cap.query)
-    k = _linear(feat_tokens, cap.key)
-    v = _linear(feat_tokens, cap.value)
-    attended = _attention(q, k, v, heads)
-    return ad.add(x_tokens, _linear(attended, cap.out))
+def _extract(x: ad.Node, kv, heads: int) -> ad.Node:
+    """x + out(attention(q(x), k(f), v(f))) for stacked (sample, expert) pairs.
+
+    kv holds, per run of experts whose features share a channel count, the
+    run's stacked resized tokens f, its extractors and each one's pair count.
+    """
+
+    def project(t, layers, rows):
+        return ad.grouped_linear(t, [p.weight for p in layers], [p.bias for p in layers], rows)
+
+    caps = [cap for _, run, _ in kv for cap in run]
+    rows = [n for _, _, counts in kv for n in counts]
+    k = v = None
+    for feats, run, counts in kv:
+        kr = project(feats, [c.key for c in run], counts)
+        vr = project(feats, [c.value for c in run], counts)
+        k, v = (kr, vr) if k is None else (ad.concat_vec(k, kr), ad.concat_vec(v, vr))
+    attended = _attention(project(x, [c.query for c in caps], rows), k, v, heads)
+    return ad.add(x, project(attended, [c.out for c in caps], rows))
 
 
 def _maybe_norm(x: ad.Node, norm: LayerNormParams | None) -> ad.Node:
@@ -195,9 +209,10 @@ def build_forward_graph(
 
     Returns the output tokens node (B, H/2 * W/2, llm_dim) and one gate node
     (B, K) per block, where K is the batch's largest selection; there are no
-    gate nodes when no sample routes an expert. In each block every expert
-    that some sample routes runs its extractor once, over the stacked tokens
-    of just those samples, so a routed-out feature never enters the graph.
+    gate nodes when no sample routes an expert. Each block extracts every
+    routed (sample, expert) pair in one fixed set of nodes, whatever K is: the
+    pairs are stacked expert-major and each projection applies every expert's
+    weights to its own pairs, so a routed-out feature never enters the graph.
     The weighted conditionals are summed back per sample in selection order;
     a sample with K=0 passes its tokens straight to the transformer.
     """
@@ -233,27 +248,27 @@ def build_forward_graph(
     x = ad.constant(np.stack([sample.base.tokens() for sample in batch]))
     text = ad.constant(texts)
     selections = [sample.selection for sample in batch]
-    feats = {name: ad.constant(np.stack([t for _, _, t in rows])) for name, rows in routed.items()}
-    # terms[b, pos]: the row of sample b's pos-th conditional among the stacked conditionals.
+    # The routed (sample, position) pairs, expert-major; terms[b, pos] indexes them.
+    pairs = [(row, pos) for rows in routed.values() for row, pos, _ in rows]
     terms = np.full((len(batch), kmax), -1)
-    offset = 0
-    for rows in routed.values():
-        for i, (row, pos, _) in enumerate(rows):
-            terms[row, pos] = offset + i
-        offset += len(rows)
+    for i, (row, pos) in enumerate(pairs):
+        terms[row, pos] = i
+    pair_rows = [row for row, _ in pairs]
+    slots = [row * kmax + pos for row, pos in pairs]
+    # Each run of experts with one feature width stacks into one key/value input.
+    runs = [list(run) for _, run in groupby(routed, key=lambda n: routed[n][0][2].shape[-1])]
+    feats = [ad.constant(np.stack([t for n in run for _, _, t in routed[n]])) for run in runs]
+    counts = [[len(routed[n]) for n in run] for run in runs]
     gates: list[ad.Node] = []
     for block in lifted.blocks:
         if kmax:
             weights = _gate(ad.mean_rows(x), text, block.gating, selections, config.gating_mode)
-            flat_weights = ad.reshape(weights, (-1,))
-            parts = []
-            for name, rows in routed.items():
-                mine = x if len(rows) == len(batch) else ad.gather_vec(x, [r for r, _, _ in rows])
-                conditional = _extract(mine, feats[name], block.extractors[name], config.heads)
-                slots = [r * kmax + pos for r, pos, _ in rows]
-                parts.append(ad.mul_scalar(conditional, ad.gather_vec(flat_weights, slots)))
+            mine = x if pair_rows == list(range(len(batch))) else ad.gather_vec(x, pair_rows)
+            kv = [(f, [block.extractors[n] for n in run], c) for f, run, c in zip(feats, runs, counts)]
+            conditional = _extract(mine, kv, config.heads)
+            weighted = ad.mul_scalar(conditional, ad.gather_vec(ad.reshape(weights, (-1,)), slots))
             gates.append(weights)
-            x = ad.scatter_rows(x, parts, terms)
+            x = ad.scatter_rows(x, weighted, terms)
         x = _transformer(x, block.transformer, config.heads)
     for reducer in lifted.reducers:
         x = _residual_mlp(x, reducer)
@@ -294,10 +309,9 @@ def extract_expert_knowledge(
             f"expert feature has {expert_feature.channels} channels, extractor expects {kv_in}"
         )
     resized = bilinear_interpolate(expert_feature, x.height, x.width)
-    out = _extract(
-        ad.constant(x.tokens()), ad.constant(resized.tokens()), _constants(params), heads
-    )
-    return FeatureMap.from_tokens(out.value, x.height, x.width)
+    kv = [(ad.constant(resized.tokens()[None]), [_constants(params)], [1])]
+    out = _extract(ad.constant(x.tokens()[None]), kv, heads)
+    return FeatureMap.from_tokens(out.value[0], x.height, x.width)
 
 
 def gate_weights(
@@ -340,7 +354,7 @@ def fuse(conditional: Sequence[FeatureMap], weights: GateWeights) -> FeatureMap:
             raise ShapeError(f"conditional maps disagree in shape: {shape} vs {m.shape}")
     stacked = ad.constant(np.stack([m.data for m in conditional]))
     weighted = ad.mul_scalar(stacked, ad.constant(weights.weights))
-    summed = ad.scatter_rows(ad.constant(np.zeros((1, *shape))), [weighted], [range(weights.k)])
+    summed = ad.scatter_rows(ad.constant(np.zeros((1, *shape))), weighted, [range(weights.k)])
     return FeatureMap(summed.value[0])
 
 

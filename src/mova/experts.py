@@ -38,6 +38,7 @@ _MAX_FEATURE_ELEMENTS = 2**20
 # Adapter attention is quadratic in the base token count height*width: one
 # 4096-token attention matrix is already 128 MiB of float64.
 _MAX_BASE_TOKENS = 4096
+MAX_SAMPLES = 2**20  # a corpus keeps ~1.5 KiB per sample in memory (desk registry)
 
 _ELEMENTS = Field(int, 1, _MAX_FEATURE_ELEMENTS)
 _TOKENS = Field(int, 1, _MAX_BASE_TOKENS)

@@ -181,6 +181,35 @@ def linear(x: Node, w: Node, b: Node | None = None) -> Node:
     return Node(y, parents, vjps)
 
 
+def grouped_linear(x: Node, ws: Sequence[Node], bs: Sequence[Node | None], rows: Sequence[int]) -> Node:
+    """linear over row groups of x as one node: ws[i] and bs[i] apply to the next
+    rows[i] leading rows. Each group makes linear's own numpy calls, so its values
+    and gradients are bitwise those of linear on its rows."""
+    k, m = ws[0].shape
+    segs, start = [], 0
+    for n in rows:
+        segs.append(slice(start, start + n))
+        start += n
+    if x.shape[-1] != k or start != x.shape[0] or not len(ws) == len(bs) == len(rows) or any(
+        w.shape != (k, m) or b is not None and b.shape != (m,) for w, b in zip(ws, bs)
+    ):
+        raise ShapeError(f"grouped_linear shapes incompatible: {x.shape} in groups {list(rows)}")
+    if len(segs) == 1:
+        return linear(x, ws[0], bs[0])
+    xv = x.value
+    ys = [xv[seg] @ w.value for seg, w in zip(segs, ws)]
+    for y, b in zip(ys, bs):
+        if b is not None:
+            y += b.value
+    if not any(p.requires_grad for p in (x, *ws, *bs) if p is not None):
+        return Node(np.concatenate(ys))
+    biased = [(seg, b) for seg, b in zip(segs, bs) if b is not None]
+    vjps = [lambda g: np.concatenate([g[seg] @ w.value.T for seg, w in zip(segs, ws)])]
+    vjps += [lambda g, s=seg: xv[s].reshape(-1, k).T @ g[s].reshape(-1, m) for seg in segs]
+    vjps += [lambda g, s=seg: _sum_to(g[s], (m,)) for seg, _ in biased]
+    return Node(np.concatenate(ys), (x, *ws, *(b for _, b in biased)), tuple(vjps))
+
+
 def attention(q: Node, k: Node, v: Node) -> Node:
     """softmax(q k^T / sqrt(d)) v over the last two axes, as one node.
 
@@ -221,6 +250,7 @@ def reshape(a: Node, shape) -> Node:
 
 
 def concat_vec(a: Node, b: Node) -> Node:
+    """Concatenation along the leading axis."""
     n = a.shape[0]
     return Node(
         np.concatenate([a.value, b.value]),
@@ -241,41 +271,34 @@ def gather_vec(a: Node, indices) -> Node:
     return Node(a.value[idx], (a,), (vjp,))
 
 
-def scatter_rows(base: Node, parts: Sequence[Node], terms) -> Node:
-    """Rows of `base`, with each routed row replaced by a sum of rows of `parts`.
+def scatter_rows(base: Node, part: Node, terms) -> Node:
+    """Rows of `base`, with each routed row replaced by a sum of rows of `part`.
 
-    The parts are stacked along their leading axis. terms[b] lists the stacked
-    rows that make up row b, padded at the end with -1: the result is
-    stacked[terms[b, 0]] + stacked[terms[b, 1]] + ..., added in that order,
-    and a row with no terms is base[b].
+    terms[b] lists the rows of `part` that make up row b, padded at the end with
+    -1: the result is part[terms[b, 0]] + part[terms[b, 1]] + ..., added in that
+    order, and a row with no terms is base[b].
     """
     terms = np.asarray(terms, dtype=int)
-    stacked = np.concatenate([p.value for p in parts])
     out = base.value.copy()
     first = terms[:, 0] >= 0
-    out[first] = stacked[terms[first, 0]]
+    out[first] = part.value[terms[first, 0]]
     for j in range(1, terms.shape[1]):
         live = terms[:, j] >= 0
-        out[live] += stacked[terms[live, j]]
+        out[live] += part.value[terms[live, j]]
     rows, cols = np.nonzero(terms >= 0)
     src = terms[rows, cols]
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def base_vjp(g):
         kept = g.copy()
         kept[first] = 0.0
         return kept
 
-    def make_vjp(i):
-        def vjp(g):
-            mine = (src >= offsets[i]) & (src < offsets[i + 1])
-            grad = np.zeros_like(parts[i].value)
-            np.add.at(grad, src[mine] - offsets[i], g[rows[mine]])
-            return grad
+    def part_vjp(g):
+        grad = np.zeros_like(part.value)
+        np.add.at(grad, src, g[rows])
+        return grad
 
-        return vjp
-
-    return Node(out, (base, *parts), (base_vjp, *(make_vjp(i) for i in range(len(parts)))))
+    return Node(out, (base, part), (base_vjp, part_vjp))
 
 
 def pick(a: Node, index: int) -> Node:

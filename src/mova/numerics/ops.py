@@ -9,6 +9,7 @@ them, and the validated public functions below call them too.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -135,6 +136,21 @@ def softmax(v, mask=None) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _sampling_grid(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source rows (lo, hi) and fraction per output; cached per size, so read-only."""
+    if n_out == 1 or n_in == 1:
+        coords = np.zeros(n_out)
+    else:
+        coords = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+    lo = np.minimum(np.floor(coords).astype(int), n_in - 1)
+    hi = np.minimum(lo + 1, n_in - 1)
+    grid = lo, hi, coords - lo
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
 def bilinear_interpolate(f: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
     """Resize a feature map with align-corners bilinear sampling.
 
@@ -146,18 +162,8 @@ def bilinear_interpolate(f: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
     c, h, w = f.shape
     if (out_h, out_w) == (h, w):
         return FeatureMap(f.data)
-
-    def axis(n_out: int, n_in: int):
-        if n_out == 1 or n_in == 1:
-            coords = np.zeros(n_out)
-        else:
-            coords = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
-        lo = np.minimum(np.floor(coords).astype(int), n_in - 1)
-        hi = np.minimum(lo + 1, n_in - 1)
-        return lo, hi, coords - lo
-
-    ylo, yhi, fy = axis(out_h, h)
-    xlo, xhi, fx = axis(out_w, w)
+    ylo, yhi, fy = _sampling_grid(out_h, h)
+    xlo, xhi, fx = _sampling_grid(out_w, w)
     # v0 + f*(v1 - v0) keeps constants and grid-aligned samples exact.
     rows_lo = f.data[:, ylo, :]
     rows = rows_lo + fy[None, :, None] * (f.data[:, yhi, :] - rows_lo)

@@ -19,6 +19,7 @@ import numpy as np
 
 from mova.errors import Field, ValidationError, check_fields
 from mova.experts import (
+    MAX_SAMPLES,
     ExpertRegistry,
     Sample,
     generate_base_feature,
@@ -271,7 +272,7 @@ def generate_synthetic_corpus(
     fit on the samples it carries, the base probe on all samples, plus
     `noise_scale * |N(0,1)|` observation noise.
     """
-    Field(int, 1).check("num_samples", num_samples)
+    Field(int, 1, MAX_SAMPLES).check("num_samples", num_samples)
     # Checked, not stored: an integer scale is written to manifest.json as given.
     Field(float, 0).check("noise_scale", noise_scale)
     Field(int, 1, min(spec.channels for spec in registry.experts)).check("answer_dim", answer_dim)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,14 @@ from mova.errors import (
     ShapeError,
     ValidationError,
 )
-from mova.experts import default_registry, generate_base_feature, generate_expert_feature
+from mova.adapter.network import ForwardInput, build_forward_graph, lift
+from mova.experts import (
+    ExpertRegistry,
+    ExpertSpec,
+    default_registry,
+    generate_base_feature,
+    generate_expert_feature,
+)
 from mova.numerics import FeatureMap
 from mova.routing import ExpertSelection
 
@@ -296,6 +305,60 @@ class TestAdapterForward:
         assert len(result.gate_weights) == config.num_blocks
         for gate in result.gate_weights:
             assert gate.k == 2
+
+    def test_block_node_count_does_not_grow_with_k(self, params, config, registry):
+        base = generate_base_feature(registry, 42)
+        feats = self.features(registry)
+
+        def non_leaf_nodes(k, num_blocks):
+            lifted, _ = lift(replace(params, blocks=params.blocks[:num_blocks]), "all")
+            sample = ForwardInput(base, feats, ExpertSelection(tuple(range(k))), "q")
+            out, _ = build_forward_graph([sample], lifted, replace(config, num_blocks=num_blocks))
+            seen, stack = set(), [out]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen and node._parents:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            return len(seen)
+
+        # The first block reads the constant base tokens, so its gather of them
+        # over the pairs is a constant at every K; later blocks skip that gather
+        # only at K=1, where the pairs are the batch rows.
+        assert len({non_leaf_nodes(k, 1) for k in (1, 2, 3, 7)}) == 1
+        assert len({non_leaf_nodes(k, 3) for k in (2, 3, 7)}) == 1
+
+    def test_two_channel_widths_match_one_expert_at_a_time(self):
+        # 16- and 6-channel experts, routed so the widths alternate: three key/value runs.
+        specs = (
+            ExpertSpec("A", "wide", "a wide expert", 16, 4, 4, 1),
+            ExpertSpec("B", "narrow", "a narrow expert", 6, 3, 5, 2),
+            ExpertSpec("C", "wider", "a second wide expert", 16, 6, 6, 3),
+        )
+        registry = ExpertRegistry(specs, 8, 4, 4)
+        config = desk_config(seed=5)
+        params = init_params(config, registry, seed=11)
+        base = generate_base_feature(registry, 42)
+        feats = self.features(registry)
+        selection = ExpertSelection((0, 1, 2))
+        question = "read the wide and the narrow"
+        result = adapter_apply(base, feats, selection, question, params, config)
+
+        text = encode_text(question, config.text_dim)
+        x = base
+        for block, gate in zip(params.blocks, result.gate_weights, strict=True):
+            conditional = [extract_expert_knowledge(x, feats[s.name], block.extractors[s.name])
+                           for s in specs]
+            weights = gate_weights(GatingInput(x.tokens().mean(axis=0), text), selection, block.gating)
+            assert np.max(np.abs(gate.weights - weights.weights)) < 1e-10
+            x = transformer_block(fuse(conditional, weights), block.transformer)
+        xt = x.tokens()
+        for reducer in params.reducers:
+            xt = xt + oracles.linear(oracles.gelu(oracles.linear(xt, reducer.fc1)), reducer.fc2)
+        pooled = oracles.tokens_of(oracles.pool_2x(oracles.map_of(xt, x.height, x.width)))
+        hidden = oracles.gelu(oracles.linear(pooled, params.projector_hidden))
+        expected = oracles.linear(hidden, params.projector_out)
+        assert np.max(np.abs(result.tokens - expected)) < 1e-10
 
     def test_missing_feature_names_expert(self, params, config, registry):
         base = generate_base_feature(registry, 42)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mova.adapter.network import _attention
+from mova.errors import ShapeError
 from mova.numerics import FeatureMap, avg_pool_2x, scaled_dot_attention, softmax
 from mova.numerics import autodiff as ad
 from mova.numerics.gradcheck import finite_diff_check
@@ -63,13 +64,50 @@ def test_fused_linear_and_attention():
 
 
 def test_batched_mixing_ops():
-    # Stacked rows 0-1 come from the first part and 2-4 from the second;
-    # row 1 of the base is not routed and passes through.
+    # Row 1 of the base is not routed and passes through.
     terms = [[0, 3], [-1, -1], [2, -1], [4, 1]]
-    check_op(lambda b, p, q: ad.scatter_rows(b, [p, q], terms), (4, 2, 3), (2, 2, 3), (3, 2, 3))
+    check_op(lambda b, p: ad.scatter_rows(b, p, terms), (4, 2, 3), (5, 2, 3))
     check_op(ad.mul_scalar, (3, 2, 2), (3,))
     check_op(lambda a: ad.gather_vec(a, [2, 0, 2]), (3, 4, 2))
     check_op(lambda a: ad.gather_vec(a, [[4, 1], [0, 0]]), (6,))
+    check_op(ad.concat_vec, (2, 4, 3), (1, 4, 3))
+
+
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["2d", "3d"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+def test_grouped_linear(lead, bias):
+    # Three groups of 1, 2 and 3 rows, each with its own weight (and bias).
+    rows = [1, 2, 3]
+
+    def build(x, *params):
+        ws = params[:3]
+        bs = params[3:] if bias else [None] * 3
+        return ad.grouped_linear(x, ws, bs, rows)
+
+    shapes = [(6, *lead, 3)] + [(3, 5)] * 3 + ([(5,)] * 3 if bias else [])
+    check_op(build, *shapes)
+    # Each group's values and gradients are bitwise those of linear on its rows.
+    rng = np.random.default_rng(1)
+    x = ad.variable(rng.standard_normal(shapes[0]))
+    ws = [ad.variable(rng.standard_normal((3, 5))) for _ in rows]
+    bs = [ad.variable(rng.standard_normal(5)) if bias else None for _ in rows]
+    g = ad.constant(rng.standard_normal((6, *lead, 5)))
+    grouped = ad.grouped_linear(x, ws, bs, rows)
+    ad.backward(ad.mean_all(ad.mul(grouped, g)))
+    segs = [slice(0, 1), slice(1, 3), slice(3, 6)]
+    xs = [ad.variable(x.value[seg]) for seg in segs]
+    ws1 = [ad.variable(w.value) for w in ws]
+    bs1 = [ad.variable(b.value) if bias else None for b in bs]
+    ones = [ad.linear(*args) for args in zip(xs, ws1, bs1)]
+    ad.backward(ad.mean_all(ad.mul(ad.concat_vec(ad.concat_vec(*ones[:2]), ones[2]), g)))
+    for seg, one, xi, w, w1, b, b1 in zip(segs, ones, xs, ws, ws1, bs, bs1):
+        assert one.value.tobytes() == grouped.value[seg].tobytes()
+        assert xi.grad.tobytes() == x.grad[seg].tobytes()
+        assert w1.grad.tobytes() == w.grad.tobytes()
+        if bias:
+            assert b1.grad.tobytes() == b.grad.tobytes()
+    with pytest.raises(ShapeError):
+        ad.grouped_linear(x, ws, bs, [1, 2, 2])
 
 
 def test_structural_ops():
@@ -136,8 +174,6 @@ def test_tape_forward_is_bitwise_the_numerics_kernel(seed):
 
 
 def test_backward_requires_scalar_root():
-    from mova.errors import ShapeError
-
     x = ad.variable(np.ones((2, 2)))
     with pytest.raises(ShapeError):
         ad.backward(ad.add(x, x))

@@ -433,12 +433,17 @@ class TestExitCodes:
              "no annotations to score"),
             (("gen-synthetic", "--samples", "2", "--noise", "nan", "--out", str(tmp_path / "nan")),
              "noise_scale must be a finite number"),
+            # A sample count past the bound fails before any array is allocated.
+            (("gen-synthetic", "--samples", "100000000000", "--out", str(tmp_path / "many")),
+             "num_samples must be <= 1048576"),
+            (("gen-synthetic", "--samples", "1" + "0" * 40, "--out", str(tmp_path / "many")),
+             "num_samples must be <= 1048576"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == ""
             lines = err.strip().split("\n")
             assert len(lines) == 1 and lines[0].startswith("error:") and where in lines[0]
-        for written in ("nan", "huge", "capped.jsonl", "ablate.json", "t.movt"):
+        for written in ("nan", "huge", "many", "capped.jsonl", "ablate.json", "t.movt"):
             assert not (tmp_path / written).exists()  # rejected before any file is written
 
 

@@ -260,9 +260,10 @@ def flag_command(base, command):
     }[command]
 
 
-# (command, flag, whether huge values are drawn). A huge --samples or --steps is
-# left out: it is valid and would generate or train for hours. So is a gradcheck
-# whose --eps and --tol are both valid, which runs the full audit (see below).
+# (command, flag, whether huge values are drawn). Huge values of --samples and
+# --steps are left out: a --samples past 2**20 is refused, but a valid count near
+# it still generates for hours, and any large --steps trains for hours. So is a
+# gradcheck whose --eps and --tol are both valid, which runs the full audit (see below).
 NUMERIC_FLAGS = [
     ("route", "--cap", True),
     ("route", "--seed", True),

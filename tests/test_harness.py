@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,24 @@ class TestTrainToy:
     def test_loss_decreases_with_updates(self, corpus, registry):
         report, _ = train_toy(tiny_config(corpus, steps=30, learning_rate=0.1), registry)
         assert report.loss_trace[-1] < report.loss_trace[0]
+
+    def test_oracle_training_report_is_pinned(self, corpus, registry):
+        """A 3-step oracle-routed run is pinned bit for bit, like the inference
+        digests in perfbench/golden.json (and, like them, for one numpy build).
+
+        K runs from 2 to 3 and every expert is shared: expert 4 by all 16
+        samples, the others by 2 to 5. A tape change that keeps the arithmetic
+        keeps this digest.
+        """
+        config = tiny_config(corpus, steps=3, batch_size=16, selection=None, eval_samples=16)
+        runner = _CorpusRunner(registry, config)
+        ks = {runner.forward_input(s).selection.k for s in runner.samples}
+        assert len(runner.samples) == 16 and ks == {2, 3}
+        report, _ = train_toy(config, registry)
+        artifact = json.dumps(report.artifact_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(artifact).hexdigest() == (
+            "3ab4534d88c08eb238b7d58c04acc07cf107d91bb15b2cc11628d10a5412f15e"
+        )
 
     def test_gradcheck_summary_present_and_tight(self, corpus, registry):
         report, _ = train_toy(tiny_config(corpus), registry)
