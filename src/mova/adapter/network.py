@@ -200,6 +200,27 @@ class ForwardInput:
     question: str
 
 
+def _resized_tokens(feats: Sequence[FeatureMap], h: int, w: int) -> np.ndarray:
+    """(n, h*w, C) tokens of n C-channel maps resized to h x w, in order.
+
+    Maps of one shape are stacked along channels and resized by one
+    bilinear_interpolate call; the arithmetic is per channel, so each map's
+    bits are those of resizing it alone.
+    """
+    c = feats[0].channels
+    by_shape: dict[tuple[int, int, int], list[int]] = {}
+    for i, f in enumerate(feats):
+        by_shape.setdefault(f.shape, []).append(i)
+    out = np.empty((len(feats), h * w, c))
+    for idx in by_shape.values():
+        stacked = feats[idx[0]] if len(idx) == 1 else FeatureMap(
+            np.concatenate([feats[i].data for i in idx])
+        )
+        resized = bilinear_interpolate(stacked, h, w).data
+        out[idx] = resized.reshape(len(idx), c, h * w).transpose(0, 2, 1)
+    return out
+
+
 def build_forward_graph(
     batch: Sequence[ForwardInput],
     lifted: AdapterParams,
@@ -213,6 +234,7 @@ def build_forward_graph(
     routed (sample, expert) pair in one fixed set of nodes, whatever K is: the
     pairs are stacked expert-major and each projection applies every expert's
     weights to its own pairs, so a routed-out feature never enters the graph.
+    Each routed expert's features are resized once per input shape, stacked.
     The weighted conditionals are summed back per sample in selection order;
     a sample with K=0 passes its tokens straight to the transformer.
     """
@@ -222,8 +244,8 @@ def build_forward_graph(
     if h % 2 or w % 2:
         raise ShapeError(f"base spatial extents must be even for token reduction, got {h}x{w}")
     kmax = max(sample.selection.k for sample in batch)
-    # Per routed expert: the (sample, selection position, resized tokens) that route it.
-    routed: dict[str, list[tuple[int, int, np.ndarray]]] = {}
+    # Per routed expert: the (sample, selection position, feature) that route it.
+    routed: dict[str, list[tuple[int, int, FeatureMap]]] = {}
     texts = np.zeros((len(batch), config.text_dim))
     for row, sample in enumerate(batch):
         if sample.base.shape != (c, h, w):
@@ -240,8 +262,7 @@ def build_forward_graph(
                     f"expert {name!r} feature has {feat.channels} channels, "
                     f"extractor expects {kv_in}"
                 )
-            resized = bilinear_interpolate(feat, h, w).tokens()
-            routed.setdefault(name, []).append((row, pos, resized))
+            routed.setdefault(name, []).append((row, pos, feat))
         if sample.selection.k:
             texts[row] = encode_text(sample.question, config.text_dim).values
 
@@ -256,8 +277,9 @@ def build_forward_graph(
     pair_rows = [row for row, _ in pairs]
     slots = [row * kmax + pos for row, pos in pairs]
     # Each run of experts with one feature width stacks into one key/value input.
-    runs = [list(run) for _, run in groupby(routed, key=lambda n: routed[n][0][2].shape[-1])]
-    feats = [ad.constant(np.stack([t for n in run for _, _, t in routed[n]])) for run in runs]
+    runs = [list(run) for _, run in groupby(routed, key=lambda n: routed[n][0][2].channels)]
+    resized = {n: _resized_tokens([f for _, _, f in rows], h, w) for n, rows in routed.items()}
+    feats = [ad.constant(np.concatenate([resized[n] for n in run])) for run in runs]
     counts = [[len(routed[n]) for n in run] for run in runs]
     gates: list[ad.Node] = []
     for block in lifted.blocks:

@@ -10,7 +10,6 @@ them, and the validated public functions below call them too.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -29,9 +28,13 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def stable_softmax(x: np.ndarray) -> np.ndarray:
-    """Unchecked softmax over the last axis, shifted by the row max for stability."""
-    e = x - x.max(axis=-1, keepdims=True)
+def stable_softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unchecked softmax over the last axis, shifted by the row max for stability.
+
+    The result goes to ``out`` when given (``out=x`` softmaxes in place, with
+    the same bits); otherwise ``x`` is left unchanged.
+    """
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -74,10 +77,13 @@ def erf(x) -> np.ndarray:
     """Error function, bit for bit the Cephes erf that scipy.special.erf runs.
 
     The operation order is Cephes' own. Elements with |x| > 1 are 1 - erfc(|x|)
-    signed like x, and take exp(-x^2) from libm through ``math.exp``: numpy's
-    exp differs from libm in the last bit on some inputs. For |x| >= 8 Cephes'
-    erfc is below 2**-54, so erf rounds to exactly +-1; clamping |x| to 8 keeps
-    those bits and keeps +-inf finite. NaN gives NaN, and -0.0 keeps its sign.
+    signed like x, and take exp(-x^2) from libm. numpy's SIMD exp (AVX-512)
+    differs from libm in the last bit on some inputs, but numpy sends only
+    contiguous arrays through it: on a reversed (negative-stride) view it calls
+    libm's ``exp`` per element in C, the function ``math.exp`` calls, so one
+    numpy call gives libm's bits. For |x| >= 8 Cephes' erfc is below 2**-54,
+    so erf rounds to exactly +-1; clamping |x| to 8 keeps those bits and keeps
+    +-inf finite. NaN gives NaN, and -0.0 keeps its sign.
     Temporaries are reused: each extra live array of 128 KiB or more (one
     (8, 64, 32) GELU input) comes from the allocator as fresh pages.
     """
@@ -92,7 +98,7 @@ def erf(x) -> np.ndarray:
     if outer.size:
         xo = x[outer]
         a = np.minimum(np.abs(xo), 8.0)
-        y = np.fromiter(map(math.exp, (-a * a).tolist()), np.float64, a.size)
+        y = np.exp((-a * a)[::-1])[::-1]
         y *= _polevl(a, _ERFC_P)
         y /= _polevl(a, _ERFC_Q)
         out[outer] = np.copysign(1.0 - y, xo)
@@ -103,7 +109,7 @@ def dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarr
     """Unchecked softmax(q k^T / sqrt(d)) v over the last two axes; returns (output, probabilities)."""
     scores = q @ np.swapaxes(k, -1, -2)
     scores *= 1.0 / np.sqrt(q.shape[-1])
-    p = stable_softmax(scores)
+    p = stable_softmax(scores, out=scores)
     return p @ v, p
 
 
@@ -214,6 +220,10 @@ def scaled_dot_attention(q, k, v) -> np.ndarray:
         raise ShapeError("attention expects 2-D token matrices")
     if q.shape[1] != k.shape[1]:
         raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
+    if q.shape[1] == 0:
+        raise ShapeError(f"query/key width must be >= 1, got {q.shape} and {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"key/value token counts differ: {k.shape} vs {v.shape}")
+    if k.shape[0] == 0:
+        raise ShapeError(f"attention needs at least one key, got {k.shape}")
     return dot_attention(q, k, v)[0]

@@ -30,6 +30,7 @@ from mova.errors import (
     ShapeError,
     ValidationError,
 )
+from mova.adapter import network
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.experts import (
     ExpertRegistry,
@@ -38,7 +39,7 @@ from mova.experts import (
     generate_base_feature,
     generate_expert_feature,
 )
-from mova.numerics import FeatureMap
+from mova.numerics import FeatureMap, bilinear_interpolate
 from mova.routing import ExpertSelection
 
 
@@ -267,6 +268,13 @@ class TestTransformerBlock:
 
 
 class TestAdapterForward:
+    # 16- and 6-channel experts with spatial shapes 4x4 (the base's), 3x5 and 6x6.
+    MIXED = (
+        ExpertSpec("A", "wide", "a wide expert", 16, 4, 4, 1),
+        ExpertSpec("B", "narrow", "a narrow expert", 6, 3, 5, 2),
+        ExpertSpec("C", "wider", "a second wide expert", 16, 6, 6, 3),
+    )
+
     def features(self, registry, image_seed=42, planted=None, answer=()):
         return {
             spec.name: generate_expert_feature(
@@ -329,13 +337,8 @@ class TestAdapterForward:
         assert len({non_leaf_nodes(k, 3) for k in (2, 3, 7)}) == 1
 
     def test_two_channel_widths_match_one_expert_at_a_time(self):
-        # 16- and 6-channel experts, routed so the widths alternate: three key/value runs.
-        specs = (
-            ExpertSpec("A", "wide", "a wide expert", 16, 4, 4, 1),
-            ExpertSpec("B", "narrow", "a narrow expert", 6, 3, 5, 2),
-            ExpertSpec("C", "wider", "a second wide expert", 16, 6, 6, 3),
-        )
-        registry = ExpertRegistry(specs, 8, 4, 4)
+        # Routed so the channel widths alternate: three key/value runs.
+        registry = ExpertRegistry(self.MIXED, 8, 4, 4)
         config = desk_config(seed=5)
         params = init_params(config, registry, seed=11)
         base = generate_base_feature(registry, 42)
@@ -348,7 +351,7 @@ class TestAdapterForward:
         x = base
         for block, gate in zip(params.blocks, result.gate_weights, strict=True):
             conditional = [extract_expert_knowledge(x, feats[s.name], block.extractors[s.name])
-                           for s in specs]
+                           for s in self.MIXED]
             weights = gate_weights(GatingInput(x.tokens().mean(axis=0), text), selection, block.gating)
             assert np.max(np.abs(gate.weights - weights.weights)) < 1e-10
             x = transformer_block(fuse(conditional, weights), block.transformer)
@@ -359,6 +362,53 @@ class TestAdapterForward:
         hidden = oracles.gelu(oracles.linear(pooled, params.projector_hidden))
         expected = oracles.linear(hidden, params.projector_out)
         assert np.max(np.abs(result.tokens - expected)) < 1e-10
+
+    def test_grouped_resize_matches_resizing_each_feature_alone(self, monkeypatch):
+        # Expert C is routed by four samples, and sample 3 hands it a 5x7 feature.
+        registry = ExpertRegistry(self.MIXED, 8, 4, 4)
+        config = desk_config(seed=5)
+        params = init_params(config, registry, seed=11)
+        lifted, _ = lift(params)
+        batch, presized = [], []
+        for seed, indices in enumerate(((2, 0), (2,), (), (1, 2), (2, 1))):
+            feats = self.features(registry, image_seed=seed)
+            if seed == 3:
+                feats["wider"] = FeatureMap(np.random.default_rng(seed).standard_normal((16, 5, 7)))
+            sample = ForwardInput(
+                generate_base_feature(registry, seed), feats, ExpertSelection(indices), f"q{seed}"
+            )
+            batch.append(sample)
+            alone = {n: bilinear_interpolate(f, 4, 4) for n, f in feats.items()}
+            presized.append(replace(sample, expert_features=alone))
+
+        shapes = []
+
+        def counting(f, out_h, out_w):
+            shapes.append(f.shape)
+            return bilinear_interpolate(f, out_h, out_w)
+
+        monkeypatch.setattr(network, "bilinear_interpolate", counting)
+        out, gates = build_forward_graph(batch, lifted, config)
+        # One call per routed (expert, input shape), its samples stacked on channels.
+        assert sorted(shapes) == sorted([(16, 4, 4), (12, 3, 5), (48, 6, 6), (16, 5, 7)])
+        # Features resized one at a time beforehand give the same bits.
+        ref, ref_gates = build_forward_graph(presized, lifted, config)
+        assert out.value.tobytes() == ref.value.tobytes()
+        for gate, ref_gate in zip(gates, ref_gates, strict=True):
+            assert gate.value.tobytes() == ref_gate.value.tobytes()
+        # A batch of one is bitwise adapter_apply; a larger batch's GEMMs round
+        # differently from a single sample's in the last bits.
+        for row, sample in enumerate(batch):
+            alone = adapter_apply(
+                sample.base, sample.expert_features, sample.selection, sample.question,
+                params, config,
+            )
+            one, _ = build_forward_graph([sample], lifted, config)
+            assert one.value[0].tobytes() == alone.tokens.tobytes()
+            assert np.max(np.abs(out.value[row] - alone.tokens)) <= 1e-12
+            for gate, weights in zip(gates, alone.gate_weights):
+                k = sample.selection.k
+                assert np.max(np.abs(gate.value[row, :k] - weights.weights)) <= 1e-12
 
     def test_missing_feature_names_expert(self, params, config, registry):
         base = generate_base_feature(registry, 42)

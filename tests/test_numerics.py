@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -84,6 +85,25 @@ class TestSoftmax:
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) <= 1e-12
 
+    def test_stable_softmax_leaves_input_unless_out_is_given(self, rng):
+        x = rng.standard_normal((3, 5, 7)) * 4.0
+        before = x.copy()
+        expected = ops.stable_softmax(x)
+        assert x.tobytes() == before.tobytes()
+        got = ops.stable_softmax(x, out=x)
+        assert got is x
+        assert got.tobytes() == expected.tobytes()
+
+    def test_dot_attention_leaves_its_inputs_unchanged(self, rng):
+        q, k, v = (rng.standard_normal((2, n, 4)) for n in (3, 5, 5))
+        before = [t.copy() for t in (q, k, v)]
+        out, p = ops.dot_attention(q, k, v)
+        for t, b in zip((q, k, v), before):
+            assert t.tobytes() == b.tobytes()
+        scores = q @ np.swapaxes(k, -1, -2) * (1.0 / np.sqrt(4))
+        assert p.tobytes() == ops.stable_softmax(scores).tobytes()
+        assert out.tobytes() == (p @ v).tobytes()
+
 
 class TestErf:
     EDGES = [
@@ -100,6 +120,27 @@ class TestErf:
                 got = ops.erf(x)
                 assert got.shape == x.shape
                 assert np.array_equal(got.view(np.int64), scipy_erf(x).view(np.int64))
+
+    def test_libm_exp_path_is_pinned(self):
+        # Inputs whose exp(-x^2) numpy's contiguous (SIMD) exp rounds differently
+        # from libm; without such a SIMD path every draw is used.
+        a = np.random.default_rng(3).uniform(1.0, 8.0, 20000)
+        x = np.where(np.arange(a.size) % 2, a, -a)
+        libm = np.array([math.exp(t) for t in (-x * x).tolist()])
+        differs = x[np.exp(-x * x) != libm]
+        x = differs if differs.size else x
+        cause = (
+            "ops.erf differs from scipy where numpy's contiguous exp differs from libm: "
+            "numpy's exp on a negative-stride view no longer calls libm's exp"
+        )
+        strided = np.repeat(x, 2)[::2]
+        assert not strided.flags.c_contiguous
+        for got, arg in ((ops.erf(x), x), (ops.erf(strided), strided)):
+            assert got.view(np.int64).tolist() == scipy_erf(arg).view(np.int64).tolist(), cause
+        for t in x[:64]:
+            got = ops.erf(np.float64(t))
+            assert got.shape == ()
+            assert got.view(np.int64) == scipy_erf(t).view(np.int64), cause
 
 
 class TestBilinearInterpolate:
@@ -212,6 +253,14 @@ class TestScaledDotAttention:
             scaled_dot_attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)))
         with pytest.raises(ShapeError):
             scaled_dot_attention(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 3)))
+
+    def test_empty_token_matrices_are_shape_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="width"):
+                scaled_dot_attention(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 2)))
+            with pytest.raises(ShapeError, match="at least one key"):
+                scaled_dot_attention(np.zeros((3, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class TestFiniteDiffCheck:
