@@ -1,45 +1,4 @@
-from mova.adapter.config import AdapterConfig, desk_config, load_config, save_config
-from mova.adapter.network import (
-    AdapterOutput,
-    GateWeights,
-    GatingInput,
-    adapter_apply,
-    adapter_forward,
-    extract_expert_knowledge,
-    fuse,
-    gate_weights,
-    transformer_block,
-)
-from mova.adapter.params import (
-    AdapterParams,
-    clone_params,
-    init_params,
-    load_params,
-    named_arrays,
-    save_params,
-)
-from mova.adapter.text import TextToken, encode_text
+"""The fusion adapter: config, text tokens, parameters and the forward network.
 
-__all__ = [
-    "AdapterConfig",
-    "AdapterOutput",
-    "AdapterParams",
-    "GateWeights",
-    "GatingInput",
-    "TextToken",
-    "adapter_apply",
-    "adapter_forward",
-    "clone_params",
-    "desk_config",
-    "encode_text",
-    "extract_expert_knowledge",
-    "fuse",
-    "gate_weights",
-    "init_params",
-    "load_config",
-    "load_params",
-    "named_arrays",
-    "save_config",
-    "save_params",
-    "transformer_block",
-]
+Import each name from the module that defines it.
+"""

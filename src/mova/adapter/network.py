@@ -23,7 +23,6 @@ from mova.adapter.params import (
     AdapterParams,
     CrossAttentionParams,
     GatingParams,
-    LayerNormParams,
     LinearParams,
     TransformerBlockParams,
     visit,
@@ -143,20 +142,14 @@ def _extract(x: ad.Node, kv, heads: int) -> ad.Node:
     return ad.add(x, project(attended, [c.out for c in caps], rows))
 
 
-def _maybe_norm(x: ad.Node, norm: LayerNormParams | None) -> ad.Node:
-    if norm is None:
-        return x
-    return ad.layer_norm_rows(x, norm.gamma, norm.beta)
-
-
 def _transformer(x: ad.Node, tp: TransformerBlockParams, heads: int) -> ad.Node:
     q = _linear(x, tp.attn_query)
     k = _linear(x, tp.attn_key)
     v = _linear(x, tp.attn_value)
     h = ad.add(x, _linear(_attention(q, k, v, heads), tp.attn_out))
-    h = _maybe_norm(h, tp.norm_attn)
+    h = ad.layer_norm_rows(h, tp.norm_attn.gamma, tp.norm_attn.beta)
     f = _linear(ad.gelu(_linear(h, tp.ffn_in)), tp.ffn_out)
-    return _maybe_norm(ad.add(h, f), tp.norm_ffn)
+    return ad.layer_norm_rows(ad.add(h, f), tp.norm_ffn.gamma, tp.norm_ffn.beta)
 
 
 def _gate(
@@ -417,14 +410,3 @@ def adapter_apply(
         gate_weights=tuple(GateWeights(g.value[0]) for g in gates),
     )
 
-
-def adapter_forward(
-    base: FeatureMap,
-    expert_features: Mapping[str, FeatureMap],
-    selection: ExpertSelection,
-    question: str,
-    params: AdapterParams,
-    config: AdapterConfig,
-) -> np.ndarray:
-    """Output token matrix of shape (H/2 * W/2, llm_dim)."""
-    return adapter_apply(base, expert_features, selection, question, params, config).tokens

@@ -55,10 +55,10 @@ class TransformerBlockParams:
     attn_key: LinearParams
     attn_value: LinearParams
     attn_out: LinearParams
-    norm_attn: LayerNormParams | None
+    norm_attn: LayerNormParams
     ffn_in: LinearParams
     ffn_out: LinearParams
-    norm_ffn: LayerNormParams | None
+    norm_ffn: LayerNormParams
 
 
 @dataclass
@@ -96,9 +96,7 @@ def visit(params: AdapterParams, fn: Callable[[str, object], object]) -> Adapter
             None if p.bias is None else fn(f"{prefix}.bias", p.bias),
         )
 
-    def norm(prefix: str, p: LayerNormParams | None) -> LayerNormParams | None:
-        if p is None:
-            return None
+    def norm(prefix: str, p: LayerNormParams) -> LayerNormParams:
         return LayerNormParams(fn(f"{prefix}.gamma", p.gamma), fn(f"{prefix}.beta", p.beta))
 
     blocks = []

@@ -1,18 +1,4 @@
-from mova.harness.ablate import run_ablation
-from mova.harness.gradcheck_run import full_gradient_check
-from mova.harness.pipeline import PipelineResult, run_pipeline
-from mova.harness.properties import SuiteReport, run_property_suite
-from mova.harness.train import ToyTrainConfig, TrainReport, load_toy_config, train_toy
+"""CLI, pipeline runner, toy trainer, ablation arms, gradient audit and property suite.
 
-__all__ = [
-    "PipelineResult",
-    "SuiteReport",
-    "ToyTrainConfig",
-    "TrainReport",
-    "full_gradient_check",
-    "load_toy_config",
-    "run_ablation",
-    "run_pipeline",
-    "run_property_suite",
-    "train_toy",
-]
+Import each name from the module that defines it.
+"""

@@ -1,8 +1,8 @@
 """The mova command line.
 
-Exit codes: 0 success, 1 validation/usage/file error, 2 property or acceptance
-failure. MOVA_SEED overrides default seeds when the corresponding flag is
-absent. All reports are JSON on stdout or at --report.
+Exit codes: 0 success, 1 validation/usage/file error or interrupt, 2 property
+or acceptance failure. MOVA_SEED overrides default seeds when the corresponding
+flag is absent. All reports are JSON on stdout or at --report.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from mova.adapter.config import desk_config, load_config
 from mova.adapter.params import init_params, load_params
-from mova.errors import EmptyResponseError, MovaError
+from mova.errors import EmptyResponseError, MovaError, ValidationError
 from mova.experts import Sample, default_registry, load_registry
 from mova.harness.ablate import run_ablation
 from mova.harness.gradcheck_run import full_gradient_check
@@ -272,9 +272,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 1
     try:
+        # Fail before the run, not after it, when the report cannot be written.
+        report = getattr(args, "report", None)
+        if report and (Path(report).is_dir() or not Path(report).parent.is_dir()):
+            raise ValidationError(f"--report {report} must name a file in an existing directory")
         return args.fn(args)
     except (MovaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from mova.adapter.config import desk_config
 from mova.adapter.network import (
     GatingInput,
-    adapter_forward,
+    adapter_apply,
     extract_expert_knowledge,
     fuse,
     gate_weights,
@@ -64,12 +64,7 @@ from mova.routing_data import (
 
 _SUITE_SEED = 20240521
 
-GateFn = Callable[[GatingInput, ExpertSelection, object, str], np.ndarray]
 Check = Callable[[], None]
-
-
-def _default_gate_fn(gating_input, selection, params, mode) -> np.ndarray:
-    return gate_weights(gating_input, selection, params, mode).weights
 
 
 @dataclass
@@ -234,7 +229,7 @@ def _adapter_fixture():
     return registry, config, params
 
 
-def _check_gate_simplex(gate_fn: GateFn):
+def _check_gate_simplex():
     registry, config, params = _adapter_fixture()
     gating = params.blocks[0].gating
     rng = np.random.default_rng(_SUITE_SEED + 7)
@@ -246,7 +241,7 @@ def _check_gate_simplex(gate_fn: GateFn):
             visual_token=rng.standard_normal(config.hidden_dim),
             text_token=encode_text("check the gate", config.text_dim),
         )
-        w = np.asarray(gate_fn(gin, selection, gating, "dynamic"))
+        w = gate_weights(gin, selection, gating, "dynamic").weights
         assert abs(float(w.sum()) - 1.0) <= 1e-9
         if k >= 2:
             assert np.all((w > 0.0) & (w < 1.0))
@@ -314,15 +309,15 @@ def _check_irrelevance_exclusion():
     selection = ExpertSelection((0, 3))
     base = generate_base_feature(registry, 42)
     feats = {spec.name: generate_expert_feature(spec, 42) for spec in registry.experts}
-    out_a = adapter_forward(base, feats, selection, "what is planted?", params, config)
+    out_a = adapter_apply(base, feats, selection, "what is planted?", params, config).tokens
     perturbed = dict(feats)
     spec = registry.experts[5]  # not in the selection
     perturbed[spec.name] = generate_expert_feature(spec, 4242)
-    out_b = adapter_forward(base, perturbed, selection, "what is planted?", params, config)
+    out_b = adapter_apply(base, perturbed, selection, "what is planted?", params, config).tokens
     assert out_a.tobytes() == out_b.tobytes()
     empty = ExpertSelection(())
-    e1 = adapter_forward(base, feats, empty, "question one", params, config)
-    e2 = adapter_forward(base, feats, empty, "a different question", params, config)
+    e1 = adapter_apply(base, feats, empty, "question one", params, config).tokens
+    e2 = adapter_apply(base, feats, empty, "a different question", params, config).tokens
     assert e1.tobytes() == e2.tobytes()
 
 
@@ -533,9 +528,8 @@ def _check_ablation_fairness():
 # ---------------------------------------------------------------------------
 
 
-def property_checks(gate_fn: GateFn | None = None) -> dict[str, list[tuple[str, Check]]]:
+def property_checks() -> dict[str, list[tuple[str, Check]]]:
     """Every invariant check as {group: [(name, check)]}, in report order."""
-    gate_fn = gate_fn or _default_gate_fn
     return {
         "numerics": [
             ("softmax_simplex", _check_softmax_simplex),
@@ -551,7 +545,7 @@ def property_checks(gate_fn: GateFn | None = None) -> dict[str, list[tuple[str, 
             ("registry_roundtrip", _check_registry_roundtrip),
         ],
         "gate-simplex": [
-            ("gate_simplex_1000", lambda: _check_gate_simplex(gate_fn)),
+            ("gate_simplex_1000", _check_gate_simplex),
             ("subset_consistency", _check_subset_consistency),
         ],
         "adapter": [
@@ -579,10 +573,10 @@ def property_checks(gate_fn: GateFn | None = None) -> dict[str, list[tuple[str, 
     }
 
 
-def run_property_suite(gate_fn: GateFn | None = None) -> SuiteReport:
+def run_property_suite() -> SuiteReport:
     """Run every invariant group; failures are results, not exceptions."""
     report: dict[str, GroupResult] = {}
-    for group, checks in property_checks(gate_fn).items():
+    for group, checks in property_checks().items():
         result = GroupResult()
         for name, check in checks:
             try:

@@ -1,27 +1,4 @@
-from mova.numerics.gradcheck import GradCheckReport, finite_diff_check
-from mova.numerics.movt import load_tensor, save_tensor
-from mova.numerics.ops import (
-    adaptive_avg_pool,
-    avg_pool_2x,
-    bilinear_interpolate,
-    global_avg_pool,
-    matmul,
-    scaled_dot_attention,
-    softmax,
-)
-from mova.numerics.tensor import FeatureMap
+"""Dense kernels, MOVT tensor files, finite-difference checks and the autodiff tape.
 
-__all__ = [
-    "FeatureMap",
-    "GradCheckReport",
-    "adaptive_avg_pool",
-    "avg_pool_2x",
-    "bilinear_interpolate",
-    "finite_diff_check",
-    "global_avg_pool",
-    "load_tensor",
-    "matmul",
-    "save_tensor",
-    "scaled_dot_attention",
-    "softmax",
-]
+Import each name from the module that defines it.
+"""

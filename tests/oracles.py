@@ -86,14 +86,9 @@ def transformer(x_map: np.ndarray, tp) -> np.ndarray:
     _, h, w = x_map.shape
     xt = tokens_of(x_map)
     att = attention(linear(xt, tp.attn_query), linear(xt, tp.attn_key), linear(xt, tp.attn_value))
-    hidden = xt + linear(att, tp.attn_out)
-    if tp.norm_attn is not None:
-        hidden = layer_norm(hidden, tp.norm_attn.gamma, tp.norm_attn.beta)
+    hidden = layer_norm(xt + linear(att, tp.attn_out), tp.norm_attn.gamma, tp.norm_attn.beta)
     ffn = linear(gelu(linear(hidden, tp.ffn_in)), tp.ffn_out)
-    out = hidden + ffn
-    if tp.norm_ffn is not None:
-        out = layer_norm(out, tp.norm_ffn.gamma, tp.norm_ffn.beta)
-    return map_of(out, h, w)
+    return map_of(layer_norm(hidden + ffn, tp.norm_ffn.gamma, tp.norm_ffn.beta), h, w)
 
 
 def pool_2x(x_map: np.ndarray) -> np.ndarray:
@@ -101,7 +96,7 @@ def pool_2x(x_map: np.ndarray) -> np.ndarray:
     return x_map.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
 
 
-def adapter_forward(base_map, features_by_name, indices, text_values, params):
+def adapter_tokens(base_map, features_by_name, indices, text_values, params):
     """Full-stack single-path reference for the desk config (one head)."""
     names = [params.expert_names[i] for i in indices]
     x = base_map

@@ -12,19 +12,17 @@ import numpy as np
 import pytest
 
 import oracles
-from mova.adapter import (
-    AdapterConfig,
+from mova.adapter.config import AdapterConfig, desk_config
+from mova.adapter.network import (
     GateWeights,
     GatingInput,
-    adapter_forward,
-    clone_params,
-    desk_config,
-    encode_text,
+    adapter_apply,
     extract_expert_knowledge,
     fuse,
     gate_weights,
-    init_params,
 )
+from mova.adapter.params import clone_params, init_params
+from mova.adapter.text import encode_text
 from mova.experts import (
     ExpertRegistry,
     ExpertSpec,
@@ -36,7 +34,9 @@ from mova.harness.ablate import run_ablation
 from mova.harness.cli import main
 from mova.harness.gradcheck_run import full_gradient_check
 from mova.harness.train import ToyTrainConfig, train_toy
-from mova.numerics import FeatureMap, load_tensor, save_tensor, softmax
+from mova.numerics.movt import load_tensor, save_tensor
+from mova.numerics.ops import softmax
+from mova.numerics.tensor import FeatureMap
 from mova.routing import (
     ExpertSelection,
     build_routing_prompt,
@@ -90,7 +90,7 @@ def test_criterion_1_structural_constants():
     params = init_params(config, wide, seed=0)
     base = generate_base_feature(wide, 1)
     assert base.height * base.width == 2304
-    out = adapter_forward(base, {}, ExpertSelection(()), "count the tokens", params, config)
+    out = adapter_apply(base, {}, ExpertSelection(()), "count the tokens", params, config).tokens
     assert out.shape[0] == 576
 
     tokens = coarse_image_tokens(base, grid=8)
@@ -168,7 +168,7 @@ def test_criterion_3_equation_oracle_equivalence():
     # degenerate cases hold exactly
     x = FeatureMap(rng.standard_normal((8, 4, 4)))
     same_size = FeatureMap(rng.standard_normal((16, 4, 4)))
-    from mova.numerics import bilinear_interpolate
+    from mova.numerics.ops import bilinear_interpolate
 
     assert bilinear_interpolate(same_size, 4, 4).data.tobytes() == same_size.data.tobytes()
     single = FeatureMap(rng.standard_normal((8, 4, 4)))
@@ -343,18 +343,18 @@ def test_criterion_9_irrelevance_exclusion():
     base = generate_base_feature(REGISTRY, 9)
     features = all_features(9)
     selection = ExpertSelection((0, 3))
-    reference = adapter_forward(base, features, selection, "what is here?", params, config)
+    reference = adapter_apply(base, features, selection, "what is here?", params, config).tokens
     for spec in REGISTRY.experts:
         if spec.name in ("dinov2", "pix2struct"):
             continue
         perturbed = dict(features)
         perturbed[spec.name] = generate_expert_feature(spec, 10_000 + spec.seed)
-        out = adapter_forward(base, perturbed, selection, "what is here?", params, config)
+        out = adapter_apply(base, perturbed, selection, "what is here?", params, config).tokens
         assert out.tobytes() == reference.tobytes(), spec.name
 
     empty = ExpertSelection(())
-    a = adapter_forward(base, features, empty, "first question", params, config)
-    b = adapter_forward(base, features, empty, "second question entirely", params, config)
+    a = adapter_apply(base, features, empty, "first question", params, config).tokens
+    b = adapter_apply(base, features, empty, "second question entirely", params, config).tokens
     assert a.tobytes() == b.tobytes()
     ok(9, "routed-out features cannot reach the output; empty routing ignores the question")
 

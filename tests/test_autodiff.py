@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import oracles
 from mova.adapter.network import _attention
 from mova.errors import ShapeError
-from mova.numerics import FeatureMap, avg_pool_2x, scaled_dot_attention, softmax
 from mova.numerics import autodiff as ad
 from mova.numerics.gradcheck import finite_diff_check
+from mova.numerics.ops import avg_pool_2x, scaled_dot_attention, softmax
+from mova.numerics.tensor import FeatureMap
 
 
 def check_op(build, *input_shapes, seed=0, tol=1e-6):
@@ -171,6 +173,23 @@ def test_tape_forward_is_bitwise_the_numerics_kernel(seed):
     f = FeatureMap(rng.standard_normal((3, 8, 6)))
     pooled = ad.avg_pool_2x_rows(ad.constant(f.tokens()), f.height, f.width)
     assert avg_pool_2x(f).tokens().tobytes() == pooled.value.tobytes()
+
+
+def test_two_heads_attend_per_column_half():
+    """heads=2 is one attention per half of q's, k's and v's columns, concatenated."""
+    rng = np.random.default_rng(2)
+    q, k, v = (rng.standard_normal(shape) for shape in ((5, 6), (7, 6), (7, 6)))
+    out = _attention(ad.constant(q), ad.constant(k), ad.constant(v), heads=2).value
+    halves = [oracles.attention(q[:, c], k[:, c], v[:, c]) for c in (slice(0, 3), slice(3, 6))]
+    assert np.max(np.abs(out - np.concatenate(halves, axis=1))) <= 1e-12
+
+    def two_heads(q, k, v):
+        return _attention(q, k, v, heads=2)
+
+    check_op(two_heads, (5, 6), (7, 6), (7, 6))
+    check_op(two_heads, (2, 5, 6), (2, 7, 6), (2, 7, 6))
+    with pytest.raises(ShapeError):
+        _attention(ad.constant(q), ad.constant(k), ad.constant(v), heads=4)
 
 
 def test_backward_requires_scalar_root():

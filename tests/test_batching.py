@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mova.adapter import init_params
+from mova.adapter.params import init_params
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.experts import default_registry, generate_expert_feature
 from mova.harness.train import MICROBATCH, ToyTrainConfig, _CorpusRunner

@@ -189,7 +189,8 @@ class TestFuse:
         assert "[routing]" in err
 
     def test_params_dir_roundtrip(self, capsys, tmp_path):
-        from mova.adapter import desk_config, init_params, save_params
+        from mova.adapter.config import desk_config
+        from mova.adapter.params import init_params, save_params
 
         registry = default_registry()
         save_params(init_params(desk_config(), registry), tmp_path / "params")
@@ -200,7 +201,7 @@ class TestFuse:
         assert len(payload["routing"]["experts"]) == 7
 
     def test_adapter_config_file_is_honored(self, capsys, tmp_path):
-        from mova.adapter import desk_config, save_config
+        from mova.adapter.config import desk_config, save_config
 
         config_path = tmp_path / "adapter.json"
         save_config(desk_config(seed=9), config_path)
@@ -294,6 +295,42 @@ class TestExitCodes:
         assert code == 2
         assert "boom" in out
 
+    def test_interrupt_is_one_error_line(self, capsys, monkeypatch):
+        import mova.harness.cli as cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_route", interrupted)
+        code, out, err = run_cli(capsys, "route", "--question", "q", "--strategy", "all")
+        assert (code, out, err) == (1, "", "error: interrupted\n")
+
+    @pytest.mark.parametrize(
+        "argv, runner",
+        [
+            (("gradcheck",), "full_gradient_check"),
+            (("check",), "run_property_suite"),
+            (("train-toy", "--config", "toy.json"), "train_toy"),
+            (("ablate", "--modes", "dynamic", "--corpus", "corpus"), "run_ablation"),
+        ],
+        ids=["gradcheck", "check", "train-toy", "ablate"],
+    )
+    def test_unwritable_report_path_fails_before_the_run(
+        self, capsys, monkeypatch, tmp_path, argv, runner
+    ):
+        import mova.harness.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{runner} ran")
+
+        monkeypatch.setattr(cli, runner, never)
+        for report in (tmp_path / "missing" / "r.json", tmp_path):
+            code, out, err = run_cli(capsys, *argv, "--report", str(report))
+            assert code == 1 and out == ""
+            lines = err.strip().split("\n")
+            assert len(lines) == 1 and lines[0].startswith("error:") and str(report) in lines[0]
+        assert not (tmp_path / "missing").exists()
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _out, _err = run_cli(capsys, "frobnicate")
         assert code == 1
@@ -368,7 +405,8 @@ class TestExitCodes:
         toy_nan = tmp_path / "toy_nan.json"
         toy_nan.write_text(json.dumps({"corpus": str(nan_corpus), "steps": 1}))
         # Parameter manifests: a file name outside the directory, and bad JSON.
-        from mova.adapter import desk_config, init_params, save_params
+        from mova.adapter.config import desk_config
+        from mova.adapter.params import init_params, save_params
 
         escaping, broken = tmp_path / "escaping", tmp_path / "broken"
         for params_dir in (escaping, broken):
@@ -447,12 +485,24 @@ class TestExitCodes:
             assert not (tmp_path / written).exists()  # rejected before any file is written
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is a test-only oracle: importing the CLI must not load any of it."""
+def modules_loaded_by(module):
+    """Every name in sys.modules after a fresh interpreter imports `module`."""
     src = str(Path(mova.__file__).resolve().parents[1])
-    code = "import sys, mova.harness.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = f"import sys, {module}; print(*sys.modules, sep=chr(10))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only oracle: importing the CLI must not load any of it."""
+    assert not {m for m in modules_loaded_by("mova.harness.cli") if m.split(".")[0] == "scipy"}
+
+
+def test_pipeline_import_loads_no_training_or_suite():
+    """The fuse path's modules import neither the trainer, the ablations, the
+    gradient audit nor the property suite."""
+    others = {f"mova.harness.{m}" for m in ("train", "ablate", "properties", "gradcheck_run")}
+    assert not others & modules_loaded_by("mova.harness.pipeline")

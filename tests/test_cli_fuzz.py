@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mova.adapter import desk_config, init_params, save_params
+from mova.adapter.config import desk_config
+from mova.adapter.params import init_params, save_params
 from mova.experts import default_registry, save_registry
 from mova.harness.cli import main
 from mova.routing_data import build_annotations, generate_synthetic_corpus

@@ -13,7 +13,7 @@ from mova.experts import (
     load_registry,
     save_registry,
 )
-from mova.numerics import global_avg_pool
+from mova.numerics.ops import global_avg_pool
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mova.adapter import desk_config, init_params
-from mova.adapter.params import named_arrays
+from mova.adapter.config import desk_config
+from mova.adapter.params import init_params, named_arrays
 from mova.experts import default_registry
 from mova.harness.gradcheck_run import planted_sample_loss, probe_gradients
 from mova.numerics import autodiff as ad

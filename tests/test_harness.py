@@ -4,13 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from mova.adapter import desk_config, init_params
+from mova.adapter.config import desk_config
+from mova.adapter.network import GateWeights
+from mova.adapter.params import init_params, named_arrays
 from mova.errors import PipelineError, TrainingError, ValidationError
 from mova.experts import default_registry
+from mova.harness import properties
 from mova.harness.ablate import run_ablation
 from mova.harness.pipeline import run_pipeline
 from mova.harness.properties import property_checks, run_property_suite
-from mova.adapter.params import named_arrays
 from mova.harness.train import (
     ToyTrainConfig,
     _CorpusRunner,
@@ -19,7 +21,7 @@ from mova.harness.train import (
     scope_names,
     train_toy,
 )
-from mova.numerics import load_tensor
+from mova.numerics.movt import load_tensor
 from mova.routing import RoutingContext
 from mova.routing_data import generate_synthetic_corpus
 
@@ -172,8 +174,6 @@ class TestTrainToy:
         assert all(".gate." in name for name in gating)
 
     def test_scope_restricts_updates(self, corpus, registry):
-        from mova.adapter.params import named_arrays
-
         config = tiny_config(corpus, scope="gating", steps=6, learning_rate=0.2)
         _, trained = train_toy(config, registry)
         fresh = init_params(config.adapter, registry)
@@ -280,13 +280,18 @@ class TestPropertySuite:
             "harness": ["pipeline_determinism", "frozen_experts", "ablation_fairness"],
         }
 
-    def test_perturbed_gate_normalization_fails_gate_simplex_group(self):
-        def broken_gate(gating_input, selection, params, mode):
-            from mova.adapter import gate_weights
+    def test_perturbed_gate_normalization_fails_gate_simplex_group(self, monkeypatch):
+        class UncheckedWeights(GateWeights):
+            def __post_init__(self):
+                pass  # GateWeights itself would refuse the weights below
 
-            weights = gate_weights(gating_input, selection, params, mode).weights
-            return weights * 1.01  # breaks the simplex on purpose
+        real = properties.gate_weights
 
-        report = run_property_suite(gate_fn=broken_gate)
-        assert report.groups["gate-simplex"].failed >= 1
+        def broken_gate(*args):
+            return UncheckedWeights(real(*args).weights * 1.01)  # breaks the simplex on purpose
+
+        monkeypatch.setattr(properties, "gate_weights", broken_gate)
+        report = run_property_suite()
+        failures = report.groups["gate-simplex"].failures
+        assert any(f.startswith("gate_simplex_1000:") for f in failures), failures
         assert not report.ok

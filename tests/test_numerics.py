@@ -7,17 +7,17 @@ from scipy.special import erf as scipy_erf
 
 import oracles
 from mova.errors import EmptySupportError, NumericError, ShapeError
-from mova.numerics import (
-    FeatureMap,
+from mova.numerics import ops
+from mova.numerics.gradcheck import finite_diff_check
+from mova.numerics.ops import (
     avg_pool_2x,
     bilinear_interpolate,
-    finite_diff_check,
     global_avg_pool,
     matmul,
-    ops,
     scaled_dot_attention,
     softmax,
 )
+from mova.numerics.tensor import FeatureMap
 
 
 def naive_matmul(a, b):

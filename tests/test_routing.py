@@ -10,7 +10,7 @@ from mova.errors import (
     ValidationError,
 )
 from mova.experts import Sample, default_registry
-from mova.numerics import FeatureMap
+from mova.numerics.tensor import FeatureMap
 from mova.routing import (
     ExpertSelection,
     RoutingContext,

@@ -5,7 +5,7 @@ import pytest
 
 from mova.errors import ValidationError
 from mova.experts import default_registry
-from mova.numerics import global_avg_pool
+from mova.numerics.ops import global_avg_pool
 from mova.routing_data import (
     LossRecord,
     RoutingAnnotation,
