@@ -218,6 +218,8 @@ def build_forward_graph(
     batch: Sequence[ForwardInput],
     lifted: AdapterParams,
     config: AdapterConfig,
+    record: list[np.ndarray] | None = None,
+    resume: tuple[int, np.ndarray] | None = None,
 ) -> tuple[ad.Node, list[ad.Node]]:
     """Adapter forward pass over a batch, dispatched by expert.
 
@@ -230,6 +232,10 @@ def build_forward_graph(
     Each routed expert's features are resized once per input shape, stacked.
     The weighted conditionals are summed back per sample in selection order;
     a sample with K=0 passes its tokens straight to the transformer.
+    Stage i is block i, and stage num_blocks the tail. A `record` list receives
+    the value entering each stage the pass runs. `resume=(stage, value recorded
+    over this batch)` runs only the stages from there on, with the full pass's
+    bits, and returns the gates of the blocks it runs.
     """
     c, h, w = batch[0].base.shape
     if c != config.hidden_dim:
@@ -259,7 +265,10 @@ def build_forward_graph(
         if sample.selection.k:
             texts[row] = encode_text(sample.question, config.text_dim).values
 
-    x = ad.constant(np.stack([sample.base.tokens() for sample in batch]))
+    start, entering = resume or (0, np.stack([sample.base.tokens() for sample in batch]))
+    if entering.shape != (len(batch), h * w, c) or not 0 <= start <= len(lifted.blocks):
+        raise ShapeError(f"cannot resume at stage {start} from a value of shape {entering.shape}")
+    x = ad.constant(entering)
     text = ad.constant(texts)
     selections = [sample.selection for sample in batch]
     # The routed (sample, position) pairs, expert-major; terms[b, pos] indexes them.
@@ -275,7 +284,9 @@ def build_forward_graph(
     feats = [ad.constant(np.concatenate([resized[n] for n in run])) for run in runs]
     counts = [[len(routed[n]) for n in run] for run in runs]
     gates: list[ad.Node] = []
-    for block in lifted.blocks:
+    for block in lifted.blocks[start:]:
+        if record is not None:
+            record.append(x.value)
         if kmax:
             weights = _gate(ad.mean_rows(x), text, block.gating, selections, config.gating_mode)
             mine = x if pair_rows == list(range(len(batch))) else ad.gather_vec(x, pair_rows)
@@ -285,6 +296,8 @@ def build_forward_graph(
             gates.append(weights)
             x = ad.scatter_rows(x, weighted, terms)
         x = _transformer(x, block.transformer, config.heads)
+    if record is not None:
+        record.append(x.value)
     for reducer in lifted.reducers:
         x = _residual_mlp(x, reducer)
     x = ad.avg_pool_2x_rows(x, h, w)

@@ -9,6 +9,7 @@ tensor name to file.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -141,6 +142,15 @@ def visit(params: AdapterParams, fn: Callable[[str, object], object]) -> Adapter
         projector_hidden=lin("projector.hidden", params.projector_hidden),
         projector_out=lin("projector.out", params.projector_out),
     )
+
+
+def stage_of(name: str, num_blocks: int) -> int:
+    """The forward stage that first reads tensor `name`: i for a block<i> tensor,
+    num_blocks (the tail) for reducer and projector tensors, 0 (a full pass) for any other."""
+    block = re.match(r"block(\d+)\.", name)
+    if block and int(block[1]) < num_blocks:
+        return int(block[1])
+    return num_blocks if re.match(r"(reduce\d+|projector)\.", name) else 0
 
 
 def named_arrays(params: AdapterParams) -> list[tuple[str, np.ndarray]]:

@@ -1,8 +1,9 @@
 """The mova command line.
 
-Exit codes: 0 success, 1 validation/usage/file error or interrupt, 2 property
-or acceptance failure. MOVA_SEED overrides default seeds when the corresponding
-flag is absent. All reports are JSON on stdout or at --report.
+Exit codes: 0 success, 1 validation/usage/file/import error or interrupt, 2
+property or acceptance failure. MOVA_SEED overrides default seeds when the
+corresponding flag is absent. All reports are JSON on stdout or at --report.
+Each subcommand imports its own harness module when it runs.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ from mova.adapter.config import desk_config, load_config
 from mova.adapter.params import init_params, load_params
 from mova.errors import EmptyResponseError, MovaError, ValidationError
 from mova.experts import Sample, default_registry, load_registry
-from mova.harness.ablate import run_ablation
-from mova.harness.gradcheck_run import full_gradient_check
 from mova.harness.pipeline import run_pipeline
-from mova.harness.properties import run_property_suite
 from mova.harness.seeds import (
     DEFAULT_CORPUS_SEED,
     DEFAULT_IMAGE_SEED,
     DEFAULT_ROUTE_SEED,
     resolve_seed,
 )
-from mova.harness.train import ToyTrainConfig, load_toy_config, train_toy
 from mova.routing import STRATEGIES, ExpertSelection, RoutingContext, route
 from mova.routing_data import (
     DEFAULT_CAP,
@@ -44,11 +41,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _emit(payload: dict, report_path=None) -> None:
@@ -139,20 +133,10 @@ def _cmd_score_routing(args) -> int:
 def _cmd_fuse(args) -> int:
     registry = _registry_from(args.experts)
     config = load_config(args.adapter_config) if args.adapter_config else desk_config()
-    if args.params:
-        params = load_params(args.params, config, registry)
-    else:
-        params = init_params(config, registry)
-    context = _routing_context(args)
+    params = load_params(args.params, config, registry) if args.params else init_params(config, registry)
     result = run_pipeline(
-        registry,
-        args.question,
-        args.strategy,
-        context,
-        config,
-        params,
-        image_seed=resolve_seed(args.image_seed, DEFAULT_IMAGE_SEED),
-        out_path=args.out,
+        registry, args.question, args.strategy, _routing_context(args), config, params,
+        image_seed=resolve_seed(args.image_seed, DEFAULT_IMAGE_SEED), out_path=args.out,
         sample_id=args.sample_id,
     )
     _emit(result.summary_dict())
@@ -160,6 +144,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
+    from mova.harness.train import load_toy_config, train_toy
     config, registry = load_toy_config(args.config)
     report, _params = train_toy(config, registry)
     print(f"trained {config.steps} steps in {report.wall_clock_seconds:.2f}s", file=sys.stderr)
@@ -168,6 +153,8 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    from mova.harness.ablate import run_ablation
+    from mova.harness.train import ToyTrainConfig
     registry = _registry_from(args.experts)
     config = ToyTrainConfig(
         corpus_dir=args.corpus,
@@ -185,12 +172,14 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    from mova.harness.gradcheck_run import full_gradient_check
     report = full_gradient_check(eps=args.eps, tol=args.tol)
     _emit(report, args.report)
     return 0 if report["ok"] else 2
 
 
 def _cmd_check(args) -> int:
+    from mova.harness.properties import run_property_suite
     report = run_property_suite()
     _emit(report.summary_dict(), args.report)
     return 0 if report.ok else 2
@@ -272,12 +261,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 1
     try:
-        # Fail before the run, not after it, when the report cannot be written.
-        report = getattr(args, "report", None)
-        if report and (Path(report).is_dir() or not Path(report).parent.is_dir()):
-            raise ValidationError(f"--report {report} must name a file in an existing directory")
+        # Fail before the run, not after it, when its output file cannot be written.
+        files = {"--report": getattr(args, "report", None)}
+        if args.command == "fuse":
+            files["--out"] = args.out
+        for flag, path in files.items():
+            if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+                raise ValidationError(f"{flag} {path} must name a file in an existing directory")
         return args.fn(args)
-    except (MovaError, OSError) as exc:
+    except (MovaError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -11,7 +11,7 @@ import numpy as np
 
 from mova.adapter.config import desk_config
 from mova.adapter.network import ForwardInput, lift
-from mova.adapter.params import init_params, named_arrays
+from mova.adapter.params import init_params, named_arrays, stage_of
 from mova.errors import POSITIVE, NumericError
 from mova.experts import default_registry, generate_base_feature, generate_expert_feature
 from mova.harness.train import answer_loss
@@ -26,7 +26,8 @@ ROUTED = ("dinov2", "pix2struct")
 
 
 def planted_sample_loss(registry, config, params, image_seed: int, answer, question: str):
-    """loss(trainable=frozenset()) -> (answer loss node, tracked nodes) of one planted sample."""
+    """loss(trainable=frozenset(), record=None, resume=None) -> (answer loss node,
+    tracked nodes) of one planted sample; record and resume as in build_forward_graph."""
     feats = {
         spec.name: generate_expert_feature(
             spec, image_seed, planted=(spec.name == ROUTED[-1]), answer_vector=answer
@@ -36,25 +37,28 @@ def planted_sample_loss(registry, config, params, image_seed: int, answer, quest
     selection = ExpertSelection(tuple(registry.index_of(name) for name in ROUTED))
     sample = ForwardInput(generate_base_feature(registry, image_seed), feats, selection, question)
 
-    def loss(trainable=frozenset()):
+    def loss(trainable=frozenset(), record=None, resume=None):
         lifted, tracked = lift(params, trainable)
-        return answer_loss([sample], [answer], lifted, config)[0], tracked
+        return answer_loss([sample], [answer], lifted, config, 1.0, record, resume)[0], tracked
 
     return loss
 
 
 def probe_gradients(loss, params, entries: dict, eps: float) -> dict[str, GradCheckReport]:
-    """Backpropagate `loss` once, then probe {tensor name: flat indices or None (all)}."""
-    root, tracked = loss(set(entries))
+    """Backpropagate `loss` once, then probe {tensor name: flat indices or None (all)};
+    each probe pass resumes, from that pass's record, at the stage its tensor feeds."""
+    kept: list[np.ndarray] = []
+    root, tracked = loss(set(entries), kept)
     ad.backward(root)
     arrays = dict(named_arrays(params))
     reports = {}
     for name, flats in entries.items():
         if tracked[name].grad is None:
             raise NumericError(f"{name}: no gradient reached the tensor")
+        stage = stage_of(name, len(params.blocks))
         reports[name] = finite_diff_check(
-            arrays[name], lambda _block: float(loss()[0].value), tracked[name].grad,
-            eps=eps, op_name=name, indices=flats,
+            arrays[name], lambda _block: float(loss(resume=(stage, kept[stage]))[0].value),
+            tracked[name].grad, eps=eps, op_name=name, indices=flats,
         )
     return reports
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from mova.adapter.config import AdapterConfig, desk_config, parse_config
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
-from mova.adapter.params import AdapterParams, init_params, named_arrays
+from mova.adapter.params import AdapterParams, init_params, named_arrays, stage_of
 from mova.errors import (
     POSITIVE, Field, NumericError, TrainingError, ValidationError, check_fields, read_json_object,
 )
@@ -128,13 +128,16 @@ def answer_loss(
     lifted: AdapterParams,
     config: AdapterConfig,
     weight: float = 1.0,
+    record: list[np.ndarray] | None = None,
+    resume: tuple[int, np.ndarray] | None = None,
 ) -> tuple[ad.Node, list[ad.Node]]:
     """The toy task loss as one graph: (`weight` times the summed sample losses, gates).
 
     A sample's loss is the mean squared error between the leading pooled output
-    components and its answer. Training and every gradient check use this graph.
+    components and its answer. Training and every gradient check use this graph;
+    `record` and `resume` go to build_forward_graph.
     """
-    out, gates = build_forward_graph(list(batch), lifted, config)
+    out, gates = build_forward_graph(list(batch), lifted, config, record, resume)
     width = out.shape[-1]
     index, targets, scale = [], [], []
     for row, answer in enumerate(answers):
@@ -222,11 +225,12 @@ class _CorpusRunner:
             self._inputs[sample.sample_id] = ForwardInput(base, feats, selection, sample.question)
         return self._inputs[sample.sample_id]
 
-    def batch_loss(self, batch: list[Sample], params: AdapterParams, trainable) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean loss over the batch; one tape per microbatch, gradients accumulate across them."""
+    def batch_loss(self, batch: list[Sample], params: AdapterParams, trainable, keep=None) -> tuple[float, dict[str, np.ndarray]]:
+        """Mean loss over the batch; one tape per microbatch, gradients accumulate across them.
+        A `keep` list receives each microbatch's stage inputs, for batch_loss_value."""
         lifted, tracked = lift(params, trainable)
         total = 0.0
-        for _samples, loss, _gates in self._graphs(batch, lifted):
+        for _samples, loss, _gates in self._graphs(batch, lifted, keep):
             total += float(loss.value)
             ad.backward(loss)
         grads = {
@@ -235,16 +239,23 @@ class _CorpusRunner:
         }
         return total, grads
 
-    def batch_loss_value(self, batch: list[Sample], params: AdapterParams) -> float:
-        return sum(float(loss.value) for _s, loss, _g in self._graphs(batch, lift(params)[0]))
+    def batch_loss_value(self, batch: list[Sample], params: AdapterParams, stage=0, kept=()) -> float:
+        """The loss alone; given what batch_loss kept of this batch, each pass resumes at `stage`."""
+        graphs = self._graphs(batch, lift(params)[0], None, stage, kept)
+        return sum(float(loss.value) for _s, loss, _g in graphs)
 
-    def _graphs(self, batch: list[Sample], lifted: AdapterParams):
+    def _graphs(self, batch: list[Sample], lifted: AdapterParams, keep=None, stage=0, kept=()):
         """(samples, finite loss, gates) per microbatch, each loss weighted by 1/len(batch)."""
-        for start in range(0, len(batch), MICROBATCH):
+        for i, start in enumerate(range(0, len(batch), MICROBATCH)):
             samples = batch[start : start + MICROBATCH]
             inputs = [self.forward_input(s) for s in samples]
             answers = [s.answer_vector for s in samples]
-            loss, gates = answer_loss(inputs, answers, lifted, self.config.adapter, 1.0 / len(batch))
+            record = None if keep is None else []
+            resume = (stage, kept[i][stage]) if kept else None
+            weight = 1.0 / len(batch)
+            loss, gates = answer_loss(inputs, answers, lifted, self.config.adapter, weight, record, resume)
+            if keep is not None:
+                keep.append(record)
             if not np.isfinite(loss.value):
                 ids = ", ".join(repr(s.sample_id) for s in samples)
                 raise TrainingError(f"non-finite loss on samples {ids}")
@@ -277,8 +288,10 @@ def _spot_check_gradients(
     params: AdapterParams,
     batch: list[Sample],
     grads: Mapping[str, np.ndarray],
+    kept: Sequence = (),
 ) -> dict:
-    """Central-difference probe of seeded entries of the step-0 gradient."""
+    """Central-difference probe of seeded entries of the step-0 gradient; each probe
+    pass resumes, from what step 0's batch_loss `kept`, at the stage its tensor feeds."""
     config = runner.config
     rng = np.random.default_rng([_GRADCHECK_SALT, config.seed])
     arrays = dict(named_arrays(params))
@@ -292,9 +305,11 @@ def _spot_check_gradients(
     worst = 0.0
     try:
         for name, flats in entries.items():
+            stage = stage_of(name, len(params.blocks))
             result = finite_diff_check(
-                arrays[name], lambda _block: runner.batch_loss_value(batch, params), grads[name],
-                eps=config.gradcheck_eps, op_name=name, indices=flats,
+                arrays[name],
+                lambda _block: runner.batch_loss_value(batch, params, stage=stage, kept=kept),
+                grads[name], eps=config.gradcheck_eps, op_name=name, indices=flats,
             )
             worst = max(worst, result.max_rel_error)
     except (NumericError, TrainingError) as exc:
@@ -341,10 +356,12 @@ def train_toy(
     # A diverging step fails where it overflows, so no parameter turns non-finite.
     for step in range(config.steps):
         with _fails_as(f"step {step}"):
-            loss, grads = runner.batch_loss(batch, params, trainable)
+            kept = [] if step == 0 else None  # each stage's input, for step 0's spot check
+            loss, grads = runner.batch_loss(batch, params, trainable, kept)
             trace.append(loss)
             if step == 0:  # the probe ignores overflow itself and reports it once
-                gradcheck_summary = _spot_check_gradients(runner, params, batch, grads)
+                gradcheck_summary = _spot_check_gradients(runner, params, batch, grads, kept)
+                kept = None  # frees the stage inputs before training goes on
             for name, grad in grads.items():
                 arrays[name] -= config.learning_rate * grad
     with _fails_as(f"eval after {config.steps} steps"):

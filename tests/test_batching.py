@@ -1,10 +1,12 @@
-"""The batched forward pass agrees with the one-sample forward it replaces."""
+"""The batched forward pass agrees with the one-sample forward it replaces, and
+a pass resumed at a stage agrees with the full pass bit for bit."""
 
 import numpy as np
 import pytest
 
-from mova.adapter.params import init_params
+from mova.adapter.params import init_params, named_arrays, stage_of
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
+from mova.errors import ShapeError
 from mova.experts import default_registry, generate_expert_feature
 from mova.harness.train import MICROBATCH, ToyTrainConfig, _CorpusRunner
 from mova.routing import ExpertSelection
@@ -108,3 +110,37 @@ def test_routed_out_feature_cannot_change_any_output(setup):
     assert after.value.tobytes() == before.value.tobytes()
     for a, b in zip(after_gates, before_gates):
         assert a.value.tobytes() == b.value.tobytes()
+
+
+def test_resumed_loss_equals_full_pass_for_every_tensor(setup):
+    """Perturb one element of each tensor in turn: the loss resumed at the
+    tensor's stage, from what one batch_loss kept, has the full pass's bits."""
+    registry, runner, params = setup
+    batch = runner.samples
+    kept = []
+    base_loss, _ = runner.batch_loss(batch, params, "all", kept)
+    stages = len(params.blocks) + 1
+    assert [len(microbatch) for microbatch in kept] == [stages] * 2
+    rng = np.random.default_rng(11)
+    moved = set()
+    for name, arr in named_arrays(params):
+        flat = int(rng.integers(arr.size))
+        original = arr.flat[flat]
+        arr.flat[flat] = original + 0.5
+        try:
+            full = runner.batch_loss_value(batch, params)
+            stage = stage_of(name, len(params.blocks))
+            assert runner.batch_loss_value(batch, params, stage=stage, kept=kept) == full, name
+        finally:
+            arr.flat[flat] = original
+        if full != base_loss:
+            moved.add(stage)
+    assert moved == set(range(stages))  # every stage had a probe that changed the loss
+    # Nothing wrote into the kept inputs: resuming the tail still gives the unperturbed loss.
+    assert runner.batch_loss_value(batch, params, stage=stages - 1, kept=kept) == base_loss
+    lifted, _ = lift(params)
+    inputs = [runner.forward_input(s) for s in batch[:MICROBATCH]]
+    with pytest.raises(ShapeError, match="cannot resume at stage"):
+        build_forward_graph(inputs, lifted, runner.config.adapter, resume=(stages, kept[0][0]))
+    with pytest.raises(ShapeError, match="cannot resume at stage"):
+        build_forward_graph(inputs[1:], lifted, runner.config.adapter, resume=(1, kept[0][1]))

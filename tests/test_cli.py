@@ -271,7 +271,7 @@ class TestExitCodes:
     def test_property_failure_maps_to_exit_2(self, capsys, monkeypatch):
         from dataclasses import dataclass, field
 
-        import mova.harness.cli as cli
+        import mova.harness.properties as properties
 
         @dataclass
         class FakeGroup:
@@ -290,7 +290,7 @@ class TestExitCodes:
             def summary_dict(self):
                 return {"g": {"passed": 0, "failed": 1, "failures": ["boom"]}}
 
-        monkeypatch.setattr(cli, "run_property_suite", lambda: FakeReport({"g": FakeGroup()}))
+        monkeypatch.setattr(properties, "run_property_suite", lambda: FakeReport({"g": FakeGroup()}))
         code, out, _err = run_cli(capsys, "check")
         assert code == 2
         assert "boom" in out
@@ -305,30 +305,52 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "route", "--question", "q", "--strategy", "all")
         assert (code, out, err) == (1, "", "error: interrupted\n")
 
+    def test_import_failure_is_one_error_line(self, capsys, monkeypatch):
+        # None in sys.modules makes the subcommand's own import raise ImportError.
+        monkeypatch.setitem(sys.modules, "mova.harness.gradcheck_run", None)
+        code, out, err = run_cli(capsys, "gradcheck")
+        lines = err.strip().split("\n")
+        assert code == 1 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:") and "gradcheck_run" in lines[0]
+
     @pytest.mark.parametrize(
         "argv, runner",
         [
-            (("gradcheck",), "full_gradient_check"),
-            (("check",), "run_property_suite"),
-            (("train-toy", "--config", "toy.json"), "train_toy"),
-            (("ablate", "--modes", "dynamic", "--corpus", "corpus"), "run_ablation"),
+            (("gradcheck",), "gradcheck_run.full_gradient_check"),
+            (("check",), "properties.run_property_suite"),
+            (("train-toy", "--config", "toy.json"), "train.train_toy"),
+            (("ablate", "--modes", "dynamic", "--corpus", "corpus"), "ablate.run_ablation"),
         ],
         ids=["gradcheck", "check", "train-toy", "ablate"],
     )
     def test_unwritable_report_path_fails_before_the_run(
         self, capsys, monkeypatch, tmp_path, argv, runner
     ):
-        import mova.harness.cli as cli
-
         def never(*args, **kwargs):
             raise AssertionError(f"{runner} ran")
 
-        monkeypatch.setattr(cli, runner, never)
+        monkeypatch.setattr(f"mova.harness.{runner}", never)
         for report in (tmp_path / "missing" / "r.json", tmp_path):
             code, out, err = run_cli(capsys, *argv, "--report", str(report))
             assert code == 1 and out == ""
             lines = err.strip().split("\n")
             assert len(lines) == 1 and lines[0].startswith("error:") and str(report) in lines[0]
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_fuse_out_fails_before_the_run(self, capsys, monkeypatch, tmp_path):
+        import mova.harness.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_pipeline ran")
+
+        monkeypatch.setattr(cli, "run_pipeline", never)
+        for out_path in (tmp_path / "missing" / "t.movt", tmp_path):
+            code, out, err = run_cli(
+                capsys, "fuse", "--question", "q", "--strategy", "all", "--out", str(out_path)
+            )
+            assert code == 1 and out == ""
+            lines = err.strip().split("\n")
+            assert len(lines) == 1 and lines[0].startswith("error:") and str(out_path) in lines[0]
         assert not (tmp_path / "missing").exists()
 
     def test_unknown_subcommand_exits_1(self, capsys):
@@ -499,6 +521,13 @@ def modules_loaded_by(module):
 def test_cli_import_loads_no_scipy():
     """scipy is a test-only oracle: importing the CLI must not load any of it."""
     assert not {m for m in modules_loaded_by("mova.harness.cli") if m.split(".")[0] == "scipy"}
+
+
+def test_cli_import_loads_no_subcommand_module():
+    """Each subcommand imports its own harness module when it runs, so starting
+    the CLI (and so every `mova fuse`) loads none of them."""
+    others = {f"mova.harness.{m}" for m in ("train", "ablate", "properties", "gradcheck_run")}
+    assert not others & modules_loaded_by("mova.harness.cli")
 
 
 def test_pipeline_import_loads_no_training_or_suite():

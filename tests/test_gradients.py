@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mova.adapter.config import desk_config
-from mova.adapter.params import init_params, named_arrays
+from mova.adapter.params import init_params, named_arrays, stage_of
 from mova.experts import default_registry
 from mova.harness.gradcheck_run import planted_sample_loss, probe_gradients
 from mova.numerics import autodiff as ad
@@ -56,3 +56,46 @@ def test_unrouted_extractor_gradient_is_zero(instance):
     ad.backward(root)
     grad = tracked["block0.extract.sam.value.weight"].grad
     assert grad is None or not grad.any()
+
+
+def test_resumed_planted_loss_equals_full_pass(instance):
+    params, loss = instance
+    kept = []
+    root, _ = loss(record=kept)
+    assert len(kept) == len(params.blocks) + 1
+    rng = np.random.default_rng(3)
+    for name, arr in named_arrays(params):
+        flat = int(rng.integers(arr.size))
+        original = arr.flat[flat]
+        arr.flat[flat] = original - 0.25
+        try:
+            stage = stage_of(name, len(params.blocks))
+            full = loss()[0].value
+            assert loss(resume=(stage, kept[stage]))[0].value.tobytes() == full.tobytes(), name
+        finally:
+            arr.flat[flat] = original
+    assert loss(resume=(0, kept[0]))[0].value.tobytes() == root.value.tobytes()
+
+
+def test_stage_map_follows_tensor_names():
+    params = init_params(desk_config(), default_registry())
+    blocks = len(params.blocks)
+    stages = [stage_of(name, blocks) for name, _ in named_arrays(params)]
+    assert stages == sorted(stages)  # visit names the blocks in order, then the tail
+    assert {s: stages.count(s) for s in set(stages)} == {0: 68, 1: 68, 2: 68, 3: 12}
+    for name, stage in {
+        "block0.gate.hidden.weight": 0,
+        "block1.extract.sam.key.weight": 1,
+        "block2.norm_ffn.beta": 2,
+        "reduce0.fc1.weight": 3,
+        "reduce1.fc2.bias": 3,
+        "projector.out.weight": 3,
+        # Unknown names map to stage 0, a full pass.
+        "block3.attn.query.weight": 0,
+        "blocks.attn.query.weight": 0,
+        "reducer.fc1.weight": 0,
+        "projector_out.weight": 0,
+        "unknown": 0,
+        "": 0,
+    }.items():
+        assert stage_of(name, blocks) == stage, name

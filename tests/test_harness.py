@@ -132,8 +132,12 @@ class TestTrainToy:
         assert report.loss_trace[-1] < report.loss_trace[0]
 
     def test_oracle_training_report_is_pinned(self, corpus, registry):
-        """A 3-step oracle-routed run is pinned bit for bit, like the inference
-        digests in perfbench/golden.json (and, like them, for one numpy build).
+        """A 3-step oracle-routed run is pinned bit for bit, spot check included.
+
+        Unlike the inference digests in perfbench/golden.json, which hold under
+        every OpenBLAS kernel measured, this digest holds only under the kernel
+        it was taken with (SkylakeX): training's matrix products round
+        differently under others, such as Haswell and Sandybridge.
 
         K runs from 2 to 3 and every expert is shared: expert 4 by all 16
         samples, the others by 2 to 5. A tape change that keeps the arithmetic
@@ -196,6 +200,31 @@ class TestTrainToy:
         grads = {name: np.full_like(arr, np.nan) for name, arr in named_arrays(params)}
         with pytest.raises(TrainingError, match="step-0 gradient check failed: .*non-finite"):
             _spot_check_gradients(runner, params, runner.samples[:4], grads)
+
+    def test_spot_check_calls_only_batch_loss_value(self, corpus, registry, monkeypatch):
+        """Step 0's spot check runs two batch_loss_value calls per probed entry,
+        each resumed from what step 0's batch_loss kept, and no batch_loss: the
+        benchmark times exactly these calls."""
+        calls = []
+
+        def counted(name):
+            method = getattr(_CorpusRunner, name)
+
+            def wrapped(self, *args, **kwargs):
+                calls.append((name, kwargs))
+                return method(self, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("batch_loss", "batch_loss_value"):
+            monkeypatch.setattr(_CorpusRunner, name, counted(name))
+        config = tiny_config(corpus, steps=1, selection=None, gradcheck_entries=32)
+        report, _ = train_toy(config, registry)
+        checked = report.gradcheck["entries_checked"]
+        assert checked == 32
+        assert [name for name, _ in calls] == ["batch_loss"] + ["batch_loss_value"] * 2 * checked
+        stages = {kwargs["stage"] for _, kwargs in calls[1:]}
+        assert stages == {0, 1, 2, 3} and all(kwargs["kept"] for _, kwargs in calls[1:])
 
     def test_load_toy_config_resolves_relative_paths(self, corpus, registry, tmp_path):
         import json
