@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     try:
         # Fail before the run, not after it, when its output file cannot be written.
         files = {"--report": getattr(args, "report", None)}
-        if args.command == "fuse":
+        if args.command in ("fuse", "build-routing-data"):
             files["--out"] = args.out
         for flag, path in files.items():
             if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):

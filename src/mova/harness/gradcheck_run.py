@@ -2,7 +2,10 @@
 
 Checks every element of the gating MLPs, the routed extractors' projections,
 and the projector against central differences of the toy training loss. The
-one-sample loss and the probe loop here also back `mova check` and the tests.
+loss and the probe loop are the trainer's: a one-sample `_CorpusRunner` over
+a planted sample, whose `batch_loss` gives the gradient and the stage inputs
+each probe resumes from, and `probe_gradients`. `mova check` and the tests
+probe the same way.
 """
 
 from __future__ import annotations
@@ -10,13 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from mova.adapter.config import desk_config
-from mova.adapter.network import ForwardInput, lift
-from mova.adapter.params import init_params, named_arrays, stage_of
-from mova.errors import POSITIVE, NumericError
-from mova.experts import default_registry, generate_base_feature, generate_expert_feature
-from mova.harness.train import answer_loss
-from mova.numerics import autodiff as ad
-from mova.numerics.gradcheck import GradCheckReport, finite_diff_check
+from mova.adapter.params import init_params, named_arrays
+from mova.errors import POSITIVE
+from mova.experts import Sample, default_registry
+from mova.harness.train import _CorpusRunner, probe_gradients
+from mova.numerics.gradcheck import GradCheckReport
 from mova.routing import ExpertSelection
 
 _CHECK_SEED = 2024
@@ -25,42 +26,19 @@ _CHECK_SEED = 2024
 ROUTED = ("dinov2", "pix2struct")
 
 
-def planted_sample_loss(registry, config, params, image_seed: int, answer, question: str):
-    """loss(trainable=frozenset(), record=None, resume=None) -> (answer loss node,
-    tracked nodes) of one planted sample; record and resume as in build_forward_graph."""
-    feats = {
-        spec.name: generate_expert_feature(
-            spec, image_seed, planted=(spec.name == ROUTED[-1]), answer_vector=answer
-        )
-        for spec in registry.experts
-    }
+def planted_runner(registry, config, image_seed: int, answer, question: str) -> _CorpusRunner:
+    """A runner over one sample that routes ROUTED, with `answer` planted in the last of them."""
+    sample = Sample("planted", image_seed, question, tuple(answer), planted_expert=ROUTED[-1])
     selection = ExpertSelection(tuple(registry.index_of(name) for name in ROUTED))
-    sample = ForwardInput(generate_base_feature(registry, image_seed), feats, selection, question)
-
-    def loss(trainable=frozenset(), record=None, resume=None):
-        lifted, tracked = lift(params, trainable)
-        return answer_loss([sample], [answer], lifted, config, 1.0, record, resume)[0], tracked
-
-    return loss
+    return _CorpusRunner(registry, config, [sample], lambda _sample: selection)
 
 
-def probe_gradients(loss, params, entries: dict, eps: float) -> dict[str, GradCheckReport]:
-    """Backpropagate `loss` once, then probe {tensor name: flat indices or None (all)};
-    each probe pass resumes, from that pass's record, at the stage its tensor feeds."""
-    kept: list[np.ndarray] = []
-    root, tracked = loss(set(entries), kept)
-    ad.backward(root)
-    arrays = dict(named_arrays(params))
-    reports = {}
-    for name, flats in entries.items():
-        if tracked[name].grad is None:
-            raise NumericError(f"{name}: no gradient reached the tensor")
-        stage = stage_of(name, len(params.blocks))
-        reports[name] = finite_diff_check(
-            arrays[name], lambda _block: float(loss(resume=(stage, kept[stage]))[0].value),
-            tracked[name].grad, eps=eps, op_name=name, indices=flats,
-        )
-    return reports
+def probe_planted(runner: _CorpusRunner, params, entries: dict, eps: float) -> dict[str, GradCheckReport]:
+    """One batch_loss over the runner's samples, training exactly the `entries`
+    tensors, then probe_gradients resumed from what it kept."""
+    kept: list = []
+    _loss, grads = runner.batch_loss(runner.samples, params, set(entries), kept)
+    return probe_gradients(runner, runner.samples, params, grads, entries, kept, eps)
 
 
 def full_gradient_check(eps: float = 1e-5, tol: float = 1e-4) -> dict:
@@ -70,9 +48,7 @@ def full_gradient_check(eps: float = 1e-5, tol: float = 1e-4) -> dict:
     config = desk_config(seed=_CHECK_SEED)
     params = init_params(config, registry, seed=_CHECK_SEED)
     answer = np.random.default_rng(_CHECK_SEED).standard_normal(4)
-    loss = planted_sample_loss(
-        registry, config, params, _CHECK_SEED, answer, "where is the planted signal?"
-    )
+    runner = planted_runner(registry, config, _CHECK_SEED, answer, "where is the planted signal?")
     groups = {
         "gating": lambda name: ".gate." in name,
         "extractor": lambda name: any(f".extract.{r}." in name for r in ROUTED),
@@ -80,7 +56,7 @@ def full_gradient_check(eps: float = 1e-5, tol: float = 1e-4) -> dict:
     }
     names = [name for name, _ in named_arrays(params)]
     checked = {g: [n for n in names if match(n)] for g, match in groups.items()}
-    results = probe_gradients(loss, params, dict.fromkeys(sum(checked.values(), [])), eps)
+    results = probe_planted(runner, params, dict.fromkeys(sum(checked.values(), [])), eps)
 
     report: dict = {"eps": eps, "tolerance": tol, "groups": {}}
     for group, members in checked.items():

@@ -35,7 +35,7 @@ from mova.experts import (
     load_registry,
     save_registry,
 )
-from mova.harness.gradcheck_run import planted_sample_loss, probe_gradients
+from mova.harness.gradcheck_run import planted_runner, probe_planted
 from mova.harness.train import ToyTrainConfig, train_toy, training_batch_indices
 from mova.numerics.movt import load_tensor, save_tensor
 from mova.numerics.ops import (
@@ -340,7 +340,7 @@ def _check_residual_identity():
 def _check_gradient_spot():
     registry, config, params = _adapter_fixture()
     answer = np.random.default_rng(_SUITE_SEED + 11).standard_normal(4)
-    loss = planted_sample_loss(registry, config, params, 21, answer, "find it")
+    runner = planted_runner(registry, config, 21, answer, "find it")
     rng = np.random.default_rng(_SUITE_SEED + 12)
     names = sorted(
         n for n, _ in named_arrays(params)
@@ -349,7 +349,7 @@ def _check_gradient_spot():
     arrays = dict(named_arrays(params))
     chosen = [names[int(i)] for i in rng.choice(len(names), size=10, replace=False)]
     entries = {name: [int(rng.integers(arrays[name].size))] for name in chosen}
-    for name, result in probe_gradients(loss, params, entries, eps=1e-5).items():
+    for name, result in probe_planted(runner, params, entries, eps=1e-5).items():
         assert result.max_rel_error < 1e-4, f"{name}: {result.max_rel_error}"
 
 

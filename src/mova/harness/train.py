@@ -32,7 +32,7 @@ from mova.experts import (
     load_registry,
 )
 from mova.numerics import autodiff as ad
-from mova.numerics.gradcheck import finite_diff_check
+from mova.numerics.gradcheck import GradCheckReport, finite_diff_check
 from mova.routing import ExpertSelection, oracle_selection
 from mova.routing_data import (
     DEFAULT_CAP,
@@ -122,91 +122,31 @@ def scope_names(params: AdapterParams, scope: str) -> set[str]:
     return {n for n in names if any(tag in n for tag in keep)}
 
 
-def answer_loss(
-    batch: Sequence[ForwardInput],
-    answers: Sequence[Sequence[float]],
-    lifted: AdapterParams,
-    config: AdapterConfig,
-    weight: float = 1.0,
-    record: list[np.ndarray] | None = None,
-    resume: tuple[int, np.ndarray] | None = None,
-) -> tuple[ad.Node, list[ad.Node]]:
-    """The toy task loss as one graph: (`weight` times the summed sample losses, gates).
-
-    A sample's loss is the mean squared error between the leading pooled output
-    components and its answer. Training and every gradient check use this graph;
-    `record` and `resume` go to build_forward_graph.
-    """
-    out, gates = build_forward_graph(list(batch), lifted, config, record, resume)
-    width = out.shape[-1]
-    index, targets, scale = [], [], []
-    for row, answer in enumerate(answers):
-        n = len(answer)
-        index += range(row * width, row * width + n)
-        targets += list(answer)
-        scale += [weight / n] * n
-    pooled = ad.reshape(ad.mean_rows(out), (-1,))
-    diff = ad.sub(ad.gather_vec(pooled, index), ad.constant(targets))
-    # mean_all divides by the entry count; scaling each entry by it first
-    # leaves the weighted sum of per-sample means.
-    per_entry = ad.constant(np.asarray(scale) * len(index))
-    return ad.mean_all(ad.mul(ad.mul(diff, diff), per_entry)), gates
-
-
 class _CorpusRunner:
-    """Shared machinery for training and evaluation over one corpus."""
+    """The toy loss over a list of samples: built, differentiated and resumed
+    here for training, evaluation and every gradient check. Reads no files."""
 
     def __init__(
         self,
         registry: ExpertRegistry,
-        config: ToyTrainConfig,
-        selection_provider: SelectionProvider | None = None,
+        config: AdapterConfig,
+        samples: Sequence[Sample],
+        selection_for: SelectionProvider,
     ):
-        corpus = Path(config.corpus_dir)
-        self.registry = registry
-        self.config = config
-        self.samples = load_samples(corpus / "samples.jsonl")
-        if not self.samples:
-            raise ValidationError(f"{corpus}: corpus has no samples")
-        losses_path = corpus / "losses.jsonl"
-        self.losses = (
-            {r.sample_id: r for r in load_loss_records(losses_path)}
-            if losses_path.exists()
-            else {}
-        )
-        for sample in self.samples:
+        if not samples:
+            raise ValidationError("corpus has no samples")
+        for sample in samples:
             if not sample.answer_vector:
                 raise ValidationError(f"sample {sample.sample_id!r}: empty answer vector")
-            if len(sample.answer_vector) > config.adapter.llm_dim:
+            if len(sample.answer_vector) > config.llm_dim:
                 raise ValidationError(
-                    f"sample {sample.sample_id!r}: answer vector longer than llm_dim "
-                    f"{config.adapter.llm_dim}"
+                    f"sample {sample.sample_id!r}: answer vector longer than llm_dim {config.llm_dim}"
                 )
-        self.selection_for = selection_provider or self._default_provider()
+        self.registry = registry
+        self.config = config
+        self.samples = list(samples)
+        self.selection_for = selection_for
         self._inputs: dict[str, ForwardInput] = {}
-
-    def _default_provider(self) -> SelectionProvider:
-        if self.config.selection is not None:
-            fixed = ExpertSelection(
-                tuple(self.registry.index_of(name) for name in self.config.selection)
-            )
-
-            def fixed_provider(_sample: Sample) -> ExpertSelection:
-                return fixed
-
-            return fixed_provider
-
-        def oracle_provider(sample: Sample) -> ExpertSelection:
-            record = self.losses.get(sample.sample_id)
-            if record is None:
-                losses_path = Path(self.config.corpus_dir) / "losses.jsonl"
-                raise ValidationError(
-                    f"sample {sample.sample_id!r} has no loss record in {losses_path} "
-                    "for oracle selection"
-                )
-            return oracle_selection(record, self.registry, self.config.cap)
-
-        return oracle_provider
 
     def forward_input(self, sample: Sample) -> ForwardInput:
         """The sample's features, selection and question, generated once and cached."""
@@ -230,8 +170,8 @@ class _CorpusRunner:
         A `keep` list receives each microbatch's stage inputs, for batch_loss_value."""
         lifted, tracked = lift(params, trainable)
         total = 0.0
-        for _samples, loss, _gates in self._graphs(batch, lifted, keep):
-            total += float(loss.value)
+        for samples, loss, _gates in self._graphs(batch, lifted, keep):
+            total += _finite(loss, samples)
             ad.backward(loss)
         grads = {
             name: node.grad if node.grad is not None else np.zeros_like(node.value)
@@ -240,35 +180,47 @@ class _CorpusRunner:
         return total, grads
 
     def batch_loss_value(self, batch: list[Sample], params: AdapterParams, stage=0, kept=()) -> float:
-        """The loss alone; given what batch_loss kept of this batch, each pass resumes at `stage`."""
+        """The loss alone, finite or not: finite_diff_check judges a probe's value. Given
+        what batch_loss kept of this batch, each pass resumes at `stage`."""
         graphs = self._graphs(batch, lift(params)[0], None, stage, kept)
         return sum(float(loss.value) for _s, loss, _g in graphs)
 
     def _graphs(self, batch: list[Sample], lifted: AdapterParams, keep=None, stage=0, kept=()):
-        """(samples, finite loss, gates) per microbatch, each loss weighted by 1/len(batch)."""
+        """(samples, loss, gates) per microbatch, each loss weighted by 1/len(batch).
+
+        A sample's loss is the mean squared error between the leading pooled output
+        components and its answer; `keep` and `kept` record and resume the stage
+        inputs through build_forward_graph.
+        """
         for i, start in enumerate(range(0, len(batch), MICROBATCH)):
             samples = batch[start : start + MICROBATCH]
-            inputs = [self.forward_input(s) for s in samples]
-            answers = [s.answer_vector for s in samples]
             record = None if keep is None else []
             resume = (stage, kept[i][stage]) if kept else None
-            weight = 1.0 / len(batch)
-            loss, gates = answer_loss(inputs, answers, lifted, self.config.adapter, weight, record, resume)
+            inputs = [self.forward_input(s) for s in samples]
+            out, gates = build_forward_graph(inputs, lifted, self.config, record, resume)
             if keep is not None:
                 keep.append(record)
-            if not np.isfinite(loss.value):
-                ids = ", ".join(repr(s.sample_id) for s in samples)
-                raise TrainingError(f"non-finite loss on samples {ids}")
-            yield samples, loss, gates
+            width = out.shape[-1]
+            index, targets, scale = [], [], []
+            for row, sample in enumerate(samples):
+                n = len(sample.answer_vector)
+                index += range(row * width, row * width + n)
+                targets += list(sample.answer_vector)
+                scale += [1.0 / len(batch) / n] * n
+            pooled = ad.reshape(ad.mean_rows(out), (-1,))
+            diff = ad.sub(ad.gather_vec(pooled, index), ad.constant(targets))
+            # mean_all divides by the entry count; scaling each entry by it first
+            # leaves the weighted sum of per-sample means.
+            per_entry = ad.constant(np.asarray(scale) * len(index))
+            yield samples, ad.mean_all(ad.mul(ad.mul(diff, diff), per_entry)), gates
 
-    def evaluate(self, params: AdapterParams) -> tuple[float, dict[str, float]]:
+    def evaluate(self, params: AdapterParams, eval_set: list[Sample]) -> tuple[float, dict[str, float]]:
         """Eval loss plus mean gate weight per pool expert over samples and blocks."""
-        eval_set = self.samples[: min(self.config.eval_samples, len(self.samples))]
         total = 0.0
         sums = {name: 0.0 for name in params.expert_names}
         denom = 0
         for samples, loss, gates in self._graphs(eval_set, lift(params)[0]):
-            total += float(loss.value)
+            total += _finite(loss, samples)
             for row, sample in enumerate(samples):
                 sel = self.forward_input(sample).selection
                 if not sel.k:
@@ -283,16 +235,46 @@ class _CorpusRunner:
         return total, mean_gates
 
 
+def _finite(loss: ad.Node, samples: Sequence[Sample]) -> float:
+    if not np.isfinite(loss.value):
+        ids = ", ".join(repr(s.sample_id) for s in samples)
+        raise TrainingError(f"non-finite loss on samples {ids}")
+    return float(loss.value)
+
+
+def probe_gradients(
+    runner: _CorpusRunner,
+    batch: list[Sample],
+    params: AdapterParams,
+    grads: Mapping[str, np.ndarray],
+    entries: Mapping[str, Sequence[int] | None],
+    kept: Sequence,
+    eps: float,
+) -> dict[str, GradCheckReport]:
+    """Central differences of {tensor name: flat indices or None (all)} against `grads`;
+    each probe pass resumes, from what batch_loss `kept` of `batch`, at the stage its tensor feeds."""
+    arrays = dict(named_arrays(params))
+    reports = {}
+    for name, flats in entries.items():
+        stage = stage_of(name, len(params.blocks))
+        reports[name] = finite_diff_check(
+            arrays[name],
+            lambda _block: runner.batch_loss_value(batch, params, stage=stage, kept=kept),
+            grads[name], eps=eps, op_name=name, indices=flats,
+        )
+    return reports
+
+
 def _spot_check_gradients(
+    config: ToyTrainConfig,
     runner: _CorpusRunner,
     params: AdapterParams,
     batch: list[Sample],
     grads: Mapping[str, np.ndarray],
-    kept: Sequence = (),
+    kept: Sequence,
 ) -> dict:
-    """Central-difference probe of seeded entries of the step-0 gradient; each probe
-    pass resumes, from what step 0's batch_loss `kept`, at the stage its tensor feeds."""
-    config = runner.config
+    """Central-difference probe of seeded entries of the step-0 gradient, resumed
+    from what step 0's batch_loss `kept`."""
     rng = np.random.default_rng([_GRADCHECK_SALT, config.seed])
     arrays = dict(named_arrays(params))
     names = sorted(grads)
@@ -302,18 +284,11 @@ def _spot_check_gradients(
     for drawn in range(budget):
         name = names[order[drawn % len(names)]]
         entries.setdefault(name, []).append(int(rng.integers(arrays[name].size)))
-    worst = 0.0
     try:
-        for name, flats in entries.items():
-            stage = stage_of(name, len(params.blocks))
-            result = finite_diff_check(
-                arrays[name],
-                lambda _block: runner.batch_loss_value(batch, params, stage=stage, kept=kept),
-                grads[name], eps=config.gradcheck_eps, op_name=name, indices=flats,
-            )
-            worst = max(worst, result.max_rel_error)
-    except (NumericError, TrainingError) as exc:
+        results = probe_gradients(runner, batch, params, grads, entries, kept, config.gradcheck_eps)
+    except NumericError as exc:
         raise TrainingError(f"step-0 gradient check failed: {exc}") from exc
+    worst = max((result.max_rel_error for result in results.values()), default=0.0)
     if worst > config.gradcheck_tol:
         raise TrainingError(
             f"step-0 gradient check failed: max relative error {worst:.3e} "
@@ -337,14 +312,40 @@ def _fails_as(what: str):
         raise TrainingError(f"{what}: {exc}") from exc
 
 
+def _corpus_provider(config: ToyTrainConfig, registry: ExpertRegistry) -> SelectionProvider:
+    """The fixed `config.selection`, or the loss oracle over the corpus's losses.jsonl."""
+    if config.selection is not None:
+        fixed = ExpertSelection(tuple(registry.index_of(name) for name in config.selection))
+        return lambda _sample: fixed
+    losses_path = Path(config.corpus_dir) / "losses.jsonl"
+    losses = (
+        {r.sample_id: r for r in load_loss_records(losses_path)} if losses_path.exists() else {}
+    )
+
+    def oracle_provider(sample: Sample) -> ExpertSelection:
+        record = losses.get(sample.sample_id)
+        if record is None:
+            raise ValidationError(
+                f"sample {sample.sample_id!r} has no loss record in {losses_path} "
+                "for oracle selection"
+            )
+        return oracle_selection(record, registry, config.cap)
+
+    return oracle_provider
+
+
 def train_toy(
     config: ToyTrainConfig,
     registry: ExpertRegistry,
     selection_provider: SelectionProvider | None = None,
 ) -> tuple[TrainReport, AdapterParams]:
-    """Run gradient descent on the configured scopes; returns (report, trained params)."""
+    """Run gradient descent on the configured scopes over the corpus at `config.corpus_dir`,
+    routed by `selection_provider` or, without one, by `_corpus_provider`; returns
+    (report, trained params)."""
     started = time.perf_counter()
-    runner = _CorpusRunner(registry, config, selection_provider)
+    samples = load_samples(Path(config.corpus_dir) / "samples.jsonl")
+    provider = selection_provider or _corpus_provider(config, registry)
+    runner = _CorpusRunner(registry, config.adapter, samples, provider)
     params = init_params(config.adapter, registry)
     trainable = scope_names(params, config.scope)
     arrays = dict(named_arrays(params))
@@ -360,12 +361,12 @@ def train_toy(
             loss, grads = runner.batch_loss(batch, params, trainable, kept)
             trace.append(loss)
             if step == 0:  # the probe ignores overflow itself and reports it once
-                gradcheck_summary = _spot_check_gradients(runner, params, batch, grads, kept)
+                gradcheck_summary = _spot_check_gradients(config, runner, params, batch, grads, kept)
                 kept = None  # frees the stage inputs before training goes on
             for name, grad in grads.items():
                 arrays[name] -= config.learning_rate * grad
     with _fails_as(f"eval after {config.steps} steps"):
-        eval_loss, mean_gates = runner.evaluate(params)
+        eval_loss, mean_gates = runner.evaluate(params, runner.samples[: config.eval_samples])
     if not np.isfinite(eval_loss):
         raise TrainingError(f"non-finite eval loss after {config.steps} steps")
     report = TrainReport(

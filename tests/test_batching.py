@@ -4,11 +4,12 @@ a pass resumed at a stage agrees with the full pass bit for bit."""
 import numpy as np
 import pytest
 
+from mova.adapter.config import desk_config
 from mova.adapter.params import init_params, named_arrays, stage_of
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.errors import ShapeError
 from mova.experts import default_registry, generate_expert_feature
-from mova.harness.train import MICROBATCH, ToyTrainConfig, _CorpusRunner
+from mova.harness.train import MICROBATCH, _CorpusRunner
 from mova.routing import ExpertSelection
 from mova.routing_data import generate_synthetic_corpus, load_samples
 
@@ -25,11 +26,11 @@ def setup(tmp_path_factory):
     registry = default_registry()
     corpus = tmp_path_factory.mktemp("batching") / "corpus"
     generate_synthetic_corpus(registry, len(SELECTIONS), seed=13, out_dir=corpus, answer_dim=4)
-    config = ToyTrainConfig(corpus_dir=str(corpus), batch_size=len(SELECTIONS), seed=3)
-    ids = [s.sample_id for s in load_samples(corpus / "samples.jsonl")]
-    chosen = {sid: ExpertSelection(sel) for sid, sel in zip(ids, SELECTIONS)}
-    runner = _CorpusRunner(registry, config, lambda sample: chosen[sample.sample_id])
-    params = init_params(config.adapter, registry, seed=29)
+    config = desk_config()
+    samples = load_samples(corpus / "samples.jsonl")
+    chosen = {s.sample_id: ExpertSelection(sel) for s, sel in zip(samples, SELECTIONS)}
+    runner = _CorpusRunner(registry, config, samples, lambda sample: chosen[sample.sample_id])
+    params = init_params(config, registry, seed=29)
     return registry, runner, params
 
 
@@ -72,7 +73,7 @@ def test_batch_loss_matches_mean_of_one_sample_graphs(setup):
 
 def test_batched_tokens_match_one_sample_forward(setup):
     registry, runner, params = setup
-    config = runner.config.adapter
+    config = runner.config
     lifted, _ = lift(params)
     inputs = full_inputs(registry, runner)
     out, gates = build_forward_graph(inputs, lifted, config)
@@ -92,7 +93,7 @@ def test_batched_tokens_match_one_sample_forward(setup):
 
 def test_routed_out_feature_cannot_change_any_output(setup):
     registry, runner, params = setup
-    config = runner.config.adapter
+    config = runner.config
     lifted, _ = lift(params)
     inputs = full_inputs(registry, runner)
     before, before_gates = build_forward_graph(inputs, lifted, config)
@@ -141,6 +142,6 @@ def test_resumed_loss_equals_full_pass_for_every_tensor(setup):
     lifted, _ = lift(params)
     inputs = [runner.forward_input(s) for s in batch[:MICROBATCH]]
     with pytest.raises(ShapeError, match="cannot resume at stage"):
-        build_forward_graph(inputs, lifted, runner.config.adapter, resume=(stages, kept[0][0]))
+        build_forward_graph(inputs, lifted, runner.config, resume=(stages, kept[0][0]))
     with pytest.raises(ShapeError, match="cannot resume at stage"):
-        build_forward_graph(inputs[1:], lifted, runner.config.adapter, resume=(1, kept[0][1]))
+        build_forward_graph(inputs[1:], lifted, runner.config, resume=(1, kept[0][1]))

@@ -266,6 +266,50 @@ class TestTrainAndAblateCli:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "no loss record" in lines[0]
 
+    @pytest.mark.parametrize(
+        "case, where",
+        [
+            ("no-samples", "corpus has no samples"),
+            ("empty-answer", "sample 's00000': empty answer vector"),
+            ("long-answer", "sample 's00000': answer vector longer than llm_dim 32"),
+            ("loss-record-missing", "has no loss record in"),
+            ("losses-file-absent", "has no loss record in"),
+        ],
+        ids=["no-samples", "empty-answer", "long-answer", "loss-record-missing", "losses-file-absent"],
+    )
+    def test_train_toy_rejects_unusable_corpus(self, capsys, tmp_path, corpus_dir, case, where):
+        corpus = Path(corpus_dir)
+        samples_path, losses_path = corpus / "samples.jsonl", corpus / "losses.jsonl"
+        lines = samples_path.read_text().splitlines()
+        first = json.loads(lines[0])
+        if case == "no-samples":
+            samples_path.write_text("")
+        elif case in ("empty-answer", "long-answer"):
+            first["answer_vector"] = [] if case == "empty-answer" else [0.5] * 33
+            samples_path.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        elif case == "loss-record-missing":
+            kept = [r for r in losses_path.read_text().splitlines() if first["sample_id"] not in r]
+            losses_path.write_text("\n".join(kept) + "\n")
+        else:
+            losses_path.unlink()
+        # Oracle routing, and an eval set of every sample so the first one is always used.
+        toy = self.write_toy(tmp_path, corpus_dir, selection=None, eval_samples=12)
+        code, out, err = run_cli(capsys, "train-toy", "--config", toy)
+        assert code == 1 and out == ""
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:") and where in lines[0], err
+
+    def test_spot_check_overflow_names_the_tensor(self, capsys, tmp_path, corpus_dir):
+        """A huge gradcheck_eps overflows inside a step-0 probe: one line naming the
+        tensor and element, as `mova gradcheck --eps 1e300` prints."""
+        toy = self.write_toy(tmp_path, corpus_dir, gradcheck_eps=1e300)
+        code, out, err = run_cli(capsys, "train-toy", "--config", toy)
+        assert code == 1 and out == ""
+        lines = err.strip().split("\n")
+        assert len(lines) == 1, err
+        assert lines[0].startswith("error: step-0 gradient check failed: block")
+        assert ": non-finite function value while probing element" in lines[0]
+
 
 class TestExitCodes:
     def test_property_failure_maps_to_exit_2(self, capsys, monkeypatch):
@@ -337,17 +381,25 @@ class TestExitCodes:
             assert len(lines) == 1 and lines[0].startswith("error:") and str(report) in lines[0]
         assert not (tmp_path / "missing").exists()
 
-    def test_unwritable_fuse_out_fails_before_the_run(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "command, runner, argv",
+        [
+            ("fuse", "run_pipeline", ("--question", "q", "--strategy", "all")),
+            ("build-routing-data", "build_annotations", ("--losses", "losses.jsonl")),
+        ],
+        ids=["fuse", "build-routing-data"],
+    )
+    def test_unwritable_fuse_out_fails_before_the_run(
+        self, capsys, monkeypatch, tmp_path, command, runner, argv
+    ):
         import mova.harness.cli as cli
 
         def never(*args, **kwargs):
-            raise AssertionError("run_pipeline ran")
+            raise AssertionError(f"{runner} ran")
 
-        monkeypatch.setattr(cli, "run_pipeline", never)
-        for out_path in (tmp_path / "missing" / "t.movt", tmp_path):
-            code, out, err = run_cli(
-                capsys, "fuse", "--question", "q", "--strategy", "all", "--out", str(out_path)
-            )
+        monkeypatch.setattr(cli, runner, never)
+        for out_path in (tmp_path / "missing" / "out", tmp_path):
+            code, out, err = run_cli(capsys, command, *argv, "--out", str(out_path))
             assert code == 1 and out == ""
             lines = err.strip().split("\n")
             assert len(lines) == 1 and lines[0].startswith("error:") and str(out_path) in lines[0]

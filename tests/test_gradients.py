@@ -4,8 +4,7 @@ import pytest
 from mova.adapter.config import desk_config
 from mova.adapter.params import init_params, named_arrays, stage_of
 from mova.experts import default_registry
-from mova.harness.gradcheck_run import planted_sample_loss, probe_gradients
-from mova.numerics import autodiff as ad
+from mova.harness.gradcheck_run import planted_runner, probe_planted
 
 
 @pytest.fixture(scope="module")
@@ -14,16 +13,16 @@ def instance():
     config = desk_config(seed=2)
     params = init_params(config, registry, seed=21)
     answer = np.random.default_rng(17).standard_normal(4)
-    return params, planted_sample_loss(registry, config, params, 5, answer, "find the signal")
+    return params, planted_runner(registry, config, 5, answer, "find the signal")
 
 
 def check_block(instance, name, max_entries=None):
-    params, loss = instance
+    params, runner = instance
     size = dict(named_arrays(params))[name].size
     indices = None
     if max_entries is not None and size > max_entries:
         indices = np.random.default_rng(1).choice(size, max_entries, replace=False)
-    report = probe_gradients(loss, params, {name: indices}, eps=1e-5)[name]
+    report = probe_planted(runner, params, {name: indices}, eps=1e-5)[name]
     assert report.max_rel_error < 1e-4, f"{name}: {report.max_rel_error}"
 
 
@@ -51,30 +50,10 @@ def test_transformer_and_norm_params_match_finite_differences(instance):
 
 
 def test_unrouted_extractor_gradient_is_zero(instance):
-    _params, loss = instance
-    root, tracked = loss({"block0.extract.sam.value.weight"})
-    ad.backward(root)
-    grad = tracked["block0.extract.sam.value.weight"].grad
-    assert grad is None or not grad.any()
-
-
-def test_resumed_planted_loss_equals_full_pass(instance):
-    params, loss = instance
-    kept = []
-    root, _ = loss(record=kept)
-    assert len(kept) == len(params.blocks) + 1
-    rng = np.random.default_rng(3)
-    for name, arr in named_arrays(params):
-        flat = int(rng.integers(arr.size))
-        original = arr.flat[flat]
-        arr.flat[flat] = original - 0.25
-        try:
-            stage = stage_of(name, len(params.blocks))
-            full = loss()[0].value
-            assert loss(resume=(stage, kept[stage]))[0].value.tobytes() == full.tobytes(), name
-        finally:
-            arr.flat[flat] = original
-    assert loss(resume=(0, kept[0]))[0].value.tobytes() == root.value.tobytes()
+    params, runner = instance
+    name = "block0.extract.sam.value.weight"
+    _loss, grads = runner.batch_loss(runner.samples, params, {name})
+    assert not grads[name].any()
 
 
 def test_stage_map_follows_tensor_names():

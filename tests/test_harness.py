@@ -15,6 +15,7 @@ from mova.harness.pipeline import run_pipeline
 from mova.harness.properties import property_checks, run_property_suite
 from mova.harness.train import (
     ToyTrainConfig,
+    _corpus_provider,
     _CorpusRunner,
     _spot_check_gradients,
     load_toy_config,
@@ -23,7 +24,7 @@ from mova.harness.train import (
 )
 from mova.numerics.movt import load_tensor
 from mova.routing import RoutingContext
-from mova.routing_data import generate_synthetic_corpus
+from mova.routing_data import generate_synthetic_corpus, load_samples
 
 
 @pytest.fixture(scope="module")
@@ -144,9 +145,9 @@ class TestTrainToy:
         keeps this digest.
         """
         config = tiny_config(corpus, steps=3, batch_size=16, selection=None, eval_samples=16)
-        runner = _CorpusRunner(registry, config)
-        ks = {runner.forward_input(s).selection.k for s in runner.samples}
-        assert len(runner.samples) == 16 and ks == {2, 3}
+        samples = load_samples(f"{corpus}/samples.jsonl")
+        ks = {_corpus_provider(config, registry)(s).k for s in samples}
+        assert len(samples) == 16 and ks == {2, 3}
         report, _ = train_toy(config, registry)
         artifact = json.dumps(report.artifact_dict(), sort_keys=True).encode()
         assert hashlib.sha256(artifact).hexdigest() == (
@@ -195,11 +196,12 @@ class TestTrainToy:
 
     def test_spot_check_fails_on_non_finite_gradient(self, corpus, registry):
         config = tiny_config(corpus)
-        runner = _CorpusRunner(registry, config)
+        samples = load_samples(f"{corpus}/samples.jsonl")
+        runner = _CorpusRunner(registry, config.adapter, samples, _corpus_provider(config, registry))
         params = init_params(config.adapter, registry)
         grads = {name: np.full_like(arr, np.nan) for name, arr in named_arrays(params)}
         with pytest.raises(TrainingError, match="step-0 gradient check failed: .*non-finite"):
-            _spot_check_gradients(runner, params, runner.samples[:4], grads)
+            _spot_check_gradients(config, runner, params, samples[:4], grads, ())
 
     def test_spot_check_calls_only_batch_loss_value(self, corpus, registry, monkeypatch):
         """Step 0's spot check runs two batch_loss_value calls per probed entry,
