@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -46,10 +47,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict, report_path=None) -> None:
+    """Print the report; with a path, also write it there under a temporary name
+    and rename it, so a failed or interrupted write leaves neither a partial
+    report nor the temporary file."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if report_path:
-        Path(report_path).write_text(text + "\n")
+        path = Path(report_path)
+        partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            partial.write_text(text + "\n")
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
 
 
 def _registry_from(path):
@@ -147,7 +158,11 @@ def _cmd_train_toy(args) -> int:
     from mova.harness.train import load_toy_config, train_toy
     config, registry = load_toy_config(args.config)
     report, _params = train_toy(config, registry)
-    print(f"trained {config.steps} steps in {report.wall_clock_seconds:.2f}s", file=sys.stderr)
+    print(
+        f"trained {config.steps} steps in {report.wall_clock_seconds:.2f}s "
+        f"on {report.processes} process{'es' if report.processes > 1 else ''}",
+        file=sys.stderr,
+    )
     _emit(report.artifact_dict(), args.report)
     return 0
 

@@ -10,6 +10,7 @@ corpus samples, so a zero learning rate leaves the loss trace constant.
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from mova.adapter.config import AdapterConfig, desk_config, parse_config
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
-from mova.adapter.params import AdapterParams, init_params, named_arrays, stage_of
+from mova.adapter.params import AdapterParams, init_params, named_arrays, stage_of, visit
 from mova.errors import (
     POSITIVE, Field, NumericError, TrainingError, ValidationError, check_fields, read_json_object,
 )
@@ -97,9 +98,10 @@ class TrainReport:
     eval_loss: float
     gradcheck: dict
     wall_clock_seconds: float
+    processes: int  # processes that ran the microbatches
 
     def artifact_dict(self) -> dict:
-        """Serializable form; excludes wall clock so report files are byte-stable."""
+        """Serializable form; excludes wall clock and process count so report files are byte-stable."""
         return {
             "loss_trace": list(self.loss_trace),
             "mean_gate_weights": self.mean_gate_weights,
@@ -122,9 +124,27 @@ def scope_names(params: AdapterParams, scope: str) -> set[str]:
     return {n for n in names if any(tag in n for tag in keep)}
 
 
+@dataclass(frozen=True)
+class _Held:
+    """Stands in a keep list for the stage inputs of a microbatch that `worker`
+    ran and holds, from its backpropagated pass number `generation`."""
+
+    worker: int
+    generation: int
+
+
 class _CorpusRunner:
     """The toy loss over a list of samples: built, differentiated and resumed
-    here for training, evaluation and every gradient check. Reads no files."""
+    here for training, evaluation and every gradient check. Reads no files.
+
+    Every batch pass runs its microbatches through `_microbatch`. A pass of two
+    or more microbatches on a host with more than one usable CPU runs them
+    data-parallel: process w of P (this one is 0, the forked workers 1..P-1)
+    runs the microbatches j = w (mod P), the workers reading the caller's
+    params from a shared slab, and this process adds losses, gradients and
+    gate weights in microbatch order, so the bits are those of one process.
+    Use the runner as a context manager, or `close` it, to end its workers.
+    """
 
     def __init__(
         self,
@@ -146,7 +166,28 @@ class _CorpusRunner:
         self.config = config
         self.samples = list(samples)
         self.selection_for = selection_for
+        self.processes = 1  # the most processes that have run this runner's microbatches
         self._inputs: dict[str, ForwardInput] = {}
+        self._workers: list = []  # (process, pipe end) of workers 1..P-1
+        self._slab: AdapterParams | None = None  # params in shared memory, read by the workers
+        self._generation = 0  # backpropagated passes that asked to keep stage inputs
+        self._held = None  # in a worker: (generation, {microbatch: stage inputs})
+
+    def __enter__(self) -> "_CorpusRunner":
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        self.close(terminate=exc_type is not None)
+
+    def close(self, terminate: bool = False) -> None:
+        """End the workers: each exits at EOF on its pipe, or at once with `terminate`."""
+        workers, self._workers, self._slab = self._workers, [], None
+        for process, conn in workers:
+            if terminate:
+                process.terminate()
+            conn.close()
+        for process, _conn in workers:
+            process.join()
 
     def forward_input(self, sample: Sample) -> ForwardInput:
         """The sample's features, selection and question, generated once and cached."""
@@ -166,73 +207,208 @@ class _CorpusRunner:
         return self._inputs[sample.sample_id]
 
     def batch_loss(self, batch: list[Sample], params: AdapterParams, trainable, keep=None) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean loss over the batch; one tape per microbatch, gradients accumulate across them.
-        A `keep` list receives each microbatch's stage inputs, for batch_loss_value."""
-        lifted, tracked = lift(params, trainable)
-        total = 0.0
-        for samples, loss, _gates in self._graphs(batch, lifted, keep):
-            total += _finite(loss, samples)
-            ad.backward(loss)
-        grads = {
-            name: node.grad if node.grad is not None else np.zeros_like(node.value)
+        """Mean loss over the batch and its gradient; one tape per microbatch. A `keep`
+        list receives each microbatch's stage inputs, for batch_loss_value."""
+        results, tracked = self._pass("grad", batch, params, trainable, keep=keep)
+        total, grads = 0.0, {}
+        for loss, microbatch_grads in results:
+            total += loss
+            # A microbatch that gives a tensor no gradient adds nothing: adding
+            # zeros would turn a -0.0 into 0.0.
+            for name, grad in microbatch_grads.items():
+                grads[name] = grads[name] + grad if name in grads else grad
+        return total, {
+            name: grads[name] if name in grads else np.zeros_like(node.value)
             for name, node in tracked.items()
         }
-        return total, grads
 
     def batch_loss_value(self, batch: list[Sample], params: AdapterParams, stage=0, kept=()) -> float:
         """The loss alone, finite or not: finite_diff_check judges a probe's value. Given
         what batch_loss kept of this batch, each pass resumes at `stage`."""
-        graphs = self._graphs(batch, lift(params)[0], None, stage, kept)
-        return sum(float(loss.value) for _s, loss, _g in graphs)
-
-    def _graphs(self, batch: list[Sample], lifted: AdapterParams, keep=None, stage=0, kept=()):
-        """(samples, loss, gates) per microbatch, each loss weighted by 1/len(batch).
-
-        A sample's loss is the mean squared error between the leading pooled output
-        components and its answer; `keep` and `kept` record and resume the stage
-        inputs through build_forward_graph.
-        """
-        for i, start in enumerate(range(0, len(batch), MICROBATCH)):
-            samples = batch[start : start + MICROBATCH]
-            record = None if keep is None else []
-            resume = (stage, kept[i][stage]) if kept else None
-            inputs = [self.forward_input(s) for s in samples]
-            out, gates = build_forward_graph(inputs, lifted, self.config, record, resume)
-            if keep is not None:
-                keep.append(record)
-            width = out.shape[-1]
-            index, targets, scale = [], [], []
-            for row, sample in enumerate(samples):
-                n = len(sample.answer_vector)
-                index += range(row * width, row * width + n)
-                targets += list(sample.answer_vector)
-                scale += [1.0 / len(batch) / n] * n
-            pooled = ad.reshape(ad.mean_rows(out), (-1,))
-            diff = ad.sub(ad.gather_vec(pooled, index), ad.constant(targets))
-            # mean_all divides by the entry count; scaling each entry by it first
-            # leaves the weighted sum of per-sample means.
-            per_entry = ad.constant(np.asarray(scale) * len(index))
-            yield samples, ad.mean_all(ad.mul(ad.mul(diff, diff), per_entry)), gates
+        results, _ = self._pass("value", batch, params, stage=stage, kept=kept)
+        return sum(loss for loss, _ in results)
 
     def evaluate(self, params: AdapterParams, eval_set: list[Sample]) -> tuple[float, dict[str, float]]:
         """Eval loss plus mean gate weight per pool expert over samples and blocks."""
-        total = 0.0
+        results, _ = self._pass("eval", eval_set, params)
+        total, denom = 0.0, 0
         sums = {name: 0.0 for name in params.expert_names}
-        denom = 0
-        for samples, loss, gates in self._graphs(eval_set, lift(params)[0]):
-            total += _finite(loss, samples)
-            for row, sample in enumerate(samples):
-                sel = self.forward_input(sample).selection
-                if not sel.k:
-                    continue
-                for gate in gates:
-                    denom += 1
-                    for pos, idx in enumerate(sel.indices):
-                        sums[self.registry.experts[idx].name] += float(gate.value[row, pos])
+        for loss, (weights, count) in results:
+            total += loss
+            denom += count
+            for name, weight in weights:
+                sums[name] += weight
         mean_gates = {
             name: (sums[name] / denom if denom else 0.0) for name in params.expert_names
         }
         return total, mean_gates
+
+    def _pass(self, kind: str, batch: list[Sample], params: AdapterParams, trainable=frozenset(),
+              keep=None, stage=0, kept=()) -> tuple[list, dict[str, ad.Node]]:
+        """Run `kind` ("grad", "value" or "eval") over the batch's microbatches;
+        returns their `_microbatch` results in microbatch order and the tracked
+        nodes, or raises the error of the first microbatch that failed."""
+        chunks = [batch[start : start + MICROBATCH] for start in range(0, len(batch), MICROBATCH)]
+        owners = self._owners(len(chunks), params, kept)
+        jobs: list[list] = [[] for _ in range(1 + len(self._workers))]
+        for j, (owner, samples) in enumerate(zip(owners, chunks)):
+            jobs[owner].append((j, samples, kept[j][stage] if kept else None))
+        if keep is not None and kind == "grad":
+            self._generation += 1
+        sent = [(conn, mine) for (_process, conn), mine in zip(self._workers, jobs[1:]) if mine]
+        if sent:
+            for (_name, slab), (_same, array) in zip(named_arrays(self._slab), named_arrays(params), strict=True):
+                slab[...] = array
+            generation = self._generation if keep is not None else None
+            for conn, mine in sent:
+                conn.send((kind, len(batch), trainable, stage, generation, mine, np.geterr()))
+        lifted, tracked = lift(params, trainable)
+        records: dict | None = None if keep is None else {}
+        results = self._run(kind, len(batch), lifted, tracked, stage, jobs[0], records)
+        for conn, _mine in sent:
+            try:
+                results.update(conn.recv())
+            except EOFError:
+                raise TrainingError("a microbatch worker process exited") from None
+        ordered = [results.get(j) for j in range(len(chunks))]
+        for result in ordered:  # a process stops at its first error, so this is the first overall
+            if isinstance(result, Exception):
+                raise result
+        if keep is not None:
+            stages = len(params.blocks) + 1
+            keep.extend(
+                records[j] if owner == 0 else [_Held(owner, self._generation)] * stages
+                for j, owner in enumerate(owners)
+            )
+        return ordered, tracked
+
+    def _owners(self, n: int, params: AdapterParams, kept) -> list[int]:
+        """The process that runs each of `n` microbatches: 0 for this one, w for worker w.
+        A resumed pass runs each microbatch where its stage inputs are."""
+        if kept:
+            return [record[0].worker if isinstance(record[0], _Held) else 0 for record in kept]
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        procs = min(cpus, n)
+        if procs > 1:
+            if not self._workers:
+                self._start(procs - 1, params)
+            procs = min(procs, 1 + len(self._workers))
+        return [j % procs for j in range(n)]
+
+    def _start(self, count: int, params: AdapterParams) -> None:
+        """Fork `count` workers that share a params slab shaped like `params`."""
+        import mmap
+        import multiprocessing
+        import signal
+
+        sizes = [array.size for _name, array in named_arrays(params)]
+        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+        parts = iter(np.split(flat, np.cumsum(sizes)[:-1]))
+        self._slab = visit(params, lambda _name, array: next(parts).reshape(array.shape))
+        # Forked, not spawned: a worker needs this runner as it is, and its
+        # selection provider is often a closure, which cannot be pickled.
+        context = multiprocessing.get_context("fork")
+        # A worker ignores Ctrl-C, which the parent handles; blocked until then.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(count):
+                conn, child = context.Pipe()
+                process = context.Process(target=self._serve, args=(child, conn), daemon=True)
+                process.start()
+                child.close()
+                self._workers.append((process, conn))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        self.processes = max(self.processes, 1 + count)
+
+    def _serve(self, conn, parent_end) -> None:
+        """A worker: run each request's microbatches on the slab's params, under the
+        caller's numpy error state, and reply; exit at EOF."""
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        parent_end.close()
+        while True:
+            try:
+                kind, batch_size, trainable, stage, generation, jobs, errstate = conn.recv()
+            except EOFError:
+                return
+            lifted, tracked = lift(self._slab, trainable)
+            records = None if generation is None else {}
+            with np.errstate(**errstate):
+                results = self._run(kind, batch_size, lifted, tracked, stage, jobs, records)
+            if kind == "grad":  # each backpropagated pass replaces the stage inputs held
+                self._held = None if generation is None else (generation, records)
+            try:
+                conn.send(results)
+            except OSError:  # the parent is gone
+                return
+
+    def _run(self, kind, batch_size, lifted, tracked, stage, jobs, records) -> dict:
+        """Run `jobs` [(j, samples, stage input or None)] in order in this process:
+        {j: result}, where the first microbatch that raises gets its error and ends the run."""
+        results = {}
+        for j, samples, source in jobs:
+            try:
+                if isinstance(source, _Held):
+                    if self._held is None or self._held[0] != source.generation:
+                        raise ValidationError("the stage inputs of that pass are no longer held")
+                    source = self._held[1][j][stage]
+                record = None if records is None else []
+                resume = None if source is None else (stage, source)
+                results[j] = self._microbatch(kind, samples, batch_size, lifted, tracked, record, resume)
+                if records is not None:
+                    records[j] = record
+            except Exception as exc:
+                results[j] = exc
+                break
+        return results
+
+    def _microbatch(self, kind, samples, batch_size, lifted, tracked, record, resume):
+        """One microbatch's loss, weighted by 1/batch_size, with its gradient
+        {tracked name: array} ("grad"), nothing ("value"), or its gate weights
+        ([(expert, weight)], count of (sample, block) gates) ("eval").
+
+        A sample's loss is the mean squared error between the leading pooled output
+        components and its answer; `record` and `resume` record and resume the stage
+        inputs through build_forward_graph.
+        """
+        inputs = [self.forward_input(s) for s in samples]
+        out, gates = build_forward_graph(inputs, lifted, self.config, record, resume)
+        width = out.shape[-1]
+        index, targets, scale = [], [], []
+        for row, sample in enumerate(samples):
+            n = len(sample.answer_vector)
+            index += range(row * width, row * width + n)
+            targets += list(sample.answer_vector)
+            scale += [1.0 / batch_size / n] * n
+        pooled = ad.reshape(ad.mean_rows(out), (-1,))
+        diff = ad.sub(ad.gather_vec(pooled, index), ad.constant(targets))
+        # mean_all divides by the entry count; scaling each entry by it first
+        # leaves the weighted sum of per-sample means.
+        per_entry = ad.constant(np.asarray(scale) * len(index))
+        loss = ad.mean_all(ad.mul(ad.mul(diff, diff), per_entry))
+        if kind == "value":
+            return float(loss.value), None
+        value = _finite(loss, samples)
+        if kind == "grad":
+            ad.backward(loss)
+            grads = {}
+            for name, node in tracked.items():  # the leaves are shared by the run's microbatches
+                if node.grad is not None:
+                    grads[name], node.grad = node.grad, None
+            return value, grads
+        weights, count = [], 0
+        for row, sample in enumerate(samples):
+            sel = inputs[row].selection
+            if not sel.k:
+                continue
+            for gate in gates:
+                count += 1
+                for pos, idx in enumerate(sel.indices):
+                    weights.append((self.registry.experts[idx].name, float(gate.value[row, pos])))
+        return value, (weights, count)
 
 
 def _finite(loss: ad.Node, samples: Sequence[Sample]) -> float:
@@ -345,28 +521,28 @@ def train_toy(
     started = time.perf_counter()
     samples = load_samples(Path(config.corpus_dir) / "samples.jsonl")
     provider = selection_provider or _corpus_provider(config, registry)
-    runner = _CorpusRunner(registry, config.adapter, samples, provider)
-    params = init_params(config.adapter, registry)
-    trainable = scope_names(params, config.scope)
-    arrays = dict(named_arrays(params))
-    batch_idx = training_batch_indices(len(runner.samples), config)
-    batch = [runner.samples[i] for i in batch_idx]
+    with _CorpusRunner(registry, config.adapter, samples, provider) as runner:
+        params = init_params(config.adapter, registry)
+        trainable = scope_names(params, config.scope)
+        arrays = dict(named_arrays(params))
+        batch_idx = training_batch_indices(len(runner.samples), config)
+        batch = [runner.samples[i] for i in batch_idx]
 
-    trace: list[float] = []
-    gradcheck_summary: dict = {}
-    # A diverging step fails where it overflows, so no parameter turns non-finite.
-    for step in range(config.steps):
-        with _fails_as(f"step {step}"):
-            kept = [] if step == 0 else None  # each stage's input, for step 0's spot check
-            loss, grads = runner.batch_loss(batch, params, trainable, kept)
-            trace.append(loss)
-            if step == 0:  # the probe ignores overflow itself and reports it once
-                gradcheck_summary = _spot_check_gradients(config, runner, params, batch, grads, kept)
-                kept = None  # frees the stage inputs before training goes on
-            for name, grad in grads.items():
-                arrays[name] -= config.learning_rate * grad
-    with _fails_as(f"eval after {config.steps} steps"):
-        eval_loss, mean_gates = runner.evaluate(params, runner.samples[: config.eval_samples])
+        trace: list[float] = []
+        gradcheck_summary: dict = {}
+        # A diverging step fails where it overflows, so no parameter turns non-finite.
+        for step in range(config.steps):
+            with _fails_as(f"step {step}"):
+                kept = [] if step == 0 else None  # each stage's input, for step 0's spot check
+                loss, grads = runner.batch_loss(batch, params, trainable, kept)
+                trace.append(loss)
+                if step == 0:  # the probe ignores overflow itself and reports it once
+                    gradcheck_summary = _spot_check_gradients(config, runner, params, batch, grads, kept)
+                    kept = None  # frees the stage inputs before training goes on
+                for name, grad in grads.items():
+                    arrays[name] -= config.learning_rate * grad
+        with _fails_as(f"eval after {config.steps} steps"):
+            eval_loss, mean_gates = runner.evaluate(params, runner.samples[: config.eval_samples])
     if not np.isfinite(eval_loss):
         raise TrainingError(f"non-finite eval loss after {config.steps} steps")
     report = TrainReport(
@@ -375,6 +551,7 @@ def train_toy(
         eval_loss=eval_loss,
         gradcheck=gradcheck_summary,
         wall_clock_seconds=time.perf_counter() - started,
+        processes=runner.processes,
     )
     return report, params
 

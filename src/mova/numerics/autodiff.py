@@ -224,8 +224,12 @@ def attention(q: Node, k: Node, v: Node) -> Node:
 
     def dscores(g):
         if memo[0] is not g:
+            # p * (dp - rowsum(dp * p)) * c, in place in the fresh dp: the same bits.
             dp = g @ np.swapaxes(v.value, -1, -2)
-            memo[:] = g, p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+            dp -= (dp * p).sum(axis=-1, keepdims=True)
+            dp *= p
+            dp *= c
+            memo[:] = g, dp
         return memo[1]
 
     return Node(

@@ -1,5 +1,9 @@
-"""The batched forward pass agrees with the one-sample forward it replaces, and
-a pass resumed at a stage agrees with the full pass bit for bit."""
+"""The batched forward pass agrees with the one-sample forward it replaces, a
+pass resumed at a stage agrees with the full pass bit for bit, and a pass split
+across processes has the bits of one process."""
+
+import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -7,9 +11,9 @@ import pytest
 from mova.adapter.config import desk_config
 from mova.adapter.params import init_params, named_arrays, stage_of
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
-from mova.errors import ShapeError
+from mova.errors import ShapeError, TrainingError
 from mova.experts import default_registry, generate_expert_feature
-from mova.harness.train import MICROBATCH, _CorpusRunner
+from mova.harness.train import MICROBATCH, _CorpusRunner, _fails_as
 from mova.routing import ExpertSelection
 from mova.routing_data import generate_synthetic_corpus, load_samples
 
@@ -22,16 +26,25 @@ SELECTIONS = (
 
 
 @pytest.fixture(scope="module")
-def setup(tmp_path_factory):
+def corpus(tmp_path_factory):
     registry = default_registry()
     corpus = tmp_path_factory.mktemp("batching") / "corpus"
     generate_synthetic_corpus(registry, len(SELECTIONS), seed=13, out_dir=corpus, answer_dim=4)
-    config = desk_config()
     samples = load_samples(corpus / "samples.jsonl")
+    params = init_params(desk_config(), registry, seed=29)
+    return registry, samples, params
+
+
+def make_runner(registry, samples):
     chosen = {s.sample_id: ExpertSelection(sel) for s, sel in zip(samples, SELECTIONS)}
-    runner = _CorpusRunner(registry, config, samples, lambda sample: chosen[sample.sample_id])
-    params = init_params(config, registry, seed=29)
-    return registry, runner, params
+    return _CorpusRunner(registry, desk_config(), samples, lambda sample: chosen[sample.sample_id])
+
+
+@pytest.fixture
+def setup(corpus):
+    registry, samples, params = corpus
+    with make_runner(registry, samples) as runner:
+        yield registry, runner, params
 
 
 def full_inputs(registry, runner):
@@ -145,3 +158,71 @@ def test_resumed_loss_equals_full_pass_for_every_tensor(setup):
         build_forward_graph(inputs, lifted, runner.config, resume=(stages, kept[0][0]))
     with pytest.raises(ShapeError, match="cannot resume at stage"):
         build_forward_graph(inputs[1:], lifted, runner.config, resume=(1, kept[0][1]))
+
+
+def one_per_stage(params):
+    """The first tensor each stage reads, by name."""
+    firsts = {}
+    for name, _ in named_arrays(params):
+        firsts.setdefault(stage_of(name, len(params.blocks)), name)
+    return firsts
+
+
+def all_passes(runner, params):
+    """batch_loss, a resumed batch_loss_value per stage (one element of one of
+    its tensors moved) and evaluate, over the runner's whole corpus."""
+    batch = runner.samples
+    kept = []
+    loss, grads = runner.batch_loss(batch, params, "all", kept)
+    arrays = dict(named_arrays(params))
+    resumed = {}
+    for stage, name in one_per_stage(params).items():
+        original = arrays[name].flat[0]
+        arrays[name].flat[0] = original + 0.5
+        try:
+            resumed[name] = runner.batch_loss_value(batch, params, stage=stage, kept=kept)
+        finally:
+            arrays[name].flat[0] = original
+    return loss, grads, resumed, runner.evaluate(params, batch)
+
+
+def with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+
+
+def test_parallel_passes_have_the_serial_bits(corpus, monkeypatch):
+    registry, samples, params = corpus
+    runs = {}
+    for cpus in (1, 2):
+        with_cpus(monkeypatch, cpus)
+        with make_runner(registry, samples) as runner:
+            runs[cpus] = all_passes(runner, params)
+            assert runner.processes == cpus
+    (loss, grads, resumed, evaluated), (p_loss, p_grads, p_resumed, p_evaluated) = runs[1], runs[2]
+    assert p_loss == loss and p_resumed == resumed and p_evaluated == evaluated
+    assert len(resumed) == len(params.blocks) + 1
+    assert list(p_grads) == list(grads)
+    for name, grad in grads.items():
+        assert p_grads[name].tobytes() == grad.tobytes(), name
+    # Some tensors get their whole gradient from the first microbatch: the
+    # second routes none of experts 1, 3 and 5.
+    with make_runner(registry, samples) as runner:
+        _, tail = runner.batch_loss(samples[MICROBATCH:], params, "all")
+    assert any(grads[name].any() and not tail[name].any() for name in grads)
+
+
+def test_worker_overflow_fails_as_the_serial_run(corpus, monkeypatch):
+    """Sample 9, in the second microbatch, has an answer whose squared error
+    overflows; with two CPUs a worker runs that microbatch."""
+    registry, samples, params = corpus
+    samples = list(samples)
+    samples[9] = dataclasses.replace(samples[9], answer_vector=(1e200,) * 4)
+    errors = {}
+    for cpus in (1, 2):
+        with_cpus(monkeypatch, cpus)
+        with make_runner(registry, samples) as runner:
+            with pytest.raises(TrainingError) as caught, _fails_as("step 0"):
+                runner.batch_loss(samples, params, "all")
+            errors[cpus] = str(caught.value)
+            assert runner.processes == cpus
+    assert errors[2] == errors[1] and errors[1].startswith("step 0: overflow")

@@ -1,8 +1,11 @@
 import copy
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -245,6 +248,62 @@ class TestTrainAndAblateCli:
             code, _out, _err = run_cli(capsys, "train-toy", "--config", toy, "--report", str(path))
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_train_toy_report_bytes_do_not_depend_on_processes(
+        self, capsys, monkeypatch, tmp_path, corpus_dir
+    ):
+        """12 samples make two microbatches: two CPUs run them in two processes,
+        which only stderr says."""
+        toy = self.write_toy(tmp_path, corpus_dir, steps=2, batch_size=12)
+        reports, lines = [], []
+        for cpus, processes in ((1, "1 process"), (2, "2 processes")):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+            path = tmp_path / f"r{cpus}.json"
+            code, out, err = run_cli(capsys, "train-toy", "--config", toy, "--report", str(path))
+            assert code == 0 and path.read_text() == out
+            assert re.fullmatch(rf"trained 2 steps in \d+\.\d\ds on {processes}\n", err)
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_failed_report_write_leaves_no_file(self, capsys, monkeypatch, tmp_path, corpus_dir):
+        toy = self.write_toy(tmp_path, corpus_dir, steps=1)
+        before = set(tmp_path.iterdir())
+
+        def failing_replace(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        report = tmp_path / "report.json"
+        code, _out, err = run_cli(capsys, "train-toy", "--config", toy, "--report", str(report))
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 1 and errors == [f"error: cannot replace {report}"]
+        assert set(tmp_path.iterdir()) == before  # no report, no temporary file
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="finds the worker through /proc")
+    def test_interrupt_ends_every_process(self, tmp_path, corpus_dir):
+        """Ctrl-C to the process group of a `mova train-toy` whose worker is
+        running: one error line, exit 1, no report and no process left."""
+        toy = self.write_toy(tmp_path, corpus_dir, steps=100_000, batch_size=12)
+        report = tmp_path / "report.json"
+        src = str(Path(mova.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mova.harness.cli", "train-toy", "--config", toy,
+             "--report", str(report)],
+            env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 60
+        while not children.read_text().split():  # until the worker has started
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1 and out == ""
+        assert err == "error: interrupted\n"
+        assert not report.exists()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
     def test_ablate_reports_requested_modes(self, capsys, tmp_path, corpus_dir):
         payload = run_json(
