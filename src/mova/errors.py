@@ -1,11 +1,13 @@
 """Exception hierarchy (every library error derives from MovaError), the record
-field checker and the JSON file reader."""
+field checker, the JSON file reader and the one-step file writer."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +81,22 @@ def read_json_object(path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: {what} must be a JSON object")
     return raw
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """A text file to write in place of `path`: `.<name>.<pid>.tmp` in the same
+    directory, renamed onto `path` when the block ends normally and removed when
+    it fails or is interrupted, so no reader sees a partial file."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from mova.adapter.config import desk_config, load_config
 from mova.adapter.params import init_params, load_params
-from mova.errors import EmptyResponseError, MovaError, ValidationError
+from mova.errors import EmptyResponseError, MovaError, ValidationError, atomic_write
 from mova.experts import Sample, default_registry, load_registry
 from mova.harness.pipeline import run_pipeline
 from mova.harness.seeds import (
@@ -47,20 +46,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict, report_path=None) -> None:
-    """Print the report; with a path, also write it there under a temporary name
-    and rename it, so a failed or interrupted write leaves neither a partial
-    report nor the temporary file."""
+    """Print the report; with a path, also write it there in one step."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if report_path:
-        path = Path(report_path)
-        partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            partial.write_text(text + "\n")
-            os.replace(partial, path)
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
+        with atomic_write(report_path) as fh:
+            fh.write(text + "\n")
 
 
 def _registry_from(path):

@@ -10,7 +10,6 @@ corpus samples, so a zero learning rate leaves the loss trace constant.
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +31,7 @@ from mova.experts import (
     generate_expert_feature,
     load_registry,
 )
+from mova.forked import fork, sendable, usable_cpus
 from mova.numerics import autodiff as ad
 from mova.numerics.gradcheck import GradCheckReport, finite_diff_check
 from mova.routing import ExpertSelection, oracle_selection
@@ -261,15 +261,14 @@ class _CorpusRunner:
                 slab[...] = array
             generation = self._generation if keep is not None else None
             for conn, mine in sent:
-                conn.send((kind, len(batch), trainable, stage, generation, mine, np.geterr()))
+                with _worker_exits():
+                    conn.send((kind, len(batch), trainable, stage, generation, mine, np.geterr()))
         lifted, tracked = lift(params, trainable)
         records: dict | None = None if keep is None else {}
         results = self._run(kind, len(batch), lifted, tracked, stage, jobs[0], records)
         for conn, _mine in sent:
-            try:
+            with _worker_exits():
                 results.update(conn.recv())
-            except EOFError:
-                raise TrainingError("a microbatch worker process exited") from None
         ordered = [results.get(j) for j in range(len(chunks))]
         for result in ordered:  # a process stops at its first error, so this is the first overall
             if isinstance(result, Exception):
@@ -287,8 +286,7 @@ class _CorpusRunner:
         A resumed pass runs each microbatch where its stage inputs are."""
         if kept:
             return [record[0].worker if isinstance(record[0], _Held) else 0 for record in kept]
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        procs = min(cpus, n)
+        procs = min(usable_cpus(), n)
         if procs > 1:
             if not self._workers:
                 self._start(procs - 1, params)
@@ -298,37 +296,19 @@ class _CorpusRunner:
     def _start(self, count: int, params: AdapterParams) -> None:
         """Fork `count` workers that share a params slab shaped like `params`."""
         import mmap
-        import multiprocessing
-        import signal
 
         sizes = [array.size for _name, array in named_arrays(params)]
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
         parts = iter(np.split(flat, np.cumsum(sizes)[:-1]))
         self._slab = visit(params, lambda _name, array: next(parts).reshape(array.shape))
-        # Forked, not spawned: a worker needs this runner as it is, and its
-        # selection provider is often a closure, which cannot be pickled.
-        context = multiprocessing.get_context("fork")
-        # A worker ignores Ctrl-C, which the parent handles; blocked until then.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            for _ in range(count):
-                conn, child = context.Pipe()
-                process = context.Process(target=self._serve, args=(child, conn), daemon=True)
-                process.start()
-                child.close()
-                self._workers.append((process, conn))
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for _ in range(count):
+            self._workers.append(fork(self._serve))
         self.processes = max(self.processes, 1 + count)
 
-    def _serve(self, conn, parent_end) -> None:
+    def _serve(self, conn) -> None:
         """A worker: run each request's microbatches on the slab's params, under the
-        caller's numpy error state, and reply; exit at EOF."""
-        import signal
-
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        parent_end.close()
+        caller's numpy error state, and reply; exit at EOF. An error that cannot
+        be pickled is sent as a TrainingError with its text."""
         while True:
             try:
                 kind, batch_size, trainable, stage, generation, jobs, errstate = conn.recv()
@@ -340,6 +320,9 @@ class _CorpusRunner:
                 results = self._run(kind, batch_size, lifted, tracked, stage, jobs, records)
             if kind == "grad":  # each backpropagated pass replaces the stage inputs held
                 self._held = None if generation is None else (generation, records)
+            for j, result in results.items():
+                if isinstance(result, Exception):
+                    results[j] = sendable(result, TrainingError)
             try:
                 conn.send(results)
             except OSError:  # the parent is gone
@@ -409,6 +392,15 @@ class _CorpusRunner:
                 for pos, idx in enumerate(sel.indices):
                     weights.append((self.registry.experts[idx].name, float(gate.value[row, pos])))
         return value, (weights, count)
+
+
+@contextlib.contextmanager
+def _worker_exits():
+    """A pipe to a worker that has exited, at a send or a receive, raises one TrainingError."""
+    try:
+        yield
+    except (EOFError, OSError):
+        raise TrainingError("a microbatch worker process exited") from None
 
 
 def _finite(loss: ad.Node, samples: Sequence[Sample]) -> float:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from mova.errors import Field, ValidationError, check_fields
+from mova.errors import Field, ValidationError, atomic_write, check_fields
 from mova.experts import (
     MAX_SAMPLES,
     ExpertRegistry,
@@ -25,12 +25,18 @@ from mova.experts import (
     generate_base_feature,
     generate_expert_feature,
 )
+from mova.forked import fork_map, usable_cpus
 from mova.numerics.ops import global_avg_pool
 
 _Record = TypeVar("_Record")
 
 _CORPUS_SALT = 0xC0285
 DEFAULT_CAP = 3
+
+# Samples each process pools at the least. Forking a child and the first
+# import of multiprocessing cost about 15 ms together, under a tenth of the
+# time it takes to pool 256 samples' eight feature maps.
+FORK_SAMPLES = 256
 
 _QUESTION_TEMPLATES = (
     "Where is the answer hidden in this image?",
@@ -145,9 +151,9 @@ def _read_jsonl(path, what: str, parse: Callable[[dict], _Record]) -> Iterator[t
 
 
 def _dump_jsonl(path, objects: Iterable[dict]) -> None:
-    """One sorted-key JSON line per object. A record's fields are its format's
-    keys, so the writers pass vars(record)."""
-    with open(path, "w") as fh:
+    """One sorted-key JSON line per object, written in one step. A record's
+    fields are its format's keys, so the writers pass vars(record)."""
+    with atomic_write(path) as fh:
         for obj in objects:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -255,6 +261,34 @@ def _probe_residuals(features: np.ndarray, answers: np.ndarray, fit_rows: np.nda
     return (diff * diff).mean(axis=1)
 
 
+def _pooled_rows(
+    registry: ExpertRegistry, samples: Sequence[Sample], planted_idx: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Globally pooled base and per-expert features of samples [lo, hi):
+    (base rows, [rows of expert j])."""
+    rows = range(lo, hi)
+    base = np.stack(
+        [global_avg_pool(generate_base_feature(registry, samples[i].image_seed)) for i in rows]
+    )
+    experts = [
+        np.stack(
+            [
+                global_avg_pool(
+                    generate_expert_feature(
+                        spec,
+                        samples[i].image_seed,
+                        planted=(planted_idx[i] == j),
+                        answer_vector=samples[i].answer_vector,
+                    )
+                )
+                for i in rows
+            ]
+        )
+        for j, spec in enumerate(registry.experts)
+    ]
+    return base, experts
+
+
 def generate_synthetic_corpus(
     registry: ExpertRegistry,
     num_samples: int,
@@ -304,26 +338,18 @@ def generate_synthetic_corpus(
             )
         )
 
-    pooled_base = np.stack(
-        [global_avg_pool(generate_base_feature(registry, s.image_seed)) for s in samples]
-    )
-    pooled_experts = []
-    for j, spec in enumerate(registry.experts):
-        pooled_experts.append(
-            np.stack(
-                [
-                    global_avg_pool(
-                        generate_expert_feature(
-                            spec,
-                            s.image_seed,
-                            planted=(planted_idx[i] == j),
-                            answer_vector=s.answer_vector,
-                        )
-                    )
-                    for i, s in enumerate(samples)
-                ]
-            )
-        )
+    # Each feature map has its own seed, so pooling ranges of samples in several
+    # processes and joining the rows in range order gives the serial bits.
+    procs = max(1, min(usable_cpus(), num_samples // FORK_SAMPLES))
+    bounds = [num_samples * w // procs for w in range(procs + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
+
+    def pool(lo: int, hi: int):
+        return _pooled_rows(registry, samples, planted_idx, lo, hi)
+
+    parts = fork_map(pool, ranges) if procs > 1 else [pool(*ranges[0])]
+    pooled_base = np.concatenate([base for base, _ in parts])
+    pooled_experts = [np.concatenate([experts[j] for _, experts in parts]) for j in range(n)]
 
     all_rows = np.arange(num_samples)
     base_losses = _probe_residuals(pooled_base, answers, all_rows)
@@ -374,5 +400,6 @@ def generate_synthetic_corpus(
         "noise_scale": noise_scale,
         "answer_dim": answer_dim,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(on_disk, indent=2, sort_keys=True) + "\n")
+    with atomic_write(out_dir / "manifest.json") as fh:
+        fh.write(json.dumps(on_disk, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -4,6 +4,7 @@ across processes has the bits of one process."""
 
 import dataclasses
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -226,3 +227,43 @@ def test_worker_overflow_fails_as_the_serial_run(corpus, monkeypatch):
             errors[cpus] = str(caught.value)
             assert runner.processes == cpus
     assert errors[2] == errors[1] and errors[1].startswith("step 0: overflow")
+
+
+def test_dead_worker_fails_with_one_error(corpus, monkeypatch):
+    """A worker killed between passes: the next pass's send to it fails."""
+    registry, samples, params = corpus
+    with_cpus(monkeypatch, 2)
+    with make_runner(registry, samples) as runner:
+        runner.batch_loss(samples, params, "all")
+        for process, _conn in runner._workers:
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(10)
+            assert not process.is_alive()
+        with pytest.raises(TrainingError, match="^a microbatch worker process exited$"):
+            runner.batch_loss(samples, params, "all")
+
+
+def test_unpicklable_worker_error_keeps_its_text(corpus, monkeypatch):
+    registry, samples, params = corpus
+
+    class Unpicklable(Exception):  # a local class cannot be pickled
+        pass
+
+    original = _CorpusRunner._microbatch
+
+    def microbatch(self, kind, chunk, *args):
+        if chunk[0].sample_id == samples[MICROBATCH].sample_id:  # the second microbatch, a worker's on 2 CPUs
+            raise Unpicklable(f"microbatch of {chunk[0].sample_id!r} failed")
+        return original(self, kind, chunk, *args)
+
+    monkeypatch.setattr(_CorpusRunner, "_microbatch", microbatch)
+    errors = {}
+    for cpus in (1, 2):
+        with_cpus(monkeypatch, cpus)
+        with make_runner(registry, samples) as runner:
+            with pytest.raises(Exception) as caught:
+                runner.batch_loss(samples, params, "all")
+            assert runner.processes == cpus
+        errors[cpus] = caught.value
+    assert type(errors[1]) is Unpicklable and type(errors[2]) is TrainingError
+    assert str(errors[2]) == str(errors[1])

@@ -129,6 +129,41 @@ class TestRoute:
         assert payload["letters"] == ["F", "C"]
 
 
+needs_a_forked_child = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
+    reason="finds a forked child through /proc; one CPU forks none",
+)
+
+
+def interrupt_once_forked(*argv):
+    """Run `mova argv` in its own session, send SIGINT to its process group once
+    it has forked a child, and return (exit code, stdout, stderr). Asserts that
+    no process of the group is left."""
+    src = str(Path(mova.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mova.harness.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 60
+        while not children.read_text().split():
+            assert proc.poll() is None and time.monotonic() < deadline, "no child was forked"
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+    return proc.returncode, out, err
+
+
 class TestDataCommands:
     def test_gen_build_score_roundtrip(self, capsys, tmp_path, experts_file, corpus_dir):
         routing = tmp_path / "routing.jsonl"
@@ -151,6 +186,25 @@ class TestDataCommands:
             )
         for file in ("samples.jsonl", "losses.jsonl", "ground_truth.jsonl", "manifest.json"):
             assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
+
+    def test_failed_corpus_write_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        def failing_replace(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        out = tmp_path / "c"
+        code, stdout, err = run_cli(capsys, "gen-synthetic", "--samples", "6", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: cannot replace {out / 'samples.jsonl'}\n"
+        assert list(out.iterdir()) == []  # no corpus file, no temporary file
+
+    @needs_a_forked_child
+    def test_interrupt_ends_every_process(self, tmp_path):
+        """Ctrl-C while the feature pooling runs in two processes."""
+        out = tmp_path / "c"
+        code, stdout, err = interrupt_once_forked("gen-synthetic", "--samples", "20000", "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: interrupted\n")
+        assert not out.exists()
 
     def test_planted_flag_pins_ground_truth(self, capsys, tmp_path):
         run_json(
@@ -279,31 +333,36 @@ class TestTrainAndAblateCli:
         assert code == 1 and errors == [f"error: cannot replace {report}"]
         assert set(tmp_path.iterdir()) == before  # no report, no temporary file
 
-    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="finds the worker through /proc")
+    @needs_a_forked_child
     def test_interrupt_ends_every_process(self, tmp_path, corpus_dir):
         """Ctrl-C to the process group of a `mova train-toy` whose worker is
         running: one error line, exit 1, no report and no process left."""
         toy = self.write_toy(tmp_path, corpus_dir, steps=100_000, batch_size=12)
         report = tmp_path / "report.json"
-        src = str(Path(mova.__file__).resolve().parents[1])
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "mova.harness.cli", "train-toy", "--config", toy,
-             "--report", str(report)],
-            env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-        deadline = time.monotonic() + 60
-        while not children.read_text().split():  # until the worker has started
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.05)
-        os.killpg(proc.pid, signal.SIGINT)
-        out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 1 and out == ""
+        code, out, err = interrupt_once_forked("train-toy", "--config", toy, "--report", str(report))
+        assert code == 1 and out == ""
         assert err == "error: interrupted\n"
         assert not report.exists()
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
+
+    def test_dead_worker_is_one_error_line(self, capsys, monkeypatch, tmp_path, corpus_dir):
+        """The worker is killed after step 0's pass; the spot check's first probe
+        pass then fails to reach it."""
+        import mova.harness.train as train
+
+        original = train._CorpusRunner.batch_loss
+
+        def then_kill_workers(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            for process, _conn in self._workers:
+                os.kill(process.pid, signal.SIGKILL)
+                process.join(10)
+            return result
+
+        monkeypatch.setattr(train._CorpusRunner, "batch_loss", then_kill_workers)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1})
+        toy = self.write_toy(tmp_path, corpus_dir, steps=2, batch_size=12)
+        code, out, err = run_cli(capsys, "train-toy", "--config", toy)
+        assert (code, out, err) == (1, "", "error: a microbatch worker process exited\n")
 
     def test_ablate_reports_requested_modes(self, capsys, tmp_path, corpus_dir):
         payload = run_json(

@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from mova.errors import ValidationError
+from mova import forked, routing_data
+from mova.errors import CapacityError, MovaError, ValidationError
 from mova.experts import default_registry
 from mova.numerics.ops import global_avg_pool
 from mova.routing_data import (
@@ -263,3 +265,91 @@ class TestSyntheticCorpus:
     def test_rejects_oversized_answer_dim(self, registry, tmp_path):
         with pytest.raises(ValidationError):
             generate_synthetic_corpus(registry, 4, seed=0, out_dir=tmp_path / "c", answer_dim=17)
+
+
+CORPUS_FILES = ("samples.jsonl", "losses.jsonl", "ground_truth.jsonl", "manifest.json")
+
+
+def with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+
+
+def counted_fork_map(monkeypatch):
+    """Record the ranges of each fork_map call the corpus generator makes."""
+    calls = []
+
+    def fork_map(fn, ranges):
+        calls.append(ranges)
+        return forked.fork_map(fn, ranges)
+
+    monkeypatch.setattr(routing_data, "fork_map", fork_map)
+    return calls
+
+
+class TestForkedCorpus:
+    @pytest.mark.parametrize("planted_pool", ["vary", ("sam", "vary", "biomedclip")])
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [512, 769, 1000])
+    def test_bytes_do_not_depend_on_processes(self, registry, tmp_path, monkeypatch, n, noise, planted_pool):
+        calls = counted_fork_map(monkeypatch)
+        corpora = {}
+        for cpus in (1, 2, 3):
+            with_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            generate_synthetic_corpus(registry, n, seed=n, out_dir=out, noise_scale=noise, planted_pool=planted_pool)
+            corpora[cpus] = [(out / name).read_bytes() for name in CORPUS_FILES]
+        assert corpora[2] == corpora[1] and corpora[3] == corpora[1]
+        # Each process pools at least 256 samples, in contiguous ranges.
+        procs = min(3, n // 256)
+        assert calls == [
+            [(0, n // 2), (n // 2, n)],
+            [(n * w // procs, n * (w + 1) // procs) for w in range(procs)],
+        ]
+
+    def test_fewer_than_512_samples_never_fork(self, registry, tmp_path, monkeypatch):
+        calls = counted_fork_map(monkeypatch)
+        with_cpus(monkeypatch, 3)
+        generate_synthetic_corpus(registry, 511, seed=1, out_dir=tmp_path / "c")
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["capacity", "unpicklable"])
+    def test_child_error_is_the_serial_error(self, registry, tmp_path, monkeypatch, kind):
+        """Samples from 700 on fail in expert 2; with 2 or 3 processes only a
+        child pools them. An error pickle cannot carry keeps its text."""
+        n = 1000
+        generate_synthetic_corpus(registry, n, seed=4, out_dir=tmp_path / "good")
+        failing = {s.image_seed for s in load_samples(tmp_path / "good" / "samples.jsonl")[700:]}
+
+        class Unpicklable(Exception):  # a local class cannot be pickled
+            pass
+
+        error = CapacityError if kind == "capacity" else Unpicklable
+        original = routing_data.generate_expert_feature
+
+        def generate_expert_feature(spec, image_seed, **kwargs):
+            if spec.name == registry.experts[2].name and image_seed in failing:
+                raise error(f"no feature for image {image_seed}")
+            return original(spec, image_seed, **kwargs)
+
+        monkeypatch.setattr(routing_data, "generate_expert_feature", generate_expert_feature)
+        errors = {}
+        for cpus in (1, 2, 3):
+            with_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            with pytest.raises(Exception) as caught:
+                generate_synthetic_corpus(registry, n, seed=4, out_dir=out)
+            errors[cpus] = caught.value
+            assert not out.exists()
+        assert type(errors[1]) is error
+        forked_type = CapacityError if kind == "capacity" else MovaError
+        for cpus in (2, 3):
+            assert type(errors[cpus]) is forked_type and str(errors[cpus]) == str(errors[1])
+
+    def test_a_child_that_dies_is_one_error(self):
+        def fn(lo, hi):
+            if lo:
+                os._exit(3)
+            return lo
+
+        with pytest.raises(MovaError, match="^a forked worker process exited$"):
+            forked.fork_map(fn, [(0, 1), (1, 2), (2, 3)])
