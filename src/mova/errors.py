@@ -69,7 +69,10 @@ class PipelineError(MovaError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
+        self.stage, self.message = stage, message
+
+    def __reduce__(self):  # pickle rebuilds from args, which hold only the joined text
+        return type(self), (self.stage, self.message)
 
 
 def read_json_object(path, what: str) -> dict:

@@ -124,15 +124,6 @@ def scope_names(params: AdapterParams, scope: str) -> set[str]:
     return {n for n in names if any(tag in n for tag in keep)}
 
 
-@dataclass(frozen=True)
-class _Held:
-    """Stands in a keep list for the stage inputs of a microbatch that `worker`
-    ran and holds, from its backpropagated pass number `generation`."""
-
-    worker: int
-    generation: int
-
-
 class _CorpusRunner:
     """The toy loss over a list of samples: built, differentiated and resumed
     here for training, evaluation and every gradient check. Reads no files.
@@ -143,6 +134,8 @@ class _CorpusRunner:
     runs the microbatches j = w (mod P), the workers reading the caller's
     params from a shared slab, and this process adds losses, gradients and
     gate weights in microbatch order, so the bits are those of one process.
+    Workers keep nothing between passes: stage inputs they record come back
+    with their reply, and a resumed pass sends each job its stage input.
     Use the runner as a context manager, or `close` it, to end its workers.
     """
 
@@ -170,8 +163,6 @@ class _CorpusRunner:
         self._inputs: dict[str, ForwardInput] = {}
         self._workers: list = []  # (process, pipe end) of workers 1..P-1
         self._slab: AdapterParams | None = None  # params in shared memory, read by the workers
-        self._generation = 0  # backpropagated passes that asked to keep stage inputs
-        self._held = None  # in a worker: (generation, {microbatch: stage inputs})
 
     def __enter__(self) -> "_CorpusRunner":
         return self
@@ -208,7 +199,8 @@ class _CorpusRunner:
 
     def batch_loss(self, batch: list[Sample], params: AdapterParams, trainable, keep=None) -> tuple[float, dict[str, np.ndarray]]:
         """Mean loss over the batch and its gradient; one tape per microbatch. A `keep`
-        list receives each microbatch's stage inputs, for batch_loss_value."""
+        list receives each microbatch's stage inputs as read-only arrays, whichever
+        process ran it, for batch_loss_value on any runner over the same samples."""
         results, tracked = self._pass("grad", batch, params, trainable, keep=keep)
         total, grads = 0.0, {}
         for loss, microbatch_grads in results:
@@ -249,49 +241,36 @@ class _CorpusRunner:
         returns their `_microbatch` results in microbatch order and the tracked
         nodes, or raises the error of the first microbatch that failed."""
         chunks = [batch[start : start + MICROBATCH] for start in range(0, len(batch), MICROBATCH)]
-        owners = self._owners(len(chunks), params, kept)
+        procs = min(usable_cpus(), len(chunks))
+        if procs > 1 and not self._workers:
+            self._start(procs - 1, params)
         jobs: list[list] = [[] for _ in range(1 + len(self._workers))]
-        for j, (owner, samples) in enumerate(zip(owners, chunks)):
-            jobs[owner].append((j, samples, kept[j][stage] if kept else None))
-        if keep is not None and kind == "grad":
-            self._generation += 1
+        for j, samples in enumerate(chunks):  # process w of P runs j = w (mod P)
+            jobs[j % min(procs, len(jobs))].append((j, samples, (stage, kept[j][stage]) if kept else None))
         sent = [(conn, mine) for (_process, conn), mine in zip(self._workers, jobs[1:]) if mine]
         if sent:
             for (_name, slab), (_same, array) in zip(named_arrays(self._slab), named_arrays(params), strict=True):
                 slab[...] = array
-            generation = self._generation if keep is not None else None
             for conn, mine in sent:
                 with _worker_exits():
-                    conn.send((kind, len(batch), trainable, stage, generation, mine, np.geterr()))
+                    conn.send((kind, len(batch), trainable, keep is not None, mine, np.geterr()))
         lifted, tracked = lift(params, trainable)
-        records: dict | None = None if keep is None else {}
-        results = self._run(kind, len(batch), lifted, tracked, stage, jobs[0], records)
+        results, records = self._run(kind, len(batch), lifted, tracked, jobs[0], keep is not None)
         for conn, _mine in sent:
             with _worker_exits():
-                results.update(conn.recv())
+                replied, recorded = conn.recv()
+            results.update(replied)
+            records.update(recorded)
         ordered = [results.get(j) for j in range(len(chunks))]
         for result in ordered:  # a process stops at its first error, so this is the first overall
             if isinstance(result, Exception):
                 raise result
         if keep is not None:
-            stages = len(params.blocks) + 1
-            keep.extend(
-                records[j] if owner == 0 else [_Held(owner, self._generation)] * stages
-                for j, owner in enumerate(owners)
-            )
+            for j in range(len(chunks)):
+                for array in records[j]:  # a write into a recorded input would change the probes' bits
+                    array.flags.writeable = False
+                keep.append(records[j])
         return ordered, tracked
-
-    def _owners(self, n: int, params: AdapterParams, kept) -> list[int]:
-        """The process that runs each of `n` microbatches: 0 for this one, w for worker w.
-        A resumed pass runs each microbatch where its stage inputs are."""
-        if kept:
-            return [record[0].worker if isinstance(record[0], _Held) else 0 for record in kept]
-        procs = min(usable_cpus(), n)
-        if procs > 1:
-            if not self._workers:
-                self._start(procs - 1, params)
-            procs = min(procs, 1 + len(self._workers))
-        return [j % procs for j in range(n)]
 
     def _start(self, count: int, params: AdapterParams) -> None:
         """Fork `count` workers that share a params slab shaped like `params`."""
@@ -307,46 +286,38 @@ class _CorpusRunner:
 
     def _serve(self, conn) -> None:
         """A worker: run each request's microbatches on the slab's params, under the
-        caller's numpy error state, and reply; exit at EOF. An error that cannot
-        be pickled is sent as a TrainingError with its text."""
+        caller's numpy error state, and reply with their results and, if asked, the
+        stage inputs they recorded; exit at EOF. It keeps nothing between requests.
+        An error that cannot be pickled is sent as a TrainingError with its text."""
         while True:
             try:
-                kind, batch_size, trainable, stage, generation, jobs, errstate = conn.recv()
+                kind, batch_size, trainable, keeps, jobs, errstate = conn.recv()
             except EOFError:
                 return
             lifted, tracked = lift(self._slab, trainable)
-            records = None if generation is None else {}
             with np.errstate(**errstate):
-                results = self._run(kind, batch_size, lifted, tracked, stage, jobs, records)
-            if kind == "grad":  # each backpropagated pass replaces the stage inputs held
-                self._held = None if generation is None else (generation, records)
+                results, records = self._run(kind, batch_size, lifted, tracked, jobs, keeps)
             for j, result in results.items():
                 if isinstance(result, Exception):
                     results[j] = sendable(result, TrainingError)
             try:
-                conn.send(results)
+                conn.send((results, records))
             except OSError:  # the parent is gone
                 return
 
-    def _run(self, kind, batch_size, lifted, tracked, stage, jobs, records) -> dict:
-        """Run `jobs` [(j, samples, stage input or None)] in order in this process:
-        {j: result}, where the first microbatch that raises gets its error and ends the run."""
-        results = {}
-        for j, samples, source in jobs:
+    def _run(self, kind, batch_size, lifted, tracked, jobs, keeps: bool) -> tuple[dict, dict]:
+        """Run `jobs` [(j, samples, (stage, stage input) to resume from, or None)] in
+        order in this process: {j: result}, where the first microbatch that raises gets
+        its error and ends the run, and {j: its stage inputs if `keeps`, else None}."""
+        results, records = {}, {}
+        for j, samples, resume in jobs:
+            records[j] = [] if keeps else None
             try:
-                if isinstance(source, _Held):
-                    if self._held is None or self._held[0] != source.generation:
-                        raise ValidationError("the stage inputs of that pass are no longer held")
-                    source = self._held[1][j][stage]
-                record = None if records is None else []
-                resume = None if source is None else (stage, source)
-                results[j] = self._microbatch(kind, samples, batch_size, lifted, tracked, record, resume)
-                if records is not None:
-                    records[j] = record
+                results[j] = self._microbatch(kind, samples, batch_size, lifted, tracked, records[j], resume)
             except Exception as exc:
                 results[j] = exc
                 break
-        return results
+        return results, records
 
     def _microbatch(self, kind, samples, batch_size, lifted, tracked, record, resume):
         """One microbatch's loss, weighted by 1/batch_size, with its gradient

@@ -169,22 +169,28 @@ def one_per_stage(params):
     return firsts
 
 
-def all_passes(runner, params):
-    """batch_loss, a resumed batch_loss_value per stage (one element of one of
-    its tensors moved) and evaluate, over the runner's whole corpus."""
-    batch = runner.samples
-    kept = []
-    loss, grads = runner.batch_loss(batch, params, "all", kept)
+def resume_each_stage(runner, params, kept):
+    """A batch_loss_value resumed at each stage, from `kept`, with one element
+    of that stage's first tensor moved: {tensor name: loss}."""
     arrays = dict(named_arrays(params))
     resumed = {}
     for stage, name in one_per_stage(params).items():
         original = arrays[name].flat[0]
         arrays[name].flat[0] = original + 0.5
         try:
-            resumed[name] = runner.batch_loss_value(batch, params, stage=stage, kept=kept)
+            resumed[name] = runner.batch_loss_value(runner.samples, params, stage=stage, kept=kept)
         finally:
             arrays[name].flat[0] = original
-    return loss, grads, resumed, runner.evaluate(params, batch)
+    return resumed
+
+
+def all_passes(runner, params):
+    """batch_loss, the stage inputs it kept, resume_each_stage from them and
+    evaluate, over the runner's whole corpus."""
+    batch = runner.samples
+    kept = []
+    loss, grads = runner.batch_loss(batch, params, "all", kept)
+    return loss, grads, kept, resume_each_stage(runner, params, kept), runner.evaluate(params, batch)
 
 
 def with_cpus(monkeypatch, cpus):
@@ -199,15 +205,27 @@ def test_parallel_passes_have_the_serial_bits(corpus, monkeypatch):
         with make_runner(registry, samples) as runner:
             runs[cpus] = all_passes(runner, params)
             assert runner.processes == cpus
-    (loss, grads, resumed, evaluated), (p_loss, p_grads, p_resumed, p_evaluated) = runs[1], runs[2]
+            # A pass over no samples, once the workers have started, runs in the caller.
+            assert runner.evaluate(params, []) == (0.0, dict.fromkeys(params.expert_names, 0.0))
+    (loss, grads, kept, resumed, evaluated), (p_loss, p_grads, p_kept, p_resumed, p_evaluated) = runs[1], runs[2]
     assert p_loss == loss and p_resumed == resumed and p_evaluated == evaluated
     assert len(resumed) == len(params.blocks) + 1
+    # The keep list holds every microbatch's stage inputs, read-only, with the
+    # same bits whichever process recorded them, so any runner can resume from them.
+    assert [[a.tobytes() for a in m] for m in p_kept] == [[a.tobytes() for a in m] for m in kept]
+    assert not any(array.flags.writeable for microbatch in kept + p_kept for array in microbatch)
+    for microbatch in (kept[0], p_kept[1]):  # recorded by this process, and by a worker
+        with pytest.raises(ValueError, match="read-only"):
+            microbatch[0][0, 0, 0] = 1.0
     assert list(p_grads) == list(grads)
     for name, grad in grads.items():
         assert p_grads[name].tobytes() == grad.tobytes(), name
-    # Some tensors get their whole gradient from the first microbatch: the
-    # second routes none of experts 1, 3 and 5.
+    with_cpus(monkeypatch, 1)
     with make_runner(registry, samples) as runner:
+        # A fresh one-process runner resumes from what two processes kept.
+        assert resume_each_stage(runner, params, p_kept) == resumed
+        # Some tensors get their whole gradient from the first microbatch: the
+        # second routes none of experts 1, 3 and 5.
         _, tail = runner.batch_loss(samples[MICROBATCH:], params, "all")
     assert any(grads[name].any() and not tail[name].any() for name in grads)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from mova.adapter.config import desk_config
 from mova.adapter.network import GateWeights
 from mova.adapter.params import init_params, named_arrays
+from mova import errors, forked
 from mova.errors import PipelineError, TrainingError, ValidationError
 from mova.experts import default_registry
 from mova.harness import properties
@@ -120,6 +122,18 @@ class TestPipeline:
         assert result.decision.selection.k == 0
         assert result.gate_summary == ()
         assert result.tokens.shape == (16, 32)
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    """A forked child's error comes back through pickle with its type, text and fields."""
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MovaError)]
+    assert PipelineError in classes and len(classes) > 10
+    for cls in classes:
+        exc = cls("route", "boom") if cls is PipelineError else cls("boom")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls and str(back) == str(exc) and vars(back) == vars(exc), cls
+        assert forked.sendable(exc, TrainingError) is exc
+    assert pickle.loads(pickle.dumps(PipelineError("route", "boom"))).stage == "route"
 
 
 class TestTrainToy:
