@@ -12,11 +12,12 @@ import json
 import string
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from mova.errors import CapacityError, Field, ValidationError, check_fields, read_json_object
-from mova.numerics.tensor import FeatureMap
+from mova.numerics.tensor import FeatureMap, as_finite_array
 
 _BASE_FEATURE_SALT = 0x0B45E
 _EXPERT_FEATURE_SALT = 0xE79E87
@@ -147,10 +148,51 @@ class Sample:
         check_fields(self, _SAMPLE_FIELDS)
 
 
+def base_features(registry: ExpertRegistry, image_seeds: Sequence[int]) -> np.ndarray:
+    """Seeded standard-normal stand-ins for the base encoder feature: a read-only
+    (n, C, H, W) block whose row r belongs to image_seeds[r]."""
+    block = np.empty((len(image_seeds),) + registry.base_shape)
+    for r, image_seed in enumerate(image_seeds):
+        np.random.default_rng([_BASE_FEATURE_SALT, int(image_seed)]).standard_normal(out=block[r])
+    return _frozen(block)
+
+
+def expert_features(
+    spec: ExpertSpec, image_seeds: Sequence[int], planted: Mapping[int, Sequence[float]]
+) -> np.ndarray:
+    """Seeded expert features: a read-only (n, C, H, W) block whose row r belongs
+    to image_seeds[r]. Planting row r overwrites the spatial means of its leading
+    channels with planted[r]; rows missing from `planted` are not planted."""
+    block = np.empty((len(image_seeds),) + spec.shape)
+    distractor = np.empty((len(image_seeds), spec.channels))
+    for r, image_seed in enumerate(image_seeds):
+        rng = np.random.default_rng([_EXPERT_FEATURE_SALT, int(spec.seed), int(image_seed)])
+        rng.standard_normal(out=block[r])
+        rng.standard_normal(out=distractor[r])
+    block += _DISTRACTOR_SCALE * distractor[:, :, None, None]
+    for r in sorted(planted):
+        answer = np.asarray(planted[r], dtype=np.float64)
+        if answer.size > spec.channels:
+            raise CapacityError(
+                f"answer vector of length {answer.size} does not fit "
+                f"{spec.channels} channels of expert {spec.name!r}"
+            )
+        lead = block[r, : answer.size]
+        lead -= lead.mean(axis=(1, 2), keepdims=True)
+        lead += answer[:, None, None]
+    return _frozen(block)
+
+
+def _frozen(block: np.ndarray) -> np.ndarray:
+    """The block, read-only; a non-finite value raises FeatureMap's NumericError."""
+    as_finite_array(block, "feature map")
+    block.flags.writeable = False
+    return block
+
+
 def generate_base_feature(registry: ExpertRegistry, image_seed: int) -> FeatureMap:
-    """Seeded standard-normal stand-in for the base encoder feature."""
-    rng = np.random.default_rng([_BASE_FEATURE_SALT, int(image_seed)])
-    return FeatureMap(rng.standard_normal(registry.base_shape))
+    """The base feature of one image: row 0 of base_features."""
+    return FeatureMap(base_features(registry, (image_seed,))[0])
 
 
 def generate_expert_feature(
@@ -159,21 +201,9 @@ def generate_expert_feature(
     planted: bool = False,
     answer_vector=(),
 ) -> FeatureMap:
-    """Seeded expert feature; planting overwrites the leading channel means with the answer."""
-    answer = np.asarray(answer_vector, dtype=np.float64)
-    if planted and answer.size > spec.channels:
-        raise CapacityError(
-            f"answer vector of length {answer.size} does not fit "
-            f"{spec.channels} channels of expert {spec.name!r}"
-        )
-    rng = np.random.default_rng([_EXPERT_FEATURE_SALT, int(spec.seed), int(image_seed)])
-    data = rng.standard_normal(spec.shape)
-    data += _DISTRACTOR_SCALE * rng.standard_normal(spec.channels)[:, None, None]
-    if planted and answer.size:
-        lead = data[: answer.size]
-        lead -= lead.mean(axis=(1, 2), keepdims=True)
-        lead += answer[:, None, None]
-    return FeatureMap(data)
+    """The expert feature of one image, planted with answer_vector when `planted`:
+    row 0 of expert_features."""
+    return FeatureMap(expert_features(spec, (image_seed,), {0: answer_vector} if planted else {})[0])
 
 
 # ---------------------------------------------------------------------------

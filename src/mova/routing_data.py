@@ -11,6 +11,7 @@ noise scale zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -22,11 +23,12 @@ from mova.experts import (
     MAX_SAMPLES,
     ExpertRegistry,
     Sample,
-    generate_base_feature,
-    generate_expert_feature,
+    base_features,
+    expert_features,
+    generate_base_feature,  # noqa: F401 -- unused here; perfbench/tracer.py binds this name
+    generate_expert_feature,  # noqa: F401 -- unused here; perfbench/tracer.py binds this name
 )
 from mova.forked import fork_map, usable_cpus
-from mova.numerics.ops import global_avg_pool
 
 _Record = TypeVar("_Record")
 
@@ -34,9 +36,18 @@ _CORPUS_SALT = 0xC0285
 DEFAULT_CAP = 3
 
 # Samples each process pools at the least. Forking a child and the first
-# import of multiprocessing cost about 15 ms together, under a tenth of the
-# time it takes to pool 256 samples' eight feature maps.
+# import of multiprocessing cost 14-20 ms together, a quarter to a third of the
+# 46-73 ms it takes to pool 256 samples' eight feature maps (2-core host, same
+# runs), so splitting 512 samples over two processes still saves 30-55 ms.
 FORK_SAMPLES = 256
+
+# Feature maps are generated and pooled in blocks of whole samples that hold at
+# most this many values, and at least one sample: 256 KiB of float64, so 64
+# samples of the desk registry's base features or 128 of its expert features.
+# One block of all the samples raised the peak RSS of a serial 1,000-sample build
+# by 2.3 MB; blocks of this size keep it at or below one map at a time, and a
+# map at experts.json's 2**20-value bound is still generated alone.
+POOL_BLOCK_VALUES = 2**15
 
 _QUESTION_TEMPLATES = (
     "Where is the answer hidden in this image?",
@@ -150,12 +161,16 @@ def _read_jsonl(path, what: str, parse: Callable[[dict], _Record]) -> Iterator[t
             yield lineno, record
 
 
+# json.dumps(obj, sort_keys=True) without building an encoder per line.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _dump_jsonl(path, objects: Iterable[dict]) -> None:
     """One sorted-key JSON line per object, written in one step. A record's
     fields are its format's keys, so the writers pass vars(record)."""
     with atomic_write(path) as fh:
         for obj in objects:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(_ENCODER.encode(obj) + "\n")
 
 
 def _loss_records(path) -> Iterator[tuple[int, LossRecord]]:
@@ -265,25 +280,25 @@ def _pooled_rows(
     registry: ExpertRegistry, samples: Sequence[Sample], planted_idx: np.ndarray, lo: int, hi: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Globally pooled base and per-expert features of samples [lo, hi):
-    (base rows, [rows of expert j])."""
-    rows = range(lo, hi)
-    base = np.stack(
-        [global_avg_pool(generate_base_feature(registry, samples[i].image_seed)) for i in rows]
-    )
+    (base rows, [rows of expert j]). The base and then each expert is generated
+    in blocks of POOL_BLOCK_VALUES, in sample order, so the first error raised is
+    the one that generating one map at a time would raise. A block's row means
+    are global_avg_pool's, bit for bit."""
+
+    def pooled(shape: tuple[int, ...], block: Callable[[range], np.ndarray]) -> np.ndarray:
+        step = max(1, POOL_BLOCK_VALUES // math.prod(shape))
+        starts = range(lo, hi, step)
+        return np.concatenate([block(range(c, min(c + step, hi))).mean(axis=(2, 3)) for c in starts])
+
+    def seeds(rows: range) -> list[int]:
+        return [samples[i].image_seed for i in rows]
+
+    def answers(rows: range, j: int) -> dict[int, tuple[float, ...]]:
+        return {r: samples[i].answer_vector for r, i in enumerate(rows) if planted_idx[i] == j}
+
+    base = pooled(registry.base_shape, lambda rows: base_features(registry, seeds(rows)))
     experts = [
-        np.stack(
-            [
-                global_avg_pool(
-                    generate_expert_feature(
-                        spec,
-                        samples[i].image_seed,
-                        planted=(planted_idx[i] == j),
-                        answer_vector=samples[i].answer_vector,
-                    )
-                )
-                for i in rows
-            ]
-        )
+        pooled(spec.shape, lambda rows: expert_features(spec, seeds(rows), answers(rows, j)))
         for j, spec in enumerate(registry.experts)
     ]
     return base, experts

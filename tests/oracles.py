@@ -117,3 +117,21 @@ def adapter_tokens(base_map, features_by_name, indices, text_values, params):
         xt = xt + linear(gelu(linear(xt, reducer.fc1)), reducer.fc2)
     pooled = tokens_of(pool_2x(map_of(xt, h, w)))
     return linear(gelu(linear(pooled, params.projector_hidden)), params.projector_out)
+
+
+def base_feature(shape, image_seed: int) -> np.ndarray:
+    """One base feature map as the seeded stream defines it."""
+    return np.random.default_rng([0x0B45E, image_seed]).standard_normal(shape)
+
+
+def expert_feature(spec, image_seed: int, answer=None) -> np.ndarray:
+    """One expert feature map: the map's draws, then one distractor offset per
+    channel, then the answer planted as the leading channels' spatial means."""
+    rng = np.random.default_rng([0xE79E87, spec.seed, image_seed])
+    data = rng.standard_normal(spec.shape)
+    data = data + rng.standard_normal(spec.channels)[:, None, None]
+    if answer is not None:
+        k = len(answer)
+        data[:k] = data[:k] - data[:k].mean(axis=(1, 2), keepdims=True)
+        data[:k] = data[:k] + np.asarray(answer)[:, None, None]
+    return data

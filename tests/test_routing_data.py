@@ -6,7 +6,7 @@ import pytest
 
 from mova import forked, routing_data
 from mova.errors import CapacityError, MovaError, ValidationError
-from mova.experts import default_registry
+from mova.experts import Sample, default_registry, generate_base_feature, generate_expert_feature
 from mova.numerics.ops import global_avg_pool
 from mova.routing_data import (
     LossRecord,
@@ -251,8 +251,6 @@ class TestSyntheticCorpus:
         assert set(truth.values()) <= {"sam", "vary"}
 
     def test_samples_answers_match_pooled_planted_features(self, registry, tmp_path):
-        from mova.experts import generate_expert_feature
-
         generate_synthetic_corpus(registry, 6, seed=9, out_dir=tmp_path / "c", answer_dim=3)
         for sample in load_samples(tmp_path / "c" / "samples.jsonl"):
             spec = registry.experts[registry.index_of(sample.planted_expert)]
@@ -265,6 +263,65 @@ class TestSyntheticCorpus:
     def test_rejects_oversized_answer_dim(self, registry, tmp_path):
         with pytest.raises(ValidationError):
             generate_synthetic_corpus(registry, 4, seed=0, out_dir=tmp_path / "c", answer_dim=17)
+
+
+def pooled_one_map_at_a_time(registry, samples, planted_idx, lo, hi):
+    rows = samples[lo:hi]
+    base = [global_avg_pool(generate_base_feature(registry, s.image_seed)) for s in rows]
+    experts = [
+        np.stack(
+            [
+                global_avg_pool(
+                    generate_expert_feature(spec, s.image_seed, planted_idx[i] == j, s.answer_vector)
+                )
+                for i, s in enumerate(rows, start=lo)
+            ]
+        )
+        for j, spec in enumerate(registry.experts)
+    ]
+    return np.stack(base), experts
+
+
+# Samples per block at the desk registry: 64 of base features, 128 of expert features.
+BASE_ROWS = routing_data.POOL_BLOCK_VALUES // (8 * 8 * 8)
+EXPERT_ROWS = routing_data.POOL_BLOCK_VALUES // (16 * 4 * 4)
+
+
+class TestPooledRows:
+    """Pooling a block of samples at a time gives the bits of pooling one map at a time."""
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 1)]
+        + [(0, rows + d) for rows in (BASE_ROWS, EXPERT_ROWS) for d in (-1, 0, 1)]
+        + [(37, 37 + 2 * EXPERT_ROWS + 5)],
+    )
+    @pytest.mark.parametrize("block_values", [routing_data.POOL_BLOCK_VALUES, 700])
+    def test_rows_are_each_map_pooled_alone(self, registry, monkeypatch, lo, hi, block_values):
+        """At 700 values a block holds one sample's base features or two of its expert features."""
+        monkeypatch.setattr(routing_data, "POOL_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(lo + hi)
+        samples = [
+            Sample(f"s{i}", int(rng.integers(2**63)), "q", tuple(rng.standard_normal(3)))
+            for i in range(hi)
+        ]
+        planted_idx = rng.integers(len(registry), size=hi)
+        base, experts = routing_data._pooled_rows(registry, samples, planted_idx, lo, hi)
+        base_1, experts_1 = pooled_one_map_at_a_time(registry, samples, planted_idx, lo, hi)
+        assert base.tobytes() == base_1.tobytes()
+        assert [e.tobytes() for e in experts] == [e.tobytes() for e in experts_1]
+
+    def test_first_error_is_the_one_map_at_a_time_error(self, registry):
+        """Expert 5 fails at sample 3 and expert 2 at sample 100: expert 2 comes first."""
+        samples = [Sample(f"s{i}", i, "q", (0.5,) * (17 if i in (3, 100) else 2)) for i in range(130)]
+        planted_idx = np.zeros(130, dtype=int)
+        planted_idx[3], planted_idx[100] = 5, 2
+        with pytest.raises(CapacityError) as blocks:
+            routing_data._pooled_rows(registry, samples, planted_idx, 0, 130)
+        with pytest.raises(CapacityError) as one:
+            pooled_one_map_at_a_time(registry, samples, planted_idx, 0, 130)
+        assert str(blocks.value) == str(one.value)
+        assert registry.experts[2].name in str(one.value)
 
 
 CORPUS_FILES = ("samples.jsonl", "losses.jsonl", "ground_truth.jsonl", "manifest.json")
@@ -324,14 +381,15 @@ class TestForkedCorpus:
             pass
 
         error = CapacityError if kind == "capacity" else Unpicklable
-        original = routing_data.generate_expert_feature
+        original = routing_data.expert_features
 
-        def generate_expert_feature(spec, image_seed, **kwargs):
-            if spec.name == registry.experts[2].name and image_seed in failing:
-                raise error(f"no feature for image {image_seed}")
-            return original(spec, image_seed, **kwargs)
+        def expert_features(spec, image_seeds, planted):
+            for image_seed in image_seeds:
+                if spec.name == registry.experts[2].name and image_seed in failing:
+                    raise error(f"no feature for image {image_seed}")
+            return original(spec, image_seeds, planted)
 
-        monkeypatch.setattr(routing_data, "generate_expert_feature", generate_expert_feature)
+        monkeypatch.setattr(routing_data, "expert_features", expert_features)
         errors = {}
         for cpus in (1, 2, 3):
             with_cpus(monkeypatch, cpus)
