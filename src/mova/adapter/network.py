@@ -86,7 +86,9 @@ class AdapterOutput:
 
 
 def lift(params: AdapterParams, trainable=frozenset()) -> tuple[AdapterParams, dict[str, ad.Node]]:
-    """Wrap every tensor leaf in a Node; returns the tracked trainable nodes.
+    """Wrap a read-only view of every tensor leaf in a Node; returns the tracked
+    trainable nodes. A view sees in-place writes to its array (the optimizer's,
+    the probes'), and an op that writes through it raises.
 
     `trainable` is a set of tensor names, or the string "all".
     """
@@ -94,7 +96,9 @@ def lift(params: AdapterParams, trainable=frozenset()) -> tuple[AdapterParams, d
     train_all = trainable == "all"
 
     def fn(name, arr):
-        node = ad.Node(arr, requires_grad=train_all or name in trainable)
+        view = arr.view()
+        view.setflags(write=False)
+        node = ad.Node(view, requires_grad=train_all or name in trainable)
         if node.requires_grad:
             tracked[name] = node
         return node
@@ -397,6 +401,11 @@ def transformer_block(x: FeatureMap, params: TransformerBlockParams, heads: int 
     return FeatureMap.from_tokens(out.value, x.height, x.width)
 
 
+# adapter_apply's one-entry memo: the last params object it served, and that
+# object lifted. Holding the object itself means a new one can never match it.
+_served: tuple[AdapterParams, AdapterParams] | None = None
+
+
 def adapter_apply(
     base: FeatureMap,
     expert_features: Mapping[str, FeatureMap],
@@ -407,17 +416,18 @@ def adapter_apply(
 ) -> AdapterOutput:
     """Forward pass returning output tokens plus per-block gate weights (a batch of one).
 
-    Only the routed experts' extractors are lifted into the graph.
+    Each params object is lifted once, while it is the last one served. That is
+    sound because params containers are frozen and the lifted leaves are
+    read-only views of the params' own arrays: an in-place write to an array
+    is seen by the next request, and the graph cannot write one. Unrouted
+    experts' extractors are lifted but never enter the graph.
     """
-    names = params.expert_names
-    routed = {names[i] for i in selection.validate_against(len(names)).indices}
-    blocks = [
-        replace(b, extractors={n: e for n, e in b.extractors.items() if n in routed})
-        for b in params.blocks
-    ]
-    lifted, _ = lift(replace(params, blocks=blocks))
+    global _served
+    served = _served
+    if served is None or served[0] is not params:
+        served = _served = (params, lift(params)[0])
     sample = ForwardInput(base, expert_features, selection, question)
-    out, gates = build_forward_graph([sample], lifted, config)
+    out, gates = build_forward_graph([sample], served[1], config)
     return AdapterOutput(
         tokens=out.value[0],
         gate_weights=tuple(GateWeights(g.value[0]) for g in gates),

@@ -2,6 +2,11 @@
 
 The dataclasses hold float64 ndarrays. The same containers are reused with
 autodiff nodes as leaves when a forward graph is built (see network.lift).
+They are frozen, with `blocks` and `reducers` stored as tuples and each
+block's `extractors` as a read-only mapping: a params object's structure never
+changes once built, and only its arrays are written in place (by the optimizer
+and the gradient probes). network.adapter_apply relies on this to lift each
+params object once.
 Parameter directories hold one MOVT file per tensor plus a manifest mapping
 tensor name to file.
 """
@@ -12,7 +17,8 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -24,19 +30,19 @@ from mova.numerics.movt import load_tensor, save_tensor
 _PARAM_SALT = 0x9A7A
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearParams:
     weight: np.ndarray  # (fan_in, fan_out); applied as x @ weight + bias
     bias: np.ndarray | None = None  # key projections are bias-free (softmax cancels them)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerNormParams:
     gamma: np.ndarray
     beta: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossAttentionParams:
     query: LinearParams  # C -> C
     key: LinearParams    # C_j -> C
@@ -44,13 +50,13 @@ class CrossAttentionParams:
     out: LinearParams    # C -> C
 
 
-@dataclass
+@dataclass(frozen=True)
 class GatingParams:
     hidden: LinearParams  # C + C_T -> gating_hidden
     logits: LinearParams  # gating_hidden -> N
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformerBlockParams:
     attn_query: LinearParams
     attn_key: LinearParams
@@ -62,24 +68,27 @@ class TransformerBlockParams:
     norm_ffn: LayerNormParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResidualMlpParams:
     fc1: LinearParams
     fc2: LinearParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdapterBlockParams:
-    extractors: dict[str, CrossAttentionParams]  # one per pool expert, registry order
+    extractors: Mapping[str, CrossAttentionParams]  # one per pool expert, registry order
     gating: GatingParams
     transformer: TransformerBlockParams
 
+    def __post_init__(self):
+        object.__setattr__(self, "extractors", MappingProxyType(dict(self.extractors)))
 
-@dataclass
+
+@dataclass(frozen=True)
 class AdapterParams:
     expert_names: tuple[str, ...]
-    blocks: list[AdapterBlockParams]
-    reducers: list[ResidualMlpParams]
+    blocks: tuple[AdapterBlockParams, ...]
+    reducers: tuple[ResidualMlpParams, ...]
     projector_hidden: LinearParams  # C -> C
     projector_out: LinearParams     # C -> llm_dim
 
@@ -128,16 +137,16 @@ def visit(params: AdapterParams, fn: Callable[[str, object], object]) -> Adapter
             norm_ffn=norm(f"{pre}.norm_ffn", tr.norm_ffn),
         )
         blocks.append(AdapterBlockParams(extractors=extractors, gating=gating, transformer=transformer))
-    reducers = [
+    reducers = tuple(
         ResidualMlpParams(
             fc1=lin(f"reduce{i}.fc1", r.fc1),
             fc2=lin(f"reduce{i}.fc2", r.fc2),
         )
         for i, r in enumerate(params.reducers)
-    ]
+    )
     return AdapterParams(
         expert_names=params.expert_names,
-        blocks=blocks,
+        blocks=tuple(blocks),
         reducers=reducers,
         projector_hidden=lin("projector.hidden", params.projector_hidden),
         projector_out=lin("projector.out", params.projector_out),
@@ -213,10 +222,10 @@ def init_params(config: AdapterConfig, registry: ExpertRegistry, seed: int | Non
             norm_ffn=norm(),
         )
         blocks.append(AdapterBlockParams(extractors=extractors, gating=gating, transformer=transformer))
-    reducers = [ResidualMlpParams(fc1=lin(c, c), fc2=lin(c, c)) for _ in range(2)]
+    reducers = tuple(ResidualMlpParams(fc1=lin(c, c), fc2=lin(c, c)) for _ in range(2))
     return AdapterParams(
         expert_names=tuple(spec.name for spec in registry.experts),
-        blocks=blocks,
+        blocks=tuple(blocks),
         reducers=reducers,
         projector_hidden=lin(c, c),
         projector_out=lin(c, config.llm_dim),

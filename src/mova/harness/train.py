@@ -288,7 +288,10 @@ class _CorpusRunner:
         """A worker: run each request's microbatches on the slab's params, under the
         caller's numpy error state, and reply with their results and, if asked, the
         stage inputs they recorded; exit at EOF. It keeps nothing between requests.
-        An error that cannot be pickled is sent as a TrainingError with its text."""
+        An error that cannot be pickled is sent as a TrainingError with its text.
+        Only the caller writes the slab, so the worker's views of it are read-only."""
+        for _name, array in named_arrays(self._slab):
+            array.flags.writeable = False
         while True:
             try:
                 kind, batch_size, trainable, keeps, jobs, errstate = conn.recv()

@@ -5,10 +5,13 @@ scalar node accumulates vector-Jacobian products into ``node.grad`` for every
 leaf with ``requires_grad``. Graphs are built fresh per evaluation, so values
 are never mutated and evaluation stays pure.
 
-Memory follows the gradient: a node no gradient flows through keeps no parents
-and no VJP closures, so a forward-only graph is freed as it is built, and
-:func:`backward` releases each interior node's grad, parents and closures once
-it has propagated them. Only leaves keep (and accumulate) their grads.
+Work and memory follow the gradient: an op none of whose inputs requires grad
+returns a bare node, and builds no VJP closures and none of the arrays only
+they read (:func:`_node` decides, for every op). So a forward-only graph costs
+only its forward values and is freed as it is built, with the same bits as a
+graph that needs gradients. :func:`backward` releases each interior node's
+grad, parents and closures once it has propagated them. Only leaves keep (and
+accumulate) their grads.
 
 The op set is intentionally small: exactly what the adapter network and the
 toy trainer need. Ops broadcast over leading (batch) axes where the adapter
@@ -32,7 +35,8 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 class Node:
-    """One value in the computation graph."""
+    """One value in the computation graph; only a node that requires grad has
+    parents and VJPs (ops make them through :func:`_node`)."""
 
     __slots__ = ("value", "requires_grad", "grad", "_parents", "_vjps")
 
@@ -44,21 +48,23 @@ class Node:
         requires_grad: bool = False,
     ):
         self.value = np.asarray(value, dtype=np.float64)
-        if not requires_grad:
-            for p in parents:
-                if p.requires_grad:
-                    requires_grad = True
-                    break
         self.requires_grad = requires_grad
-        if self.requires_grad:
-            self._parents, self._vjps = parents, vjps
-        else:
-            self._parents, self._vjps = (), ()
+        self._parents, self._vjps = parents, vjps
         self.grad = None
 
     @property
     def shape(self):
         return self.value.shape
+
+
+def _node(value, parents: tuple[Node, ...], vjps: Callable[[], tuple]) -> Node:
+    """An op's result: a bare Node when no parent requires grad, else one that
+    keeps its parents and the VJPs `vjps()` builds, one per parent. An op does
+    all of its VJP-only work inside `vjps`, so a forward-only graph never runs it."""
+    for p in parents:
+        if p.requires_grad:
+            return Node(value, parents, vjps(), True)
+    return Node(value)
 
 
 def constant(value) -> Node:
@@ -122,23 +128,25 @@ def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Node, b: Node) -> Node:
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    return Node(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
+    return _node(a.value + b.value, (a, b), lambda: (lambda g: g, lambda g: g))
 
 
 def sub(a: Node, b: Node) -> Node:
     if a.shape != b.shape:
         raise ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
-    return Node(a.value - b.value, (a, b), (lambda g: g, lambda g: -g))
+    return _node(a.value - b.value, (a, b), lambda: (lambda g: g, lambda g: -g))
 
 
 def mul(a: Node, b: Node) -> Node:
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    return Node(a.value * b.value, (a, b), (lambda g: g * b.value, lambda g: g * a.value))
+    return _node(
+        a.value * b.value, (a, b), lambda: (lambda g: g * b.value, lambda g: g * a.value)
+    )
 
 
 def scale(a: Node, c: float) -> Node:
-    return Node(a.value * c, (a,), (lambda g: g * c,))
+    return _node(a.value * c, (a,), lambda: (lambda g: g * c,))
 
 
 def mul_scalar(a: Node, s: Node) -> Node:
@@ -147,22 +155,25 @@ def mul_scalar(a: Node, s: Node) -> Node:
         raise ShapeError(f"mul_scalar needs a scalar or one per row of {a.shape}, got {s.shape}")
     sv = s.value.reshape(s.shape + (1,) * (a.value.ndim - s.value.ndim))
 
-    def vjp_s(g):
-        return np.asarray((g * a.value).reshape(s.shape + (-1,)).sum(axis=-1))
+    def vjps():
+        def vjp_s(g):
+            return np.asarray((g * a.value).reshape(s.shape + (-1,)).sum(axis=-1))
 
-    return Node(a.value * sv, (a, s), (lambda g: g * sv, vjp_s))
+        return (lambda g: g * sv, vjp_s)
+
+    return _node(a.value * sv, (a, s), vjps)
 
 
 def matmul(a: Node, b: Node) -> Node:
     """a (..., n, k) @ b (k, m), with the matrix b shared across a's leading axes."""
     if a.value.ndim < 2 or b.value.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} vs {b.shape}")
-    k, m = b.shape
-    return Node(
-        a.value @ b.value,
-        (a, b),
-        (lambda g: g @ b.value.T, lambda g: a.value.reshape(-1, k).T @ g.reshape(-1, m)),
-    )
+
+    def vjps():
+        k, m = b.shape
+        return (lambda g: g @ b.value.T, lambda g: a.value.reshape(-1, k).T @ g.reshape(-1, m))
+
+    return _node(a.value @ b.value, (a, b), vjps)
 
 
 def linear(x: Node, w: Node, b: Node | None = None) -> Node:
@@ -170,15 +181,19 @@ def linear(x: Node, w: Node, b: Node | None = None) -> Node:
     bias = None if b is None else b.shape
     if w.value.ndim != 2 or x.shape[-1] != w.shape[0] or bias not in (None, w.shape[1:]):
         raise ShapeError(f"linear shapes incompatible: {x.shape} @ {w.shape} + {bias}")
-    k, m = w.shape
     y = x.value @ w.value
-    parents: tuple[Node, ...] = (x, w)
-    vjps: tuple = (lambda g: g @ w.value.T, lambda g: x.value.reshape(-1, k).T @ g.reshape(-1, m))
-    if b is not None:
+    if b is None:
+        parents: tuple[Node, ...] = (x, w)
+    else:
         y += b.value
-        parents += (b,)
-        vjps += (lambda g: _sum_to(g, (m,)),)
-    return Node(y, parents, vjps)
+        parents = (x, w, b)
+
+    def vjps():
+        k, m = w.shape
+        out = (lambda g: g @ w.value.T, lambda g: x.value.reshape(-1, k).T @ g.reshape(-1, m))
+        return out if b is None else out + (lambda g: _sum_to(g, (m,)),)
+
+    return _node(y, parents, vjps)
 
 
 def grouped_linear(x: Node, ws: Sequence[Node], bs: Sequence[Node | None], rows: Sequence[int]) -> Node:
@@ -201,13 +216,14 @@ def grouped_linear(x: Node, ws: Sequence[Node], bs: Sequence[Node | None], rows:
     for y, b in zip(ys, bs):
         if b is not None:
             y += b.value
-    if not any(p.requires_grad for p in (x, *ws, *bs) if p is not None):
-        return Node(np.concatenate(ys))
-    biased = [(seg, b) for seg, b in zip(segs, bs) if b is not None]
-    vjps = [lambda g: np.concatenate([g[seg] @ w.value.T for seg, w in zip(segs, ws)])]
-    vjps += [lambda g, s=seg: xv[s].reshape(-1, k).T @ g[s].reshape(-1, m) for seg in segs]
-    vjps += [lambda g, s=seg: _sum_to(g[s], (m,)) for seg, _ in biased]
-    return Node(np.concatenate(ys), (x, *ws, *(b for _, b in biased)), tuple(vjps))
+
+    def vjps():
+        out = [lambda g: np.concatenate([g[seg] @ w.value.T for seg, w in zip(segs, ws)])]
+        out += [lambda g, s=seg: xv[s].reshape(-1, k).T @ g[s].reshape(-1, m) for seg in segs]
+        out += [lambda g, s=seg: _sum_to(g[s], (m,)) for seg, b in zip(segs, bs) if b is not None]
+        return tuple(out)
+
+    return _node(np.concatenate(ys), (x, *ws, *(b for b in bs if b is not None)), vjps)
 
 
 def attention(q: Node, k: Node, v: Node) -> Node:
@@ -219,60 +235,62 @@ def attention(q: Node, k: Node, v: Node) -> Node:
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or q.shape[:-2] != k.shape[:-2]:
         raise ShapeError(f"attention shapes incompatible: q {q.shape}, k {k.shape}, v {v.shape}")
     out, p = dot_attention(q.value, k.value, v.value)
-    c = 1.0 / np.sqrt(q.shape[-1])
-    memo: list = [None, None]  # (g, gradient of the scaled scores for that g)
 
-    def dscores(g):
-        if memo[0] is not g:
-            # p * (dp - rowsum(dp * p)) * c, in place in the fresh dp: the same bits.
-            dp = g @ np.swapaxes(v.value, -1, -2)
-            dp -= (dp * p).sum(axis=-1, keepdims=True)
-            dp *= p
-            dp *= c
-            memo[:] = g, dp
-        return memo[1]
+    def vjps():
+        c = 1.0 / np.sqrt(q.shape[-1])
+        memo: list = [None, None]  # (g, gradient of the scaled scores for that g)
 
-    return Node(
-        out,
-        (q, k, v),
-        (
+        def dscores(g):
+            if memo[0] is not g:
+                # p * (dp - rowsum(dp * p)) * c, in place in the fresh dp: the same bits.
+                dp = g @ np.swapaxes(v.value, -1, -2)
+                dp -= (dp * p).sum(axis=-1, keepdims=True)
+                dp *= p
+                dp *= c
+                memo[:] = g, dp
+            return memo[1]
+
+        return (
             lambda g: dscores(g) @ k.value,
             lambda g: np.swapaxes(dscores(g), -1, -2) @ q.value,
             lambda g: np.swapaxes(p, -1, -2) @ g,
-        ),
-    )
+        )
+
+    return _node(out, (q, k, v), vjps)
 
 
 def transpose(a: Node) -> Node:
     """Swap the last two axes."""
-    return Node(np.swapaxes(a.value, -1, -2), (a,), (lambda g: np.swapaxes(g, -1, -2),))
+    return _node(np.swapaxes(a.value, -1, -2), (a,), lambda: (lambda g: np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Node, shape) -> Node:
-    old = a.shape
-    return Node(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
+    return _node(a.value.reshape(shape), (a,), lambda: (lambda g: g.reshape(a.shape),))
 
 
 def concat_vec(a: Node, b: Node) -> Node:
     """Concatenation along the leading axis."""
-    n = a.shape[0]
-    return Node(
-        np.concatenate([a.value, b.value]),
-        (a, b),
-        (lambda g: g[:n], lambda g: g[n:]),
-    )
+
+    def vjps():
+        n = a.shape[0]
+        return (lambda g: g[:n], lambda g: g[n:])
+
+    return _node(np.concatenate([a.value, b.value]), (a, b), vjps)
 
 
 def gather_vec(a: Node, indices) -> Node:
     """a[indices]: entries of a vector, or rows along a's leading axis; any index shape."""
     idx = np.asarray(indices, dtype=int)
 
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return out
+    def vjps():
+        def vjp(g):
+            out = np.zeros_like(a.value)
+            np.add.at(out, idx, g)
+            return out
 
-    return Node(a.value[idx], (a,), (vjp,))
+        return (vjp,)
+
+    return _node(a.value[idx], (a,), vjps)
 
 
 def scatter_rows(base: Node, part: Node, terms) -> Node:
@@ -289,66 +307,65 @@ def scatter_rows(base: Node, part: Node, terms) -> Node:
     for j in range(1, terms.shape[1]):
         live = terms[:, j] >= 0
         out[live] += part.value[terms[live, j]]
-    rows, cols = np.nonzero(terms >= 0)
-    src = terms[rows, cols]
 
-    def base_vjp(g):
-        kept = g.copy()
-        kept[first] = 0.0
-        return kept
+    def vjps():
+        rows, cols = np.nonzero(terms >= 0)
+        src = terms[rows, cols]
 
-    def part_vjp(g):
-        grad = np.zeros_like(part.value)
-        np.add.at(grad, src, g[rows])
-        return grad
+        def base_vjp(g):
+            kept = g.copy()
+            kept[first] = 0.0
+            return kept
 
-    return Node(out, (base, part), (base_vjp, part_vjp))
+        def part_vjp(g):
+            grad = np.zeros_like(part.value)
+            np.add.at(grad, src, g[rows])
+            return grad
+
+        return base_vjp, part_vjp
+
+    return _node(out, (base, part), vjps)
 
 
 def pick(a: Node, index: int) -> Node:
     """Single element of a vector, as a scalar node."""
 
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[index] = g
-        return out
+    def vjps():
+        def vjp(g):
+            out = np.zeros_like(a.value)
+            out[index] = g
+            return out
 
-    return Node(a.value[index], (a,), (vjp,))
+        return (vjp,)
+
+    return _node(a.value[index], (a,), vjps)
 
 
 def mean_all(a: Node) -> Node:
-    size = a.value.size
-
-    def vjp(g):
-        return np.full(a.shape, float(g) / size)
-
-    return Node(np.asarray(a.value.mean()), (a,), (vjp,))
+    value = np.asarray(a.value.mean())
+    return _node(value, (a,), lambda: (lambda g: np.full(a.shape, float(g) / a.value.size),))
 
 
 def mean_rows(a: Node) -> Node:
     """Mean over the token axis of (..., T, C) tokens, yielding (..., C)."""
-    t = a.shape[-2]
 
-    def vjp(g):
-        return np.broadcast_to(np.expand_dims(g / t, -2), a.shape).copy()
+    def vjps():
+        t = a.shape[-2]
+        return (lambda g: np.broadcast_to(np.expand_dims(g / t, -2), a.shape).copy(),)
 
-    return Node(a.value.mean(axis=-2), (a,), (vjp,))
+    return _node(a.value.mean(axis=-2), (a,), vjps)
 
 
 def add_bias(x: Node, b: Node) -> Node:
     """Add a (C,) bias to every row of (..., T, C) tokens."""
     if x.value.ndim < 2 or b.shape != (x.shape[-1],):
         raise ShapeError(f"bias {b.shape} does not fit matrix {x.shape}")
-    return Node(
-        x.value + b.value,
-        (x, b),
-        (lambda g: g, lambda g: _sum_to(g, b.shape)),
-    )
+    return _node(x.value + b.value, (x, b), lambda: (lambda g: g, lambda g: _sum_to(g, b.shape)))
 
 
 def tanh(a: Node) -> Node:
     y = np.tanh(a.value)
-    return Node(y, (a,), (lambda g: g * (1.0 - y * y),))
+    return _node(y, (a,), lambda: (lambda g: g * (1.0 - y * y),))
 
 
 def gelu(a: Node) -> Node:
@@ -358,11 +375,14 @@ def gelu(a: Node) -> Node:
     cdf += 1.0
     cdf *= 0.5
 
-    def vjp(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return g * (cdf + x * pdf)
+    def vjps():
+        def vjp(g):
+            pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+            return g * (cdf + x * pdf)
 
-    return Node(x * cdf, (a,), (vjp,))
+        return (vjp,)
+
+    return _node(x * cdf, (a,), vjps)
 
 
 def softmax_vec(a: Node) -> Node:
@@ -376,11 +396,7 @@ def softmax_vec(a: Node) -> Node:
         p = np.where(empty, 0.0, stable_softmax(np.where(empty, 0.0, x)))
     else:
         p = stable_softmax(x)
-
-    def vjp(g):
-        return p * (g - (g * p).sum(axis=-1, keepdims=True))
-
-    return Node(p, (a,), (vjp,))
+    return _node(p, (a,), lambda: (lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
 # Row-wise softmax of token scores is the same last-axis softmax.
@@ -397,54 +413,57 @@ def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-6) -> Node
     out = xhat * gamma.value
     out += beta.value
 
-    def vjp_x(g):
-        dxhat = g * gamma.value
-        return (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        ) / std
+    def vjps():
+        def vjp_x(g):
+            dxhat = g * gamma.value
+            return (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            ) / std
 
-    return Node(
-        out,
-        (x, gamma, beta),
-        (vjp_x, lambda g: _sum_to(g * xhat, gamma.shape), lambda g: _sum_to(g, beta.shape)),
-    )
+        return vjp_x, lambda g: _sum_to(g * xhat, gamma.shape), lambda g: _sum_to(g, beta.shape)
+
+    return _node(out, (x, gamma, beta), vjps)
 
 
 def avg_pool_2x_rows(x: Node, height: int, width: int) -> Node:
     """2x average pooling of row-major (..., height*width, C) tokens."""
-    pooled = avg_pool_2x_tokens(x.value, height, width)
-    *lead, _, c = x.shape
 
-    def vjp(g):
-        gg = g.reshape(*lead, height // 2, 1, width // 2, 1, c) / 4.0
-        return np.broadcast_to(gg, (*lead, height // 2, 2, width // 2, 2, c)).reshape(x.shape)
+    def vjps():
+        *lead, _, c = x.shape
 
-    return Node(pooled, (x,), (vjp,))
+        def vjp(g):
+            gg = g.reshape(*lead, height // 2, 1, width // 2, 1, c) / 4.0
+            return np.broadcast_to(gg, (*lead, height // 2, 2, width // 2, 2, c)).reshape(x.shape)
+
+        return (vjp,)
+
+    return _node(avg_pool_2x_tokens(x.value, height, width), (x,), vjps)
 
 
 def slice_cols(a: Node, lo: int, hi: int) -> Node:
     """Columns lo:hi of the last axis."""
 
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[..., lo:hi] = g
-        return out
+    def vjps():
+        def vjp(g):
+            out = np.zeros_like(a.value)
+            out[..., lo:hi] = g
+            return out
 
-    return Node(a.value[..., lo:hi].copy(), (a,), (vjp,))
+        return (vjp,)
+
+    return _node(a.value[..., lo:hi].copy(), (a,), vjps)
 
 
 def concat_cols(parts: Sequence[Node]) -> Node:
     """Concatenation along the last axis."""
-    widths = [p.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    parts = tuple(parts)
 
-    def make_vjp(i):
-        return lambda g: g[..., offsets[i]:offsets[i + 1]]
+    def vjps():
+        offsets = np.cumsum([0] + [p.shape[-1] for p in parts])
+        return tuple(
+            (lambda g, lo=lo, hi=hi: g[..., lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])
+        )
 
-    return Node(
-        np.concatenate([p.value for p in parts], axis=-1),
-        tuple(parts),
-        tuple(make_vjp(i) for i in range(len(parts))),
-    )
+    return _node(np.concatenate([p.value for p in parts], axis=-1), parts, vjps)

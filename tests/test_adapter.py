@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from mova.experts import (
     generate_base_feature,
     generate_expert_feature,
 )
+from mova.numerics import autodiff as ad
 from mova.numerics.ops import bilinear_interpolate
 from mova.numerics.tensor import FeatureMap
 from mova.routing import ExpertSelection
@@ -417,6 +418,98 @@ class TestAdapterForward:
         base = FeatureMap(rng.standard_normal((8, 7, 8)))
         with pytest.raises(ShapeError):
             adapter_apply(base, {}, ExpertSelection(()), "q", params, config)
+
+
+class TestLiftedOnce:
+    """adapter_apply lifts each params object once and reuses it while that
+    object comes back; the lifted leaves are read-only views of its arrays."""
+
+    SELECTION = ExpertSelection((1, 4, 6))
+
+    def request(self, params, config, registry):
+        base = generate_base_feature(registry, 42)
+        feats = {spec.name: generate_expert_feature(spec, 42) for spec in registry.experts}
+        return adapter_apply(base, feats, self.SELECTION, "q", params, config).tokens
+
+    def test_in_place_writes_are_seen(self, params, config, registry):
+        params = clone_params(params)
+        before = self.request(params, config, registry)
+        params.blocks[1].extractors["sam"].value.weight[...] = 0.0
+        params.projector_out.bias[...] += 0.5
+        after = self.request(params, config, registry)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == self.request(clone_params(params), config, registry).tobytes()
+
+    def test_another_params_object_gets_its_own_view(self, params, config, registry):
+        other = clone_params(params)
+        other.projector_out.weight[...] *= 2.0
+        first = self.request(params, config, registry)
+        assert self.request(other, config, registry).tobytes() == (2.0 * first).tobytes()
+        assert self.request(params, config, registry).tobytes() == first.tobytes()
+
+    def test_a_write_through_the_view_raises(self, params, config, registry):
+        self.request(params, config, registry)
+        served, lifted = network._served
+        assert served is params
+        with pytest.raises(ValueError, match="read-only"):
+            lifted.projector_out.weight.value[0, 0] = 1.0
+
+    def test_requests_lift_once_with_a_pinned_node_count(self, params, config, registry, monkeypatch):
+        """The count guard: with one params object only the first request lifts,
+        and a K=3 request builds exactly 108 nodes, none of them a lifted leaf."""
+        counts = {"lift": 0, "nodes": 0}
+        original_lift, original_init = network.lift, ad.Node.__init__
+
+        def counting_lift(*args, **kwargs):
+            counts["lift"] += 1
+            return original_lift(*args, **kwargs)
+
+        def counting_init(node, *args, **kwargs):
+            counts["nodes"] += 1
+            original_init(node, *args, **kwargs)
+
+        monkeypatch.setattr(network, "lift", counting_lift)
+        monkeypatch.setattr(ad.Node, "__init__", counting_init)
+        params = clone_params(params)  # an object adapter_apply has not served
+        per_request = []
+        for _ in range(3):
+            before = counts["nodes"]
+            self.request(params, config, registry)
+            per_request.append(counts["nodes"] - before)
+        assert counts["lift"] == 1
+        assert per_request[0] == 108 + len(named_arrays(params))
+        assert per_request[1:] == [108, 108]
+
+
+class TestFrozenParams:
+    def test_rebinding_a_leaf_block_reducer_or_extractor_raises(self, params):
+        assert isinstance(params.blocks, tuple) and isinstance(params.reducers, tuple)
+        with pytest.raises(FrozenInstanceError):
+            params.projector_out.weight = np.zeros((8, 32))
+        with pytest.raises(FrozenInstanceError):
+            params.blocks = params.blocks[:1]
+        with pytest.raises(FrozenInstanceError):
+            params.blocks[0].gating = params.blocks[1].gating
+        with pytest.raises(FrozenInstanceError):
+            params.reducers[0].fc1 = params.reducers[1].fc1
+        with pytest.raises(TypeError):
+            params.blocks[0] = params.blocks[1]
+        with pytest.raises(TypeError):
+            params.blocks[0].extractors["sam"] = params.blocks[0].extractors["dinov2"]
+
+    def test_walks_and_replace_still_work(self, params, config, registry, tmp_path):
+        clone = clone_params(params)
+        assert [n for n, _ in named_arrays(clone)] == [n for n, _ in named_arrays(params)]
+        for (_, a), (_, b) in zip(named_arrays(clone), named_arrays(params)):
+            assert a is not b and a.tobytes() == b.tobytes()
+        save_params(params, tmp_path / "params")
+        loaded = load_params(tmp_path / "params", config, registry)
+        assert isinstance(loaded.blocks, tuple) and len(loaded.blocks) == config.num_blocks
+        shorter = replace(params, blocks=params.blocks[:1])
+        assert len(shorter.blocks) == 1 and shorter.blocks[0] is params.blocks[0]
+        assert shorter.reducers is params.reducers
+        with pytest.raises(FrozenInstanceError):
+            shorter.blocks = params.blocks
 
 
 class TestParamsPersistence:

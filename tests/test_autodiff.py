@@ -1,5 +1,7 @@
 """Per-op finite-difference checks for the autodiff tape."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -208,17 +210,67 @@ def test_grad_accumulates_across_backward_calls():
     assert np.allclose(x.grad, 2 * once)
 
 
-def test_nodes_keep_only_what_backward_needs():
-    c = ad.tanh(ad.constant(np.ones(3)))
-    assert c._parents == () and c._vjps == ()
-    x = ad.variable(np.array([0.5, -1.0]))
-    h = ad.tanh(ad.mul(x, x))
-    loss = ad.mean_all(h)
-    assert h._parents and loss._parents
-    ad.backward(loss)
-    for interior in (h, loss):
-        assert interior.grad is None and interior._parents == () and interior._vjps == ()
-    assert x.grad is not None
+# Every public op of the tape: (a build over its input nodes, the input shapes).
+TERMS = [[0, 3], [-1, -1], [2, -1], [4, 1]]
+OPS = {
+    "add": (ad.add, [(3, 4), (3, 4)]),
+    "sub": (ad.sub, [(3, 4), (3, 4)]),
+    "mul": (ad.mul, [(5,), (5,)]),
+    "scale": (lambda a: ad.scale(a, -2.5), [(4, 2)]),
+    "mul_scalar": (ad.mul_scalar, [(3, 2, 2), (3,)]),
+    "matmul": (ad.matmul, [(2, 4, 3), (3, 5)]),
+    "linear": (ad.linear, [(2, 4, 3), (3, 5), (5,)]),
+    "grouped_linear": (
+        lambda x, w0, w1, b1: ad.grouped_linear(x, [w0, w1], [None, b1], [1, 2]), [(3, 4), (4, 2), (4, 2), (2,)]
+    ),
+    "attention": (ad.attention, [(2, 4, 3), (2, 6, 3), (2, 6, 2)]),
+    "transpose": (ad.transpose, [(2, 3, 5)]),
+    "reshape": (lambda a: ad.reshape(a, (6, 2)), [(3, 4)]),
+    "concat_vec": (ad.concat_vec, [(2, 4, 3), (1, 4, 3)]),
+    "gather_vec": (lambda a: ad.gather_vec(a, [[4, 1], [0, 0]]), [(6,)]),
+    "scatter_rows": (lambda b, p: ad.scatter_rows(b, p, TERMS), [(4, 2, 3), (5, 2, 3)]),
+    "pick": (lambda a: ad.pick(a, 2), [(5,)]),
+    "mean_all": (ad.mean_all, [(4, 3)]),
+    "mean_rows": (ad.mean_rows, [(2, 6, 3)]),
+    "add_bias": (ad.add_bias, [(2, 5, 4), (4,)]),
+    "tanh": (ad.tanh, [(4, 4)]),
+    "gelu": (ad.gelu, [(4, 4)]),
+    "softmax_vec": (ad.softmax_vec, [(2, 3, 5)]),
+    "row_softmax": (ad.row_softmax, [(4, 5)]),
+    "layer_norm_rows": (ad.layer_norm_rows, [(2, 6, 8), (8,), (8,)]),
+    "avg_pool_2x_rows": (lambda x: ad.avg_pool_2x_rows(x, 4, 6), [(2, 24, 3)]),
+    "slice_cols": (lambda a: ad.slice_cols(a, 1, 3), [(2, 4, 5)]),
+    "concat_cols": (lambda a, b: ad.concat_cols([a, b]), [(2, 3, 2), (2, 3, 4)]),
+}
+
+
+def test_every_public_op_is_in_the_table():
+    public = {
+        name for name, fn in vars(ad).items()
+        if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
+    }
+    assert public - {"constant", "variable", "backward"} == set(OPS)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_nodes_keep_only_what_backward_needs(op):
+    """Over constants an op returns a bare node, with the bits it has when any one
+    input is a variable; backward spends each interior node it passes through."""
+    build, shapes = OPS[op]
+    rng = np.random.default_rng(3)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    bare = build(*[ad.constant(v) for v in values])
+    assert not bare.requires_grad and bare._parents == () and bare._vjps == ()
+    for i in range(len(values)):
+        nodes = [ad.variable(v) if j == i else ad.constant(v) for j, v in enumerate(values)]
+        out = build(*nodes)
+        assert out.value.tobytes() == bare.value.tobytes()
+        assert out.requires_grad and len(out._parents) == len(out._vjps) > 0
+        loss = ad.mean_all(ad.mul(out, ad.constant(rng.standard_normal(out.shape))))
+        ad.backward(loss)
+        for interior in (out, loss):
+            assert interior.grad is None and interior._parents == () and interior._vjps == ()
+        assert nodes[i].grad is not None
 
 
 def test_constants_receive_no_gradient():

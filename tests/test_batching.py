@@ -14,6 +14,7 @@ from mova.adapter.params import init_params, named_arrays, stage_of
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.errors import ShapeError, TrainingError
 from mova.experts import default_registry, generate_expert_feature
+from mova.forked import usable_cpus
 from mova.harness.train import MICROBATCH, _CorpusRunner, _fails_as
 from mova.routing import ExpertSelection
 from mova.routing_data import generate_synthetic_corpus, load_samples
@@ -285,3 +286,29 @@ def test_unpicklable_worker_error_keeps_its_text(corpus, monkeypatch):
         errors[cpus] = caught.value
     assert type(errors[1]) is Unpicklable and type(errors[2]) is TrainingError
     assert str(errors[2]) == str(errors[1])
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="one usable CPU forks no worker")
+@pytest.mark.parametrize("through", ["node", "slab"])
+def test_a_worker_cannot_write_the_params_slab(corpus, monkeypatch, through):
+    """A worker that writes a param, through its lifted node or straight into its
+    view of the shared slab, raises, and the slab keeps the params' bits."""
+    registry, samples, params = corpus
+    parent = os.getpid()
+    original = _CorpusRunner._microbatch
+
+    def microbatch(self, kind, chunk, batch_size, lifted, *args):
+        if os.getpid() != parent:
+            if through == "node":
+                lifted.blocks[0].transformer.norm_attn.gamma.value[0] = 2.0
+            else:
+                self._slab.blocks[0].transformer.norm_attn.gamma[0] = 2.0
+        return original(self, kind, chunk, batch_size, lifted, *args)
+
+    monkeypatch.setattr(_CorpusRunner, "_microbatch", microbatch)
+    with make_runner(registry, samples) as runner:
+        with pytest.raises(ValueError, match="read-only"):
+            runner.batch_loss(samples, params, "all")
+        assert runner.processes == 2
+        for (name, array), (_same, slab) in zip(named_arrays(params), named_arrays(runner._slab)):
+            assert slab.tobytes() == array.tobytes(), name
