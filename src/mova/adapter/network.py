@@ -88,17 +88,15 @@ class AdapterOutput:
 def lift(params: AdapterParams, trainable=frozenset()) -> tuple[AdapterParams, dict[str, ad.Node]]:
     """Wrap a read-only view of every tensor leaf in a Node; returns the tracked
     trainable nodes. A view sees in-place writes to its array (the optimizer's,
-    the probes'), and an op that writes through it raises.
-
-    `trainable` is a set of tensor names, or the string "all".
+    the probes'), and an op that writes through it raises. `trainable` is a set
+    of tensor names.
     """
     tracked: dict[str, ad.Node] = {}
-    train_all = trainable == "all"
 
     def fn(name, arr):
         view = arr.view()
         view.setflags(write=False)
-        node = ad.Node(view, requires_grad=train_all or name in trainable)
+        node = ad.Node(view, requires_grad=name in trainable)
         if node.requires_grad:
             tracked[name] = node
         return node

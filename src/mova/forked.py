@@ -1,5 +1,5 @@
-"""Work forked from this process: the usable CPU count, the one way a child is
-started, and a map over ranges that runs each range but the first in a child.
+"""Work forked from this process: the usable CPU count, and `Workers`, the one
+way this package runs work in other processes.
 
 A child is forked (multiprocessing's "fork" context), not spawned: it needs
 the caller's state as it is, often including closures, which cannot be
@@ -9,6 +9,7 @@ caller's to handle, which ends its children.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -22,77 +23,109 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def fork(target: Callable, *args):
-    """Start a child running target(conn, *args), where conn is its end of a new
-    pipe; returns (process, this process's end). The child is a daemon."""
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    here, there = context.Pipe()
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        process = context.Process(target=_child, args=(target, there, here, args), daemon=True)
-        process.start()
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    there.close()
-    return process, here
-
-
-def _child(target: Callable, conn, parent_end, args) -> None:
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    parent_end.close()
-    target(conn, *args)
-
-
-def sendable(exc: Exception, fallback: type[MovaError]) -> Exception:
-    """`exc`, or `fallback` with its text when `exc` does not survive a pickle round trip."""
+def sendable(exc: Exception) -> Exception:
+    """`exc`, or a MovaError with its text when `exc` does not survive a pickle round trip."""
     try:
         pickle.loads(pickle.dumps(exc))
     except Exception:
-        return fallback(str(exc))
+        return MovaError(str(exc))
     return exc
+
+
+class Workers:
+    """`count` processes that run `fn` on shares of work: this one and count - 1
+    forked children, which persist from one `map` to the next until `close`.
+    Use it as a context manager: leaving by an exception or Ctrl-C terminates
+    the children, and every child is joined."""
+
+    def __init__(self, fn: Callable, count: int):
+        self.fn, self.count = fn, count
+        self.children: list = []  # (process, this process's end of its pipe)
+        try:
+            for _ in range(count - 1):
+                self.children.append(self._fork())
+        except BaseException:
+            self.close(terminate=True)
+            raise
+
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        self.close(terminate=exc_type is not None)
+
+    def close(self, terminate: bool = False) -> None:
+        """End the children: each exits at EOF on its pipe, or at once with `terminate`."""
+        children, self.children = self.children, []
+        for process, conn in children:
+            if terminate:
+                process.terminate()
+            conn.close()
+        for process, _conn in children:
+            process.join()
+
+    def map(self, shares: Sequence) -> list:
+        """[fn(share) for share in shares], for at most `count` shares: share 0 in this
+        process, share w in child w. Every reply is read, so the children are ready
+        for the next map, before the error of the lowest failing share is raised. A
+        child that has exited fails its share with MovaError("a forked worker process
+        exited"); an error that pickle cannot carry comes back as a MovaError with its text.
+        """
+        conns = [conn for _process, conn in self.children[: len(shares) - 1]]
+        for conn, share in zip(conns, shares[1:], strict=True):
+            with contextlib.suppress(OSError):  # the child has exited: its receive below fails
+                conn.send(share)
+        replies = [self._reply(shares[0])]
+        for conn in conns:
+            try:
+                replies.append(conn.recv())
+            except (EOFError, OSError):
+                replies.append((False, MovaError("a forked worker process exited")))
+        for ok, value in replies:
+            if not ok:
+                raise value
+        return [value for _ok, value in replies]
+
+    def _reply(self, share) -> tuple[bool, object]:
+        try:
+            return True, self.fn(share)
+        except Exception as exc:
+            return False, exc
+
+    def _fork(self):
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        here, there = context.Pipe()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            process = context.Process(target=self._serve, args=(there, here), daemon=True)
+            process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        there.close()
+        return process, here
+
+    def _serve(self, conn, parent_end) -> None:
+        """A child: reply to each share until EOF on its pipe."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        parent_end.close()
+        for _process, older in self.children:  # the caller's ends of the older children's pipes
+            older.close()
+        while True:
+            try:
+                ok, value = self._reply(conn.recv())
+            except EOFError:
+                return
+            try:
+                conn.send((ok, value if ok else sendable(value)))
+            except OSError:  # the caller is gone
+                return
 
 
 def fork_map(fn: Callable, ranges: Sequence[tuple[int, int]]) -> list:
     """[fn(lo, hi) for (lo, hi) in ranges]: the first range in this process, each
-    other range in a forked child that sends back its result or its exception.
-
-    Raises the error of the lowest range that failed; an exception that cannot be
-    pickled comes back as a MovaError with its text. An exception or Ctrl-C here
-    terminates the children, and every child is joined before this returns.
-    """
-    children = []
-    try:
-        for lo, hi in ranges[1:]:
-            children.append(fork(_reply, fn, lo, hi))
-        results = [fn(*ranges[0])]
-        for _process, conn in children:
-            try:
-                outcome, value = conn.recv()
-            except EOFError:
-                raise MovaError("a forked worker process exited") from None
-            if outcome == "error":
-                raise value
-            results.append(value)
-        return results
-    except BaseException:
-        for process, _conn in children:
-            process.terminate()
-        raise
-    finally:
-        for process, conn in children:
-            conn.close()
-            process.join()
-
-
-def _reply(conn, fn: Callable, lo: int, hi: int) -> None:
-    try:
-        reply = ("ok", fn(lo, hi))
-    except Exception as exc:
-        reply = ("error", sendable(exc, MovaError))
-    try:
-        conn.send(reply)
-    except OSError:  # the caller is gone
-        pass
+    other range in a forked child, as one `Workers.map`."""
+    with Workers(lambda bounds: fn(*bounds), len(ranges)) as workers:
+        return workers.map(ranges)

@@ -1,8 +1,9 @@
 """The mova command line.
 
-Exit codes: 0 success, 1 validation/usage/file/import error or interrupt, 2
-property or acceptance failure. MOVA_SEED overrides default seeds when the
-corresponding flag is absent. All reports are JSON on stdout or at --report.
+Exit codes: 0 success, 1 validation/usage/file/import error, interrupt or
+internal error, 2 property or acceptance failure. MOVA_SEED overrides default
+seeds when the corresponding flag is absent. All reports are JSON on stdout or
+at --report.
 Each subcommand imports its own harness module when it runs.
 """
 
@@ -280,6 +281,9 @@ def main(argv=None) -> int:
         return 1
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a fault in mova itself: still one line, no traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

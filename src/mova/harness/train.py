@@ -31,7 +31,7 @@ from mova.experts import (
     generate_expert_feature,
     load_registry,
 )
-from mova.forked import fork, sendable, usable_cpus
+from mova.forked import Workers, usable_cpus
 from mova.numerics import autodiff as ad
 from mova.numerics.gradcheck import GradCheckReport, finite_diff_check
 from mova.routing import ExpertSelection, oracle_selection
@@ -128,15 +128,15 @@ class _CorpusRunner:
     """The toy loss over a list of samples: built, differentiated and resumed
     here for training, evaluation and every gradient check. Reads no files.
 
-    Every batch pass runs its microbatches through `_microbatch`. A pass of two
-    or more microbatches on a host with more than one usable CPU runs them
-    data-parallel: process w of P (this one is 0, the forked workers 1..P-1)
-    runs the microbatches j = w (mod P), the workers reading the caller's
-    params from a shared slab, and this process adds losses, gradients and
-    gate weights in microbatch order, so the bits are those of one process.
+    Every batch pass runs its microbatches through `_run`, in every process on
+    the params slab that this process fills. A pass of two or more microbatches
+    on a host with more than one usable CPU runs them data-parallel: process w of
+    P (this one is 0, the forked workers 1..P-1) runs the w-th of P contiguous
+    ranges of microbatches, and this process adds losses, gradients and gate
+    weights in microbatch order, so the bits are those of one process.
     Workers keep nothing between passes: stage inputs they record come back
-    with their reply, and a resumed pass sends each job its stage input.
-    Use the runner as a context manager, or `close` it, to end its workers.
+    with their reply, and a resumed pass sends each share its stage inputs.
+    Use the runner as a context manager: leaving it ends its workers.
     """
 
     def __init__(
@@ -161,24 +161,19 @@ class _CorpusRunner:
         self.selection_for = selection_for
         self.processes = 1  # the most processes that have run this runner's microbatches
         self._inputs: dict[str, ForwardInput] = {}
-        self._workers: list = []  # (process, pipe end) of workers 1..P-1
-        self._slab: AdapterParams | None = None  # params in shared memory, read by the workers
+        self._workers = Workers(self._run, 1)
+        self._flat: np.ndarray | None = None  # shared memory that only this process writes
+        self._slab: AdapterParams | None = None  # read-only views of _flat, shaped like the params
+        self._filled_from, self._arrays = None, []  # the params last copied into _flat, and their arrays
 
     def __enter__(self) -> "_CorpusRunner":
         return self
 
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        self.close(terminate=exc_type is not None)
-
-    def close(self, terminate: bool = False) -> None:
-        """End the workers: each exits at EOF on its pipe, or at once with `terminate`."""
-        workers, self._workers, self._slab = self._workers, [], None
-        for process, conn in workers:
-            if terminate:
-                process.terminate()
-            conn.close()
-        for process, _conn in workers:
-            process.join()
+    def __exit__(self, *exc_info) -> None:
+        # The workers hold the bound `_run`: dropping them breaks that cycle, so the
+        # runner and its input cache are freed as soon as the caller lets go.
+        workers, self._workers = self._workers, None
+        workers.__exit__(*exc_info)
 
     def forward_input(self, sample: Sample) -> ForwardInput:
         """The sample's features, selection and question, generated once and cached."""
@@ -201,31 +196,28 @@ class _CorpusRunner:
         """Mean loss over the batch and its gradient; one tape per microbatch. A `keep`
         list receives each microbatch's stage inputs as read-only arrays, whichever
         process ran it, for batch_loss_value on any runner over the same samples."""
-        results, tracked = self._pass("grad", batch, params, trainable, keep=keep)
         total, grads = 0.0, {}
-        for loss, microbatch_grads in results:
+        for loss, microbatch_grads in self._pass("grad", batch, params, trainable, keep=keep):
             total += loss
             # A microbatch that gives a tensor no gradient adds nothing: adding
             # zeros would turn a -0.0 into 0.0.
             for name, grad in microbatch_grads.items():
                 grads[name] = grads[name] + grad if name in grads else grad
         return total, {
-            name: grads[name] if name in grads else np.zeros_like(node.value)
-            for name, node in tracked.items()
+            name: grads[name] if name in grads else np.zeros_like(array)
+            for name, array in named_arrays(params) if name in trainable
         }
 
     def batch_loss_value(self, batch: list[Sample], params: AdapterParams, stage=0, kept=()) -> float:
         """The loss alone, finite or not: finite_diff_check judges a probe's value. Given
         what batch_loss kept of this batch, each pass resumes at `stage`."""
-        results, _ = self._pass("value", batch, params, stage=stage, kept=kept)
-        return sum(loss for loss, _ in results)
+        return sum(loss for loss, _ in self._pass("value", batch, params, stage=stage, kept=kept))
 
     def evaluate(self, params: AdapterParams, eval_set: list[Sample]) -> tuple[float, dict[str, float]]:
         """Eval loss plus mean gate weight per pool expert over samples and blocks."""
-        results, _ = self._pass("eval", eval_set, params)
         total, denom = 0.0, 0
         sums = {name: 0.0 for name in params.expert_names}
-        for loss, (weights, count) in results:
+        for loss, (weights, count) in self._pass("eval", eval_set, params):
             total += loss
             denom += count
             for name, weight in weights:
@@ -236,90 +228,65 @@ class _CorpusRunner:
         return total, mean_gates
 
     def _pass(self, kind: str, batch: list[Sample], params: AdapterParams, trainable=frozenset(),
-              keep=None, stage=0, kept=()) -> tuple[list, dict[str, ad.Node]]:
+              keep=None, stage=0, kept=()) -> list:
         """Run `kind` ("grad", "value" or "eval") over the batch's microbatches;
-        returns their `_microbatch` results in microbatch order and the tracked
-        nodes, or raises the error of the first microbatch that failed."""
+        returns their `_microbatch` results in microbatch order, or raises the
+        error of the first microbatch that failed."""
         chunks = [batch[start : start + MICROBATCH] for start in range(0, len(batch), MICROBATCH)]
+        if self._slab is None:
+            self._share_slab(params)
         procs = min(usable_cpus(), len(chunks))
-        if procs > 1 and not self._workers:
-            self._start(procs - 1, params)
-        jobs: list[list] = [[] for _ in range(1 + len(self._workers))]
-        for j, samples in enumerate(chunks):  # process w of P runs j = w (mod P)
-            jobs[j % min(procs, len(jobs))].append((j, samples, (stage, kept[j][stage]) if kept else None))
-        sent = [(conn, mine) for (_process, conn), mine in zip(self._workers, jobs[1:]) if mine]
-        if sent:
-            for (_name, slab), (_same, array) in zip(named_arrays(self._slab), named_arrays(params), strict=True):
-                slab[...] = array
-            for conn, mine in sent:
-                with _worker_exits():
-                    conn.send((kind, len(batch), trainable, keep is not None, mine, np.geterr()))
-        lifted, tracked = lift(params, trainable)
-        results, records = self._run(kind, len(batch), lifted, tracked, jobs[0], keep is not None)
-        for conn, _mine in sent:
-            with _worker_exits():
-                replied, recorded = conn.recv()
-            results.update(replied)
-            records.update(recorded)
-        ordered = [results.get(j) for j in range(len(chunks))]
-        for result in ordered:  # a process stops at its first error, so this is the first overall
-            if isinstance(result, Exception):
-                raise result
+        if self._workers.count == 1 < procs:
+            self._workers = Workers(self._run, procs)
+            self.processes = procs
+        if self._filled_from is not params:  # frozen containers: the same object holds the same arrays
+            self._filled_from, self._arrays = params, [array for _name, array in named_arrays(params)]
+        np.concatenate(self._arrays, axis=None, out=self._flat)
+        jobs = [(samples, (stage, kept[j][stage]) if kept else None) for j, samples in enumerate(chunks)]
+        # Process w runs the w-th contiguous range, so the lowest failing share
+        # holds the first failing microbatch.
+        shares = max(1, min(self._workers.count, len(jobs)))
+        bounds = [len(jobs) * w // shares for w in range(shares + 1)]
+        errstate = np.geterr()
+        replies = self._workers.map([
+            (kind, len(batch), trainable, keep is not None, jobs[lo:hi], errstate)
+            for lo, hi in zip(bounds, bounds[1:])
+        ])
         if keep is not None:
-            for j in range(len(chunks)):
-                for array in records[j]:  # a write into a recorded input would change the probes' bits
-                    array.flags.writeable = False
-                keep.append(records[j])
-        return ordered, tracked
+            for _results, records in replies:
+                for record in records:
+                    for array in record:  # a write into a recorded input would change the probes' bits
+                        array.flags.writeable = False
+                    keep.append(record)
+        return [result for results, _records in replies for result in results]
 
-    def _start(self, count: int, params: AdapterParams) -> None:
-        """Fork `count` workers that share a params slab shaped like `params`."""
+    def _share_slab(self, params: AdapterParams) -> None:
+        """Map the shared buffer that every process reads the params from, as read-only views."""
         import mmap
 
         sizes = [array.size for _name, array in named_arrays(params)]
-        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
-        parts = iter(np.split(flat, np.cumsum(sizes)[:-1]))
-        self._slab = visit(params, lambda _name, array: next(parts).reshape(array.shape))
-        for _ in range(count):
-            self._workers.append(fork(self._serve))
-        self.processes = max(self.processes, 1 + count)
+        self._flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+        parts = iter(np.split(self._flat, np.cumsum(sizes)[:-1]))
 
-    def _serve(self, conn) -> None:
-        """A worker: run each request's microbatches on the slab's params, under the
-        caller's numpy error state, and reply with their results and, if asked, the
-        stage inputs they recorded; exit at EOF. It keeps nothing between requests.
-        An error that cannot be pickled is sent as a TrainingError with its text.
-        Only the caller writes the slab, so the worker's views of it are read-only."""
-        for _name, array in named_arrays(self._slab):
-            array.flags.writeable = False
-        while True:
-            try:
-                kind, batch_size, trainable, keeps, jobs, errstate = conn.recv()
-            except EOFError:
-                return
-            lifted, tracked = lift(self._slab, trainable)
-            with np.errstate(**errstate):
-                results, records = self._run(kind, batch_size, lifted, tracked, jobs, keeps)
-            for j, result in results.items():
-                if isinstance(result, Exception):
-                    results[j] = sendable(result, TrainingError)
-            try:
-                conn.send((results, records))
-            except OSError:  # the parent is gone
-                return
+        def view(_name, array):
+            part = next(parts).reshape(array.shape)
+            part.flags.writeable = False
+            return part
 
-    def _run(self, kind, batch_size, lifted, tracked, jobs, keeps: bool) -> tuple[dict, dict]:
-        """Run `jobs` [(j, samples, (stage, stage input) to resume from, or None)] in
-        order in this process: {j: result}, where the first microbatch that raises gets
-        its error and ends the run, and {j: its stage inputs if `keeps`, else None}."""
-        results, records = {}, {}
-        for j, samples, resume in jobs:
-            records[j] = [] if keeps else None
-            try:
-                results[j] = self._microbatch(kind, samples, batch_size, lifted, tracked, records[j], resume)
-            except Exception as exc:
-                results[j] = exc
-                break
+        self._slab = visit(params, view)
+
+    def _run(self, share) -> tuple[list, list]:
+        """One process's share of a pass, run on the slab's params under the caller's
+        numpy error state: its microbatches' results in order, and the stage inputs
+        each recorded (None unless the pass keeps them). The first microbatch that
+        raises ends it."""
+        kind, batch_size, trainable, keeps, jobs, errstate = share
+        lifted, tracked = lift(self._slab, trainable)
+        results, records = [], []
+        with np.errstate(**errstate):
+            for samples, resume in jobs:
+                records.append([] if keeps else None)
+                results.append(self._microbatch(kind, samples, batch_size, lifted, tracked, records[-1], resume))
         return results, records
 
     def _microbatch(self, kind, samples, batch_size, lifted, tracked, record, resume):
@@ -366,15 +333,6 @@ class _CorpusRunner:
                 for pos, idx in enumerate(sel.indices):
                     weights.append((self.registry.experts[idx].name, float(gate.value[row, pos])))
         return value, (weights, count)
-
-
-@contextlib.contextmanager
-def _worker_exits():
-    """A pipe to a worker that has exited, at a send or a receive, raises one TrainingError."""
-    try:
-        yield
-    except (EOFError, OSError):
-        raise TrainingError("a microbatch worker process exited") from None
 
 
 def _finite(loss: ad.Node, samples: Sequence[Sample]) -> float:

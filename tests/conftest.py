@@ -1,7 +1,13 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
+
+
+def with_cpus(monkeypatch, cpus):
+    """Make os.sched_getaffinity report `cpus` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
 
 
 @pytest.fixture

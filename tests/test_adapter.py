@@ -316,7 +316,8 @@ class TestAdapterForward:
         feats = self.features(registry)
 
         def non_leaf_nodes(k, num_blocks):
-            lifted, _ = lift(replace(params, blocks=params.blocks[:num_blocks]), "all")
+            trimmed = replace(params, blocks=params.blocks[:num_blocks])
+            lifted, _ = lift(trimmed, {n for n, _ in named_arrays(trimmed)})
             sample = ForwardInput(base, feats, ExpertSelection(tuple(range(k))), "q")
             out, _ = build_forward_graph([sample], lifted, replace(config, num_blocks=num_blocks))
             seen, stack = set(), [out]

@@ -3,16 +3,19 @@ pass resumed at a stage agrees with the full pass bit for bit, and a pass split
 across processes has the bits of one process."""
 
 import dataclasses
+import gc
 import os
 import signal
+import weakref
 
 import numpy as np
 import pytest
+from conftest import with_cpus
 
 from mova.adapter.config import desk_config
 from mova.adapter.params import init_params, named_arrays, stage_of
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
-from mova.errors import ShapeError, TrainingError
+from mova.errors import MovaError, ShapeError, TrainingError
 from mova.experts import default_registry, generate_expert_feature
 from mova.forked import usable_cpus
 from mova.harness.train import MICROBATCH, _CorpusRunner, _fails_as
@@ -40,6 +43,10 @@ def corpus(tmp_path_factory):
 def make_runner(registry, samples):
     chosen = {s.sample_id: ExpertSelection(sel) for s, sel in zip(samples, SELECTIONS)}
     return _CorpusRunner(registry, desk_config(), samples, lambda sample: chosen[sample.sample_id])
+
+
+def every_name(params):
+    return {name for name, _ in named_arrays(params)}
 
 
 @pytest.fixture
@@ -76,8 +83,8 @@ def test_batch_covers_the_intended_mix(setup):
 def test_batch_loss_matches_mean_of_one_sample_graphs(setup):
     _registry, runner, params = setup
     batch = runner.samples
-    loss, grads = runner.batch_loss(batch, params, "all")
-    singles = [runner.batch_loss([sample], params, "all") for sample in batch]
+    loss, grads = runner.batch_loss(batch, params, every_name(params))
+    singles = [runner.batch_loss([sample], params, every_name(params)) for sample in batch]
     mean_loss = sum(l for l, _ in singles) / len(batch)
     assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
     assert loss == pytest.approx(runner.batch_loss_value(batch, params), rel=1e-15)
@@ -134,7 +141,7 @@ def test_resumed_loss_equals_full_pass_for_every_tensor(setup):
     registry, runner, params = setup
     batch = runner.samples
     kept = []
-    base_loss, _ = runner.batch_loss(batch, params, "all", kept)
+    base_loss, _ = runner.batch_loss(batch, params, every_name(params), kept)
     stages = len(params.blocks) + 1
     assert [len(microbatch) for microbatch in kept] == [stages] * 2
     rng = np.random.default_rng(11)
@@ -190,45 +197,62 @@ def all_passes(runner, params):
     evaluate, over the runner's whole corpus."""
     batch = runner.samples
     kept = []
-    loss, grads = runner.batch_loss(batch, params, "all", kept)
+    loss, grads = runner.batch_loss(batch, params, every_name(params), kept)
     return loss, grads, kept, resume_each_stage(runner, params, kept), runner.evaluate(params, batch)
 
 
-def with_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
-
-
 def test_parallel_passes_have_the_serial_bits(corpus, monkeypatch):
+    """2 microbatches on 2 CPUs, and 5 on 3 CPUs split as ranges of 1, 2 and 2,
+    have the bits of one process."""
     registry, samples, params = corpus
-    runs = {}
-    for cpus in (1, 2):
-        with_cpus(monkeypatch, cpus)
+    for cpus, size in ((2, len(samples)), (3, 36)):
+        batch = (samples * 4)[:size]
+        runs = {}
+        for n in (1, cpus):
+            with_cpus(monkeypatch, n)
+            with make_runner(registry, batch) as runner:
+                runs[n] = all_passes(runner, params)
+                assert runner.processes == n
+                # A pass over no samples, once the workers have started, runs in the caller.
+                assert runner.evaluate(params, []) == (0.0, dict.fromkeys(params.expert_names, 0.0))
+        (loss, grads, kept, resumed, evaluated), (p_loss, p_grads, p_kept, p_resumed, p_evaluated) = runs[1], runs[cpus]
+        assert p_loss == loss and p_resumed == resumed and p_evaluated == evaluated
+        assert len(resumed) == len(params.blocks) + 1
+        # The keep list holds every microbatch's stage inputs, read-only, with the
+        # same bits whichever process recorded them, so any runner can resume from them.
+        assert [[a.tobytes() for a in m] for m in p_kept] == [[a.tobytes() for a in m] for m in kept]
+        assert not any(array.flags.writeable for microbatch in kept + p_kept for array in microbatch)
+        for microbatch in (kept[0], p_kept[-1]):  # recorded by this process, and by a worker
+            with pytest.raises(ValueError, match="read-only"):
+                microbatch[0][0, 0, 0] = 1.0
+        assert list(p_grads) == list(grads)
+        for name, grad in grads.items():
+            assert p_grads[name].tobytes() == grad.tobytes(), name
+        with_cpus(monkeypatch, 1)
+        with make_runner(registry, batch) as runner:
+            # A fresh one-process runner resumes from what several processes kept.
+            assert resume_each_stage(runner, params, p_kept) == resumed
+            # Some tensors get their whole gradient from the first microbatch: the
+            # second routes none of experts 1, 3 and 5.
+            _, tail = runner.batch_loss(samples[MICROBATCH:], params, every_name(params))
+        assert any(grads[name].any() and not tail[name].any() for name in grads)
+
+
+def test_a_runner_is_freed_when_its_caller_lets_go(corpus, monkeypatch):
+    """Leaving the runner breaks the cycle through its workers' bound method, so
+    its input cache goes without waiting for the cycle collector."""
+    registry, samples, params = corpus
+    with_cpus(monkeypatch, 2)
+    gc.disable()
+    try:
         with make_runner(registry, samples) as runner:
-            runs[cpus] = all_passes(runner, params)
-            assert runner.processes == cpus
-            # A pass over no samples, once the workers have started, runs in the caller.
-            assert runner.evaluate(params, []) == (0.0, dict.fromkeys(params.expert_names, 0.0))
-    (loss, grads, kept, resumed, evaluated), (p_loss, p_grads, p_kept, p_resumed, p_evaluated) = runs[1], runs[2]
-    assert p_loss == loss and p_resumed == resumed and p_evaluated == evaluated
-    assert len(resumed) == len(params.blocks) + 1
-    # The keep list holds every microbatch's stage inputs, read-only, with the
-    # same bits whichever process recorded them, so any runner can resume from them.
-    assert [[a.tobytes() for a in m] for m in p_kept] == [[a.tobytes() for a in m] for m in kept]
-    assert not any(array.flags.writeable for microbatch in kept + p_kept for array in microbatch)
-    for microbatch in (kept[0], p_kept[1]):  # recorded by this process, and by a worker
-        with pytest.raises(ValueError, match="read-only"):
-            microbatch[0][0, 0, 0] = 1.0
-    assert list(p_grads) == list(grads)
-    for name, grad in grads.items():
-        assert p_grads[name].tobytes() == grad.tobytes(), name
-    with_cpus(monkeypatch, 1)
-    with make_runner(registry, samples) as runner:
-        # A fresh one-process runner resumes from what two processes kept.
-        assert resume_each_stage(runner, params, p_kept) == resumed
-        # Some tensors get their whole gradient from the first microbatch: the
-        # second routes none of experts 1, 3 and 5.
-        _, tail = runner.batch_loss(samples[MICROBATCH:], params, "all")
-    assert any(grads[name].any() and not tail[name].any() for name in grads)
+            runner.batch_loss(samples, params, every_name(params))
+            assert runner.processes == 2
+        freed = weakref.ref(runner)
+        del runner
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_worker_overflow_fails_as_the_serial_run(corpus, monkeypatch):
@@ -242,7 +266,7 @@ def test_worker_overflow_fails_as_the_serial_run(corpus, monkeypatch):
         with_cpus(monkeypatch, cpus)
         with make_runner(registry, samples) as runner:
             with pytest.raises(TrainingError) as caught, _fails_as("step 0"):
-                runner.batch_loss(samples, params, "all")
+                runner.batch_loss(samples, params, every_name(params))
             errors[cpus] = str(caught.value)
             assert runner.processes == cpus
     assert errors[2] == errors[1] and errors[1].startswith("step 0: overflow")
@@ -253,13 +277,14 @@ def test_dead_worker_fails_with_one_error(corpus, monkeypatch):
     registry, samples, params = corpus
     with_cpus(monkeypatch, 2)
     with make_runner(registry, samples) as runner:
-        runner.batch_loss(samples, params, "all")
-        for process, _conn in runner._workers:
+        runner.batch_loss(samples, params, every_name(params))
+        for process, _conn in runner._workers.children:
             os.kill(process.pid, signal.SIGKILL)
             process.join(10)
             assert not process.is_alive()
-        with pytest.raises(TrainingError, match="^a microbatch worker process exited$"):
-            runner.batch_loss(samples, params, "all")
+        with pytest.raises(MovaError) as caught:
+            runner.batch_loss(samples, params, every_name(params))
+    assert type(caught.value) is MovaError and str(caught.value) == "a forked worker process exited"
 
 
 def test_unpicklable_worker_error_keeps_its_text(corpus, monkeypatch):
@@ -281,10 +306,10 @@ def test_unpicklable_worker_error_keeps_its_text(corpus, monkeypatch):
         with_cpus(monkeypatch, cpus)
         with make_runner(registry, samples) as runner:
             with pytest.raises(Exception) as caught:
-                runner.batch_loss(samples, params, "all")
+                runner.batch_loss(samples, params, every_name(params))
             assert runner.processes == cpus
         errors[cpus] = caught.value
-    assert type(errors[1]) is Unpicklable and type(errors[2]) is TrainingError
+    assert type(errors[1]) is Unpicklable and type(errors[2]) is MovaError
     assert str(errors[2]) == str(errors[1])
 
 
@@ -308,7 +333,7 @@ def test_a_worker_cannot_write_the_params_slab(corpus, monkeypatch, through):
     monkeypatch.setattr(_CorpusRunner, "_microbatch", microbatch)
     with make_runner(registry, samples) as runner:
         with pytest.raises(ValueError, match="read-only"):
-            runner.batch_loss(samples, params, "all")
+            runner.batch_loss(samples, params, every_name(params))
         assert runner.processes == 2
         for (name, array), (_same, slab) in zip(named_arrays(params), named_arrays(runner._slab)):
             assert slab.tobytes() == array.tobytes(), name

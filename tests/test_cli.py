@@ -353,7 +353,7 @@ class TestTrainAndAblateCli:
 
         def then_kill_workers(self, *args, **kwargs):
             result = original(self, *args, **kwargs)
-            for process, _conn in self._workers:
+            for process, _conn in self._workers.children:
                 os.kill(process.pid, signal.SIGKILL)
                 process.join(10)
             return result
@@ -362,7 +362,7 @@ class TestTrainAndAblateCli:
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1})
         toy = self.write_toy(tmp_path, corpus_dir, steps=2, batch_size=12)
         code, out, err = run_cli(capsys, "train-toy", "--config", toy)
-        assert (code, out, err) == (1, "", "error: a microbatch worker process exited\n")
+        assert (code, out, err) == (1, "", "error: a forked worker process exited\n")
 
     def test_ablate_reports_requested_modes(self, capsys, tmp_path, corpus_dir):
         payload = run_json(
@@ -466,6 +466,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_route", interrupted)
         code, out, err = run_cli(capsys, "route", "--question", "q", "--strategy", "all")
         assert (code, out, err) == (1, "", "error: interrupted\n")
+
+    def test_unexpected_exception_is_one_internal_error_line(self, capsys, monkeypatch):
+        import mova.harness.cli as cli
+
+        def route(*_args):
+            raise ValueError("no route")
+
+        monkeypatch.setattr(cli, "route", route)
+        code, out, err = run_cli(capsys, "route", "--question", "q", "--strategy", "all")
+        assert (code, out, err) == (1, "", "error: internal error: ValueError: no route\n")
 
     def test_import_failure_is_one_error_line(self, capsys, monkeypatch):
         # None in sys.modules makes the subcommand's own import raise ImportError.

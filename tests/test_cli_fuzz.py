@@ -4,8 +4,8 @@ Each file example corrupts one file that a command reads (experts.json,
 toy.json, a JSONL file, a parameter manifest or a MOVT tensor); each flag
 example gives one numeric flag NaN, an infinity, a negative, zero or a huge
 value. Both call `cli.main` in-process. Whatever the input, the exit code must
-be 0, 1 or 2, no exception may escape, a failure prints one `error:` line, and
-a success prints strict JSON (no NaN or Infinity). Fuzzed numbers stay small
+be 0, 1 or 2, no exception may escape, a failure prints one `error:` line that
+is not an internal error, and a success prints strict JSON (no NaN or Infinity). Fuzzed numbers stay small
 where a valid one sets the amount of work, so no example trains for more than
 3 steps or allocates a large feature map.
 """
@@ -66,6 +66,7 @@ def assert_contract(code, out, err, report=None):
     else:
         assert out == ""
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+        assert "error: internal error:" not in err  # every drawn input is a handled error
 
 
 def node_paths(node, prefix=()):

@@ -132,7 +132,7 @@ def test_every_error_survives_a_pickle_round_trip():
         exc = cls("route", "boom") if cls is PipelineError else cls("boom")
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is cls and str(back) == str(exc) and vars(back) == vars(exc), cls
-        assert forked.sendable(exc, TrainingError) is exc
+        assert forked.sendable(exc) is exc
     assert pickle.loads(pickle.dumps(PipelineError("route", "boom"))).stage == "route"
 
 

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import with_cpus
 
 from mova import forked, routing_data
 from mova.errors import CapacityError, MovaError, ValidationError
@@ -325,10 +326,6 @@ class TestPooledRows:
 
 
 CORPUS_FILES = ("samples.jsonl", "losses.jsonl", "ground_truth.jsonl", "manifest.json")
-
-
-def with_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
 
 
 def counted_fork_map(monkeypatch):
