@@ -24,7 +24,7 @@ from mova.adapter.network import (
     fuse,
     gate_weights,
 )
-from mova.adapter.params import clone_params, init_params, named_arrays
+from mova.adapter.params import clone_params, init_params
 from mova.adapter.text import encode_text
 from mova.errors import MovaError
 from mova.experts import (
@@ -340,16 +340,16 @@ def _check_residual_identity():
 def _check_gradient_spot():
     registry, config, params = _adapter_fixture()
     answer = np.random.default_rng(_SUITE_SEED + 11).standard_normal(4)
-    runner = planted_runner(registry, config, 21, answer, "find it")
+    runner = planted_runner(registry, config, 21, answer, "find it", params)
     rng = np.random.default_rng(_SUITE_SEED + 12)
+    arrays = runner.arrays
     names = sorted(
-        n for n, _ in named_arrays(params)
+        n for n in arrays
         if ".gate." in n or ".extract.dinov2." in n or n.startswith("projector")
     )
-    arrays = dict(named_arrays(params))
     chosen = [names[int(i)] for i in rng.choice(len(names), size=10, replace=False)]
     entries = {name: [int(rng.integers(arrays[name].size))] for name in chosen}
-    for name, result in probe_planted(runner, params, entries, eps=1e-5).items():
+    for name, result in probe_planted(runner, entries, eps=1e-5).items():
         assert result.max_rel_error < 1e-4, f"{name}: {result.max_rel_error}"
 
 

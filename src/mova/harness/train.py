@@ -10,6 +10,7 @@ corpus samples, so a zero learning rate leaves the loss trace constant.
 from __future__ import annotations
 
 import contextlib
+import mmap
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,12 +129,17 @@ class _CorpusRunner:
     """The toy loss over a list of samples: built, differentiated and resumed
     here for training, evaluation and every gradient check. Reads no files.
 
-    Every batch pass runs its microbatches through `_run`, in every process on
-    the params slab that this process fills. A pass of two or more microbatches
-    on a host with more than one usable CPU runs them data-parallel: process w of
-    P (this one is 0, the forked workers 1..P-1) runs the w-th of P contiguous
-    ranges of microbatches, and this process adds losses, gradients and gate
-    weights in microbatch order, so the bits are those of one process.
+    The runner owns its params. It copies the params it is given once, at
+    construction, into one shared `mmap` buffer; `params` are writable views of
+    that buffer, shaped like the params, and `arrays` names them. The optimizer
+    and the gradient probes write them in place. Every batch pass runs its
+    microbatches through `_run`, in every process on `_slab`: read-only views of
+    the same buffer, so a forked worker sees each write with no copy. A pass of
+    two or more microbatches on a host with more than one usable CPU runs them
+    data-parallel: process w of P (this one is 0, the forked workers 1..P-1)
+    runs the w-th of P contiguous ranges of microbatches, and this process adds
+    losses, gradients and gate weights in microbatch order, so the bits are
+    those of one process.
     Workers keep nothing between passes: stage inputs they record come back
     with their reply, and a resumed pass sends each share its stage inputs.
     Use the runner as a context manager: leaving it ends its workers.
@@ -145,6 +151,7 @@ class _CorpusRunner:
         config: AdapterConfig,
         samples: Sequence[Sample],
         selection_for: SelectionProvider,
+        params: AdapterParams,
     ):
         if not samples:
             raise ValidationError("corpus has no samples")
@@ -162,9 +169,17 @@ class _CorpusRunner:
         self.processes = 1  # the most processes that have run this runner's microbatches
         self._inputs: dict[str, ForwardInput] = {}
         self._workers = Workers(self._run, 1)
-        self._flat: np.ndarray | None = None  # shared memory that only this process writes
-        self._slab: AdapterParams | None = None  # read-only views of _flat, shaped like the params
-        self._filled_from, self._arrays = None, []  # the params last copied into _flat, and their arrays
+        pairs = named_arrays(params)
+        ends = np.cumsum([array.size for _name, array in pairs])
+        buffer = mmap.mmap(-1, 8 * int(ends[-1]))  # shared with every worker forked later
+        flat, frozen = np.frombuffer(buffer), np.frombuffer(memoryview(buffer).toreadonly())
+        np.concatenate([array for _name, array in pairs], axis=None, out=flat)
+        self.arrays, slab = {}, {}  # {name: writable view}, in visit order; the same, read-only
+        for (name, array), end in zip(pairs, ends):
+            self.arrays[name] = flat[end - array.size : end].reshape(array.shape)
+            slab[name] = frozen[end - array.size : end].reshape(array.shape)
+        self.params = visit(params, lambda name, _array: self.arrays[name])
+        self._slab = visit(params, lambda name, _array: slab[name])  # what `_run` lifts; no process can write it
 
     def __enter__(self) -> "_CorpusRunner":
         return self
@@ -192,12 +207,12 @@ class _CorpusRunner:
             self._inputs[sample.sample_id] = ForwardInput(base, feats, selection, sample.question)
         return self._inputs[sample.sample_id]
 
-    def batch_loss(self, batch: list[Sample], params: AdapterParams, trainable, keep=None) -> tuple[float, dict[str, np.ndarray]]:
+    def batch_loss(self, batch: list[Sample], trainable, keep=None) -> tuple[float, dict[str, np.ndarray]]:
         """Mean loss over the batch and its gradient; one tape per microbatch. A `keep`
         list receives each microbatch's stage inputs as read-only arrays, whichever
         process ran it, for batch_loss_value on any runner over the same samples."""
         total, grads = 0.0, {}
-        for loss, microbatch_grads in self._pass("grad", batch, params, trainable, keep=keep):
+        for loss, microbatch_grads in self._pass("grad", batch, trainable, keep=keep):
             total += loss
             # A microbatch that gives a tensor no gradient adds nothing: adding
             # zeros would turn a -0.0 into 0.0.
@@ -205,43 +220,37 @@ class _CorpusRunner:
                 grads[name] = grads[name] + grad if name in grads else grad
         return total, {
             name: grads[name] if name in grads else np.zeros_like(array)
-            for name, array in named_arrays(params) if name in trainable
+            for name, array in self.arrays.items() if name in trainable
         }
 
-    def batch_loss_value(self, batch: list[Sample], params: AdapterParams, stage=0, kept=()) -> float:
+    def batch_loss_value(self, batch: list[Sample], stage=0, kept=()) -> float:
         """The loss alone, finite or not: finite_diff_check judges a probe's value. Given
         what batch_loss kept of this batch, each pass resumes at `stage`."""
-        return sum(loss for loss, _ in self._pass("value", batch, params, stage=stage, kept=kept))
+        return sum(loss for loss, _ in self._pass("value", batch, stage=stage, kept=kept))
 
-    def evaluate(self, params: AdapterParams, eval_set: list[Sample]) -> tuple[float, dict[str, float]]:
+    def evaluate(self, eval_set: list[Sample]) -> tuple[float, dict[str, float]]:
         """Eval loss plus mean gate weight per pool expert over samples and blocks."""
         total, denom = 0.0, 0
-        sums = {name: 0.0 for name in params.expert_names}
-        for loss, (weights, count) in self._pass("eval", eval_set, params):
+        sums = {name: 0.0 for name in self.params.expert_names}
+        for loss, (weights, count) in self._pass("eval", eval_set):
             total += loss
             denom += count
             for name, weight in weights:
                 sums[name] += weight
         mean_gates = {
-            name: (sums[name] / denom if denom else 0.0) for name in params.expert_names
+            name: (sums[name] / denom if denom else 0.0) for name in self.params.expert_names
         }
         return total, mean_gates
 
-    def _pass(self, kind: str, batch: list[Sample], params: AdapterParams, trainable=frozenset(),
-              keep=None, stage=0, kept=()) -> list:
+    def _pass(self, kind: str, batch: list[Sample], trainable=frozenset(), keep=None, stage=0, kept=()) -> list:
         """Run `kind` ("grad", "value" or "eval") over the batch's microbatches;
         returns their `_microbatch` results in microbatch order, or raises the
         error of the first microbatch that failed."""
         chunks = [batch[start : start + MICROBATCH] for start in range(0, len(batch), MICROBATCH)]
-        if self._slab is None:
-            self._share_slab(params)
         procs = min(usable_cpus(), len(chunks))
         if self._workers.count == 1 < procs:
             self._workers = Workers(self._run, procs)
             self.processes = procs
-        if self._filled_from is not params:  # frozen containers: the same object holds the same arrays
-            self._filled_from, self._arrays = params, [array for _name, array in named_arrays(params)]
-        np.concatenate(self._arrays, axis=None, out=self._flat)
         jobs = [(samples, (stage, kept[j][stage]) if kept else None) for j, samples in enumerate(chunks)]
         # Process w runs the w-th contiguous range, so the lowest failing share
         # holds the first failing microbatch.
@@ -259,21 +268,6 @@ class _CorpusRunner:
                         array.flags.writeable = False
                     keep.append(record)
         return [result for results, _records in replies for result in results]
-
-    def _share_slab(self, params: AdapterParams) -> None:
-        """Map the shared buffer that every process reads the params from, as read-only views."""
-        import mmap
-
-        sizes = [array.size for _name, array in named_arrays(params)]
-        self._flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
-        parts = iter(np.split(self._flat, np.cumsum(sizes)[:-1]))
-
-        def view(_name, array):
-            part = next(parts).reshape(array.shape)
-            part.flags.writeable = False
-            return part
-
-        self._slab = visit(params, view)
 
     def _run(self, share) -> tuple[list, list]:
         """One process's share of a pass, run on the slab's params under the caller's
@@ -345,21 +339,20 @@ def _finite(loss: ad.Node, samples: Sequence[Sample]) -> float:
 def probe_gradients(
     runner: _CorpusRunner,
     batch: list[Sample],
-    params: AdapterParams,
     grads: Mapping[str, np.ndarray],
     entries: Mapping[str, Sequence[int] | None],
     kept: Sequence,
     eps: float,
 ) -> dict[str, GradCheckReport]:
-    """Central differences of {tensor name: flat indices or None (all)} against `grads`;
-    each probe pass resumes, from what batch_loss `kept` of `batch`, at the stage its tensor feeds."""
-    arrays = dict(named_arrays(params))
+    """Central differences of {tensor name: flat indices or None (all)} against `grads`,
+    probed in place in `runner.arrays`; each probe pass resumes, from what batch_loss
+    `kept` of `batch`, at the stage its tensor feeds."""
     reports = {}
     for name, flats in entries.items():
-        stage = stage_of(name, len(params.blocks))
+        stage = stage_of(name, len(runner.params.blocks))
         reports[name] = finite_diff_check(
-            arrays[name],
-            lambda _block: runner.batch_loss_value(batch, params, stage=stage, kept=kept),
+            runner.arrays[name],
+            lambda _block: runner.batch_loss_value(batch, stage=stage, kept=kept),
             grads[name], eps=eps, op_name=name, indices=flats,
         )
     return reports
@@ -368,7 +361,6 @@ def probe_gradients(
 def _spot_check_gradients(
     config: ToyTrainConfig,
     runner: _CorpusRunner,
-    params: AdapterParams,
     batch: list[Sample],
     grads: Mapping[str, np.ndarray],
     kept: Sequence,
@@ -376,7 +368,7 @@ def _spot_check_gradients(
     """Central-difference probe of seeded entries of the step-0 gradient, resumed
     from what step 0's batch_loss `kept`."""
     rng = np.random.default_rng([_GRADCHECK_SALT, config.seed])
-    arrays = dict(named_arrays(params))
+    arrays = runner.arrays
     names = sorted(grads)
     entries: dict[str, list[int]] = {}
     budget = min(config.gradcheck_entries, sum(arrays[n].size for n in names))
@@ -385,7 +377,7 @@ def _spot_check_gradients(
         name = names[order[drawn % len(names)]]
         entries.setdefault(name, []).append(int(rng.integers(arrays[name].size)))
     try:
-        results = probe_gradients(runner, batch, params, grads, entries, kept, config.gradcheck_eps)
+        results = probe_gradients(runner, batch, grads, entries, kept, config.gradcheck_eps)
     except NumericError as exc:
         raise TrainingError(f"step-0 gradient check failed: {exc}") from exc
     worst = max((result.max_rel_error for result in results.values()), default=0.0)
@@ -445,10 +437,9 @@ def train_toy(
     started = time.perf_counter()
     samples = load_samples(Path(config.corpus_dir) / "samples.jsonl")
     provider = selection_provider or _corpus_provider(config, registry)
-    with _CorpusRunner(registry, config.adapter, samples, provider) as runner:
-        params = init_params(config.adapter, registry)
-        trainable = scope_names(params, config.scope)
-        arrays = dict(named_arrays(params))
+    params = init_params(config.adapter, registry)
+    trainable = scope_names(params, config.scope)
+    with _CorpusRunner(registry, config.adapter, samples, provider, params) as runner:
         batch_idx = training_batch_indices(len(runner.samples), config)
         batch = [runner.samples[i] for i in batch_idx]
 
@@ -458,15 +449,15 @@ def train_toy(
         for step in range(config.steps):
             with _fails_as(f"step {step}"):
                 kept = [] if step == 0 else None  # each stage's input, for step 0's spot check
-                loss, grads = runner.batch_loss(batch, params, trainable, kept)
+                loss, grads = runner.batch_loss(batch, trainable, kept)
                 trace.append(loss)
                 if step == 0:  # the probe ignores overflow itself and reports it once
-                    gradcheck_summary = _spot_check_gradients(config, runner, params, batch, grads, kept)
+                    gradcheck_summary = _spot_check_gradients(config, runner, batch, grads, kept)
                     kept = None  # frees the stage inputs before training goes on
                 for name, grad in grads.items():
-                    arrays[name] -= config.learning_rate * grad
+                    runner.arrays[name] -= config.learning_rate * grad
         with _fails_as(f"eval after {config.steps} steps"):
-            eval_loss, mean_gates = runner.evaluate(params, runner.samples[: config.eval_samples])
+            eval_loss, mean_gates = runner.evaluate(runner.samples[: config.eval_samples])
     if not np.isfinite(eval_loss):
         raise TrainingError(f"non-finite eval loss after {config.steps} steps")
     report = TrainReport(
@@ -477,7 +468,7 @@ def train_toy(
         wall_clock_seconds=time.perf_counter() - started,
         processes=runner.processes,
     )
-    return report, params
+    return report, runner.params
 
 
 # ---------------------------------------------------------------------------

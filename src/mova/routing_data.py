@@ -362,7 +362,7 @@ def generate_synthetic_corpus(
     def pool(lo: int, hi: int):
         return _pooled_rows(registry, samples, planted_idx, lo, hi)
 
-    parts = fork_map(pool, ranges) if procs > 1 else [pool(*ranges[0])]
+    parts = fork_map(pool, ranges)  # one range runs here and forks nothing
     pooled_base = np.concatenate([base for base, _ in parts])
     pooled_experts = [np.concatenate([experts[j] for _, experts in parts]) for j in range(n)]
 

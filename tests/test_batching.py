@@ -18,7 +18,7 @@ from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.errors import MovaError, ShapeError, TrainingError
 from mova.experts import default_registry, generate_expert_feature
 from mova.forked import usable_cpus
-from mova.harness.train import MICROBATCH, _CorpusRunner, _fails_as
+from mova.harness.train import MICROBATCH, _CorpusRunner, _fails_as, probe_gradients
 from mova.routing import ExpertSelection
 from mova.routing_data import generate_synthetic_corpus, load_samples
 
@@ -40,9 +40,9 @@ def corpus(tmp_path_factory):
     return registry, samples, params
 
 
-def make_runner(registry, samples):
+def make_runner(registry, samples, params):
     chosen = {s.sample_id: ExpertSelection(sel) for s, sel in zip(samples, SELECTIONS)}
-    return _CorpusRunner(registry, desk_config(), samples, lambda sample: chosen[sample.sample_id])
+    return _CorpusRunner(registry, desk_config(), samples, lambda sample: chosen[sample.sample_id], params)
 
 
 def every_name(params):
@@ -52,7 +52,7 @@ def every_name(params):
 @pytest.fixture
 def setup(corpus):
     registry, samples, params = corpus
-    with make_runner(registry, samples) as runner:
+    with make_runner(registry, samples, params) as runner:
         yield registry, runner, params
 
 
@@ -83,11 +83,11 @@ def test_batch_covers_the_intended_mix(setup):
 def test_batch_loss_matches_mean_of_one_sample_graphs(setup):
     _registry, runner, params = setup
     batch = runner.samples
-    loss, grads = runner.batch_loss(batch, params, every_name(params))
-    singles = [runner.batch_loss([sample], params, every_name(params)) for sample in batch]
+    loss, grads = runner.batch_loss(batch, every_name(params))
+    singles = [runner.batch_loss([sample], every_name(params)) for sample in batch]
     mean_loss = sum(l for l, _ in singles) / len(batch)
     assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
-    assert loss == pytest.approx(runner.batch_loss_value(batch, params), rel=1e-15)
+    assert loss == pytest.approx(runner.batch_loss_value(batch), rel=1e-15)
     for name, grad in grads.items():
         mean_grad = sum(g[name] for _, g in singles) / len(batch)
         assert rel_diff(grad, mean_grad) <= 1e-12, name
@@ -141,26 +141,26 @@ def test_resumed_loss_equals_full_pass_for_every_tensor(setup):
     registry, runner, params = setup
     batch = runner.samples
     kept = []
-    base_loss, _ = runner.batch_loss(batch, params, every_name(params), kept)
+    base_loss, _ = runner.batch_loss(batch, every_name(params), kept)
     stages = len(params.blocks) + 1
     assert [len(microbatch) for microbatch in kept] == [stages] * 2
     rng = np.random.default_rng(11)
     moved = set()
-    for name, arr in named_arrays(params):
+    for name, arr in named_arrays(runner.params):
         flat = int(rng.integers(arr.size))
         original = arr.flat[flat]
         arr.flat[flat] = original + 0.5
         try:
-            full = runner.batch_loss_value(batch, params)
+            full = runner.batch_loss_value(batch)
             stage = stage_of(name, len(params.blocks))
-            assert runner.batch_loss_value(batch, params, stage=stage, kept=kept) == full, name
+            assert runner.batch_loss_value(batch, stage=stage, kept=kept) == full, name
         finally:
             arr.flat[flat] = original
         if full != base_loss:
             moved.add(stage)
     assert moved == set(range(stages))  # every stage had a probe that changed the loss
     # Nothing wrote into the kept inputs: resuming the tail still gives the unperturbed loss.
-    assert runner.batch_loss_value(batch, params, stage=stages - 1, kept=kept) == base_loss
+    assert runner.batch_loss_value(batch, stage=stages - 1, kept=kept) == base_loss
     lifted, _ = lift(params)
     inputs = [runner.forward_input(s) for s in batch[:MICROBATCH]]
     with pytest.raises(ShapeError, match="cannot resume at stage"):
@@ -177,28 +177,28 @@ def one_per_stage(params):
     return firsts
 
 
-def resume_each_stage(runner, params, kept):
+def resume_each_stage(runner, kept):
     """A batch_loss_value resumed at each stage, from `kept`, with one element
-    of that stage's first tensor moved: {tensor name: loss}."""
-    arrays = dict(named_arrays(params))
+    of that stage's first tensor moved in `runner.params`: {tensor name: loss}."""
+    arrays = dict(named_arrays(runner.params))
     resumed = {}
-    for stage, name in one_per_stage(params).items():
+    for stage, name in one_per_stage(runner.params).items():
         original = arrays[name].flat[0]
         arrays[name].flat[0] = original + 0.5
         try:
-            resumed[name] = runner.batch_loss_value(runner.samples, params, stage=stage, kept=kept)
+            resumed[name] = runner.batch_loss_value(runner.samples, stage=stage, kept=kept)
         finally:
             arrays[name].flat[0] = original
     return resumed
 
 
-def all_passes(runner, params):
+def all_passes(runner):
     """batch_loss, the stage inputs it kept, resume_each_stage from them and
     evaluate, over the runner's whole corpus."""
     batch = runner.samples
     kept = []
-    loss, grads = runner.batch_loss(batch, params, every_name(params), kept)
-    return loss, grads, kept, resume_each_stage(runner, params, kept), runner.evaluate(params, batch)
+    loss, grads = runner.batch_loss(batch, every_name(runner.params), kept)
+    return loss, grads, kept, resume_each_stage(runner, kept), runner.evaluate(batch)
 
 
 def test_parallel_passes_have_the_serial_bits(corpus, monkeypatch):
@@ -210,11 +210,11 @@ def test_parallel_passes_have_the_serial_bits(corpus, monkeypatch):
         runs = {}
         for n in (1, cpus):
             with_cpus(monkeypatch, n)
-            with make_runner(registry, batch) as runner:
-                runs[n] = all_passes(runner, params)
+            with make_runner(registry, batch, params) as runner:
+                runs[n] = all_passes(runner)
                 assert runner.processes == n
                 # A pass over no samples, once the workers have started, runs in the caller.
-                assert runner.evaluate(params, []) == (0.0, dict.fromkeys(params.expert_names, 0.0))
+                assert runner.evaluate([]) == (0.0, dict.fromkeys(params.expert_names, 0.0))
         (loss, grads, kept, resumed, evaluated), (p_loss, p_grads, p_kept, p_resumed, p_evaluated) = runs[1], runs[cpus]
         assert p_loss == loss and p_resumed == resumed and p_evaluated == evaluated
         assert len(resumed) == len(params.blocks) + 1
@@ -229,13 +229,47 @@ def test_parallel_passes_have_the_serial_bits(corpus, monkeypatch):
         for name, grad in grads.items():
             assert p_grads[name].tobytes() == grad.tobytes(), name
         with_cpus(monkeypatch, 1)
-        with make_runner(registry, batch) as runner:
+        with make_runner(registry, batch, params) as runner:
             # A fresh one-process runner resumes from what several processes kept.
-            assert resume_each_stage(runner, params, p_kept) == resumed
+            assert resume_each_stage(runner, p_kept) == resumed
             # Some tensors get their whole gradient from the first microbatch: the
             # second routes none of experts 1, 3 and 5.
-            _, tail = runner.batch_loss(samples[MICROBATCH:], params, every_name(params))
+            _, tail = runner.batch_loss(samples[MICROBATCH:], every_name(params))
         assert any(grads[name].any() and not tail[name].any() for name in grads)
+
+
+def test_a_runner_writes_only_its_own_copy_of_the_params(corpus):
+    """The params handed to a runner keep their bytes through a gradient pass,
+    probes and an optimizer step, all of which write `runner.params`."""
+    registry, samples, params = corpus
+    before = [array.tobytes() for _name, array in named_arrays(params)]
+    with make_runner(registry, samples, params) as runner:
+        kept = []
+        loss, grads = runner.batch_loss(samples, every_name(params), kept)
+        entries = {"block0.gate.hidden.weight": [0, 5], "projector.out.weight": [3, 40]}
+        probe_gradients(runner, samples, grads, entries, kept, eps=1e-5)
+        for name, array in named_arrays(runner.params):
+            array -= 0.1 * grads[name]
+        assert runner.batch_loss_value(samples) != loss  # the runner reads what it wrote
+    assert [array.tobytes() for _name, array in named_arrays(params)] == before
+
+
+def test_a_write_between_passes_reaches_the_worker(corpus, monkeypatch):
+    """On 2 CPUs a worker runs the second microbatch. An in-place write to
+    `runner.params` after one pass moves that microbatch's loss in the next,
+    to the loss a one-process runner gives after the same write."""
+    registry, samples, params = corpus
+    losses = {}
+    for cpus in (2, 1):
+        with_cpus(monkeypatch, cpus)
+        with make_runner(registry, samples, params) as runner:
+            passes = [[loss for loss, _ in runner._pass("value", samples)]]
+            runner.params.projector_out.weight[0, 0] += 0.5  # read by every sample's first answer component
+            passes.append([loss for loss, _ in runner._pass("value", samples)])
+            assert runner.processes == cpus
+        losses[cpus] = passes
+    assert len(losses[2][0]) == 2 and losses[2][1][1] != losses[2][0][1]
+    assert losses[2] == losses[1]
 
 
 def test_a_runner_is_freed_when_its_caller_lets_go(corpus, monkeypatch):
@@ -245,8 +279,8 @@ def test_a_runner_is_freed_when_its_caller_lets_go(corpus, monkeypatch):
     with_cpus(monkeypatch, 2)
     gc.disable()
     try:
-        with make_runner(registry, samples) as runner:
-            runner.batch_loss(samples, params, every_name(params))
+        with make_runner(registry, samples, params) as runner:
+            runner.batch_loss(samples, every_name(params))
             assert runner.processes == 2
         freed = weakref.ref(runner)
         del runner
@@ -264,9 +298,9 @@ def test_worker_overflow_fails_as_the_serial_run(corpus, monkeypatch):
     errors = {}
     for cpus in (1, 2):
         with_cpus(monkeypatch, cpus)
-        with make_runner(registry, samples) as runner:
+        with make_runner(registry, samples, params) as runner:
             with pytest.raises(TrainingError) as caught, _fails_as("step 0"):
-                runner.batch_loss(samples, params, every_name(params))
+                runner.batch_loss(samples, every_name(params))
             errors[cpus] = str(caught.value)
             assert runner.processes == cpus
     assert errors[2] == errors[1] and errors[1].startswith("step 0: overflow")
@@ -276,14 +310,14 @@ def test_dead_worker_fails_with_one_error(corpus, monkeypatch):
     """A worker killed between passes: the next pass's send to it fails."""
     registry, samples, params = corpus
     with_cpus(monkeypatch, 2)
-    with make_runner(registry, samples) as runner:
-        runner.batch_loss(samples, params, every_name(params))
+    with make_runner(registry, samples, params) as runner:
+        runner.batch_loss(samples, every_name(params))
         for process, _conn in runner._workers.children:
             os.kill(process.pid, signal.SIGKILL)
             process.join(10)
             assert not process.is_alive()
         with pytest.raises(MovaError) as caught:
-            runner.batch_loss(samples, params, every_name(params))
+            runner.batch_loss(samples, every_name(params))
     assert type(caught.value) is MovaError and str(caught.value) == "a forked worker process exited"
 
 
@@ -304,9 +338,9 @@ def test_unpicklable_worker_error_keeps_its_text(corpus, monkeypatch):
     errors = {}
     for cpus in (1, 2):
         with_cpus(monkeypatch, cpus)
-        with make_runner(registry, samples) as runner:
+        with make_runner(registry, samples, params) as runner:
             with pytest.raises(Exception) as caught:
-                runner.batch_loss(samples, params, every_name(params))
+                runner.batch_loss(samples, every_name(params))
             assert runner.processes == cpus
         errors[cpus] = caught.value
     assert type(errors[1]) is Unpicklable and type(errors[2]) is MovaError
@@ -317,7 +351,7 @@ def test_unpicklable_worker_error_keeps_its_text(corpus, monkeypatch):
 @pytest.mark.parametrize("through", ["node", "slab"])
 def test_a_worker_cannot_write_the_params_slab(corpus, monkeypatch, through):
     """A worker that writes a param, through its lifted node or straight into its
-    view of the shared slab, raises, and the slab keeps the params' bits."""
+    view of the shared slab, raises, and the slab keeps the bits it had before the pass."""
     registry, samples, params = corpus
     parent = os.getpid()
     original = _CorpusRunner._microbatch
@@ -331,9 +365,10 @@ def test_a_worker_cannot_write_the_params_slab(corpus, monkeypatch, through):
         return original(self, kind, chunk, batch_size, lifted, *args)
 
     monkeypatch.setattr(_CorpusRunner, "_microbatch", microbatch)
-    with make_runner(registry, samples) as runner:
+    with make_runner(registry, samples, params) as runner:
+        before = [array.tobytes() for _name, array in named_arrays(runner._slab)]
         with pytest.raises(ValueError, match="read-only"):
-            runner.batch_loss(samples, params, every_name(params))
+            runner.batch_loss(samples, every_name(params))
         assert runner.processes == 2
-        for (name, array), (_same, slab) in zip(named_arrays(params), named_arrays(runner._slab)):
-            assert slab.tobytes() == array.tobytes(), name
+        for (name, slab), copy in zip(named_arrays(runner._slab), before):
+            assert slab.tobytes() == copy, name

@@ -9,7 +9,7 @@ import signal
 import pytest
 
 from mova.errors import MovaError
-from mova.forked import Workers
+from mova.forked import Workers, fork_map
 
 
 def square(share):
@@ -77,3 +77,11 @@ def test_a_failed_fork_ends_the_children_already_started(monkeypatch):
     with pytest.raises(OSError, match="^cannot fork$"):
         Workers(square, 3)
     assert len(started) == 1 and not started[0][0].is_alive()
+
+
+def test_one_range_runs_in_the_caller_and_forks_nothing(monkeypatch):
+    def fork(_workers):
+        raise AssertionError("forked a child for one range")
+
+    monkeypatch.setattr(Workers, "_fork", fork)
+    assert fork_map(lambda lo, hi: (os.getpid(), lo, hi), [(0, 7)]) == [(os.getpid(), 0, 7)]

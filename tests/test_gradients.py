@@ -13,7 +13,7 @@ def instance():
     config = desk_config(seed=2)
     params = init_params(config, registry, seed=21)
     answer = np.random.default_rng(17).standard_normal(4)
-    return params, planted_runner(registry, config, 5, answer, "find the signal")
+    return params, planted_runner(registry, config, 5, answer, "find the signal", params)
 
 
 def check_block(instance, name, max_entries=None):
@@ -22,7 +22,7 @@ def check_block(instance, name, max_entries=None):
     indices = None
     if max_entries is not None and size > max_entries:
         indices = np.random.default_rng(1).choice(size, max_entries, replace=False)
-    report = probe_planted(runner, params, {name: indices}, eps=1e-5)[name]
+    report = probe_planted(runner, {name: indices}, eps=1e-5)[name]
     assert report.max_rel_error < 1e-4, f"{name}: {report.max_rel_error}"
 
 
@@ -52,7 +52,7 @@ def test_transformer_and_norm_params_match_finite_differences(instance):
 def test_unrouted_extractor_gradient_is_zero(instance):
     params, runner = instance
     name = "block0.extract.sam.value.weight"
-    _loss, grads = runner.batch_loss(runner.samples, params, {name})
+    _loss, grads = runner.batch_loss(runner.samples, {name})
     assert not grads[name].any()
 
 

@@ -11,7 +11,7 @@ from mova.adapter.params import init_params, named_arrays
 from mova import errors, forked
 from mova.errors import PipelineError, TrainingError, ValidationError
 from mova.experts import default_registry
-from mova.harness import properties
+from mova.harness import properties, train
 from mova.harness.ablate import run_ablation
 from mova.harness.pipeline import run_pipeline
 from mova.harness.properties import property_checks, run_property_suite
@@ -211,11 +211,11 @@ class TestTrainToy:
     def test_spot_check_fails_on_non_finite_gradient(self, corpus, registry):
         config = tiny_config(corpus)
         samples = load_samples(f"{corpus}/samples.jsonl")
-        runner = _CorpusRunner(registry, config.adapter, samples, _corpus_provider(config, registry))
         params = init_params(config.adapter, registry)
+        runner = _CorpusRunner(registry, config.adapter, samples, _corpus_provider(config, registry), params)
         grads = {name: np.full_like(arr, np.nan) for name, arr in named_arrays(params)}
         with pytest.raises(TrainingError, match="step-0 gradient check failed: .*non-finite"):
-            _spot_check_gradients(config, runner, params, samples[:4], grads, ())
+            _spot_check_gradients(config, runner, samples[:4], grads, ())
 
     def test_spot_check_calls_only_batch_loss_value(self, corpus, registry, monkeypatch):
         """Step 0's spot check runs two batch_loss_value calls per probed entry,
@@ -241,6 +241,24 @@ class TestTrainToy:
         assert [name for name, _ in calls] == ["batch_loss"] + ["batch_loss_value"] * 2 * checked
         stages = {kwargs["stage"] for _, kwargs in calls[1:]}
         assert stages == {0, 1, 2, 3} and all(kwargs["kept"] for _, kwargs in calls[1:])
+
+    def test_params_are_walked_a_fixed_number_of_times(self, corpus, registry, monkeypatch):
+        """No step walks the params tree: the runner keeps the names and arrays of
+        the one walk it makes when it is built."""
+        walks = []
+        original = train.named_arrays
+
+        def named_arrays(params):
+            walks.append(params)
+            return original(params)
+
+        monkeypatch.setattr(train, "named_arrays", named_arrays)
+        counts = []
+        for steps in (2, 6):
+            walks.clear()
+            train_toy(tiny_config(corpus, steps=steps), registry)
+            counts.append(len(walks))
+        assert counts[0] == counts[1]
 
     def test_load_toy_config_resolves_relative_paths(self, corpus, registry, tmp_path):
         import json

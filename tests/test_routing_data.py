@@ -356,15 +356,21 @@ class TestForkedCorpus:
         # Each process pools at least 256 samples, in contiguous ranges.
         procs = min(3, n // 256)
         assert calls == [
+            [(0, n)],
             [(0, n // 2), (n // 2, n)],
             [(n * w // procs, n * (w + 1) // procs) for w in range(procs)],
         ]
 
     def test_fewer_than_512_samples_never_fork(self, registry, tmp_path, monkeypatch):
         calls = counted_fork_map(monkeypatch)
+
+        def fork(_workers):
+            raise AssertionError("a corpus of 511 samples forked")
+
+        monkeypatch.setattr(forked.Workers, "_fork", fork)
         with_cpus(monkeypatch, 3)
         generate_synthetic_corpus(registry, 511, seed=1, out_dir=tmp_path / "c")
-        assert calls == []
+        assert calls == [[(0, 511)]]
 
     @pytest.mark.parametrize("kind", ["capacity", "unpicklable"])
     def test_child_error_is_the_serial_error(self, registry, tmp_path, monkeypatch, kind):
