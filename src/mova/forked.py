@@ -35,11 +35,12 @@ def sendable(exc: Exception) -> Exception:
 class Workers:
     """`count` processes that run `fn` on shares of work: this one and count - 1
     forked children, which persist from one `map` to the next until `close`.
+    Each child calls `in_child`, when given, once before it serves.
     Use it as a context manager: leaving by an exception or Ctrl-C terminates
     the children, and every child is joined."""
 
-    def __init__(self, fn: Callable, count: int):
-        self.fn, self.count = fn, count
+    def __init__(self, fn: Callable, count: int, in_child: Callable[[], None] | None = None):
+        self.fn, self.count, self.in_child = fn, count, in_child
         self.children: list = []  # (process, this process's end of its pipe)
         try:
             for _ in range(count - 1):
@@ -113,6 +114,8 @@ class Workers:
         parent_end.close()
         for _process, older in self.children:  # the caller's ends of the older children's pipes
             older.close()
+        if self.in_child is not None:
+            self.in_child()
         while True:
             try:
                 ok, value = self._reply(conn.recv())

@@ -134,7 +134,8 @@ class _CorpusRunner:
     that buffer, shaped like the params, and `arrays` names them. The optimizer
     and the gradient probes write them in place. Every batch pass runs its
     microbatches through `_run`, in every process on `_slab`: read-only views of
-    the same buffer, so a forked worker sees each write with no copy. A pass of
+    the same buffer, so a forked worker sees each write with no copy. In a
+    worker, `params` and `arrays` are the slab's views too. A pass of
     two or more microbatches on a host with more than one usable CPU runs them
     data-parallel: process w of P (this one is 0, the forked workers 1..P-1)
     runs the w-th of P contiguous ranges of microbatches, and this process adds
@@ -180,6 +181,11 @@ class _CorpusRunner:
             slab[name] = frozen[end - array.size : end].reshape(array.shape)
         self.params = visit(params, lambda name, _array: self.arrays[name])
         self._slab = visit(params, lambda name, _array: slab[name])  # what `_run` lifts; no process can write it
+
+    def _read_only(self) -> None:
+        """In a forked worker: `params` and `arrays` become the slab's read-only
+        views, so no write there can reach the caller's params."""
+        self.params, self.arrays = self._slab, dict(named_arrays(self._slab))
 
     def __enter__(self) -> "_CorpusRunner":
         return self
@@ -249,7 +255,7 @@ class _CorpusRunner:
         chunks = [batch[start : start + MICROBATCH] for start in range(0, len(batch), MICROBATCH)]
         procs = min(usable_cpus(), len(chunks))
         if self._workers.count == 1 < procs:
-            self._workers = Workers(self._run, procs)
+            self._workers = Workers(self._run, procs, in_child=self._read_only)
             self.processes = procs
         jobs = [(samples, (stage, kept[j][stage]) if kept else None) for j, samples in enumerate(chunks)]
         # Process w runs the w-th contiguous range, so the lowest failing share

@@ -36,9 +36,11 @@ _CORPUS_SALT = 0xC0285
 DEFAULT_CAP = 3
 
 # Samples each process pools at the least. Forking a child and the first
-# import of multiprocessing cost 14-20 ms together, a quarter to a third of the
-# 46-73 ms it takes to pool 256 samples' eight feature maps (2-core host, same
-# runs), so splitting 512 samples over two processes still saves 30-55 ms.
+# import of multiprocessing cost 12-19 ms together, about half the 24-27 ms it
+# takes to pool 256 samples' eight feature maps (2-core host, same runs). Split
+# over two processes, a fresh process still generated a 512-sample corpus
+# faster in 9 of 12 alternating runs (medians 90 against 110 ms), and a
+# 1,000-sample one in 9 of 12 (161 against 216 ms).
 FORK_SAMPLES = 256
 
 # Feature maps are generated and pooled in blocks of whole samples that hold at

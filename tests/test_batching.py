@@ -372,3 +372,30 @@ def test_a_worker_cannot_write_the_params_slab(corpus, monkeypatch, through):
         assert runner.processes == 2
         for (name, slab), copy in zip(named_arrays(runner._slab), before):
             assert slab.tobytes() == copy, name
+
+
+@pytest.mark.parametrize("through", ["params", "arrays"])
+def test_a_worker_cannot_write_the_callers_params(corpus, monkeypatch, through):
+    """A worker that writes through `runner.params` or `runner.arrays` fails its
+    share, and the caller's params keep their bytes."""
+    registry, samples, params = corpus
+    with_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    original = _CorpusRunner._microbatch
+
+    def microbatch(self, *args):
+        if os.getpid() != parent:
+            if through == "params":
+                self.params.projector_out.weight[0, 0] = 123.0
+            else:
+                self.arrays["projector.out.weight"][0, 0] = 123.0
+        return original(self, *args)
+
+    monkeypatch.setattr(_CorpusRunner, "_microbatch", microbatch)
+    with make_runner(registry, samples, params) as runner:
+        before = {name: array.tobytes() for name, array in runner.arrays.items()}
+        with pytest.raises(ValueError, match="read-only"):
+            runner.batch_loss_value(samples)
+        assert runner.processes == 2
+        assert {name: array.tobytes() for name, array in runner.arrays.items()} == before
+        assert runner.params.projector_out.weight[0, 0] != 123.0

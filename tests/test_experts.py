@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from mova.errors import CapacityError, NumericError, ValidationError
 from mova.experts import (
+    _BLOCK_SEEDING_ROWS,
     ExpertRegistry,
     ExpertSpec,
     base_features,
@@ -128,6 +130,38 @@ def two_shape_registry() -> ExpertRegistry:
 
 SEEDS = (5, 2**63 - 1, 0, 5, 917)
 
+# Seeds at the edges of SeedSequence's 32-bit words: one, two, three and five words.
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**130 + 7)
+# Around the row count at which a block's seeds are hashed together.
+BLOCK_SIZES = (1, _BLOCK_SEEDING_ROWS - 1, _BLOCK_SEEDING_ROWS, 130)
+
+
+def mixed_seeds(size: int) -> list[int]:
+    """`size` image seeds in a fixed shuffle: the edge seeds (all of them from
+    7 rows on, the five-word one alone at 1 row), then ordinary ones."""
+    rng = np.random.default_rng(size)
+    seeds = (list(EDGE_SEEDS[::-1]) + [int(s) for s in rng.integers(2**63, size=size)])[:size]
+    return [seeds[i] for i in rng.permutation(size)]
+
+
+def with_seeds(registry: ExpertRegistry) -> list[ExpertSpec]:
+    """The registry's experts, then its first expert with spec seeds 0 and 2**64 - 1."""
+    return list(registry.experts) + [dataclasses.replace(registry.experts[0], seed=s) for s in (0, 2**64 - 1)]
+
+
+def assert_expert_rows(spec: ExpertSpec, seeds, planted) -> np.ndarray:
+    """expert_features' block, once each row is checked against the oracle and the one-map call."""
+    block = expert_features(spec, seeds, planted)
+    assert block.shape == (len(seeds),) + spec.shape
+    for r, seed in enumerate(seeds):
+        answer = planted.get(r)
+        expected = oracles.expert_feature(spec, seed, answer)
+        one = generate_expert_feature(
+            spec, seed, planted=answer is not None, answer_vector=() if answer is None else answer
+        )
+        assert block[r].tobytes() == expected.tobytes() == one.data.tobytes()
+    return block
+
 
 class TestFeatureBlocks:
     """Row r of a block has the bits of the one map of image_seeds[r]."""
@@ -135,28 +169,34 @@ class TestFeatureBlocks:
     @pytest.mark.parametrize("make_registry", [default_registry, two_shape_registry])
     def test_base_rows_are_the_seeded_maps(self, make_registry):
         registry = make_registry()
-        block = base_features(registry, SEEDS)
-        assert block.shape == (len(SEEDS),) + registry.base_shape
-        for row, seed in zip(block, SEEDS):
-            assert row.tobytes() == oracles.base_feature(registry.base_shape, seed).tobytes()
-            assert row.tobytes() == generate_base_feature(registry, seed).data.tobytes()
+        for seeds in (SEEDS, *map(mixed_seeds, BLOCK_SIZES)):
+            block = base_features(registry, seeds)
+            assert block.shape == (len(seeds),) + registry.base_shape
+            for row, seed in zip(block, seeds):
+                assert row.tobytes() == oracles.base_feature(registry.base_shape, seed).tobytes()
+                assert row.tobytes() == generate_base_feature(registry, seed).data.tobytes()
 
     @pytest.mark.parametrize("make_registry", [default_registry, two_shape_registry])
     def test_expert_rows_are_the_seeded_maps(self, make_registry, rng):
-        """Rows 1 and 3 are planted (row 3 with the same seed as unplanted row 0)."""
+        """SEEDS' rows 1 and 3 are planted (row 3 with the same seed as unplanted
+        row 0); a mixed block plants every third row."""
         registry = make_registry()
-        for spec in registry.experts:
-            planted = {1: rng.standard_normal(spec.channels), 3: (0.5, -2.0)}
-            block = expert_features(spec, SEEDS, planted)
-            assert block.shape == (len(SEEDS),) + spec.shape
-            for r, seed in enumerate(SEEDS):
-                answer = planted.get(r)
-                expected = oracles.expert_feature(spec, seed, answer)
-                one = generate_expert_feature(
-                    spec, seed, planted=answer is not None, answer_vector=() if answer is None else answer
-                )
-                assert block[r].tobytes() == expected.tobytes() == one.data.tobytes()
+        for spec in with_seeds(registry):
+            block = assert_expert_rows(spec, SEEDS, {1: rng.standard_normal(spec.channels), 3: (0.5, -2.0)})
             assert block[0].tobytes() != block[3].tobytes()
+            for size in BLOCK_SIZES:
+                answers = {r: rng.standard_normal(1 + r % spec.channels) for r in range(0, size, 3)}
+                assert_expert_rows(spec, mixed_seeds(size), answers)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_a_negative_seed_is_numpys_error(self, registry, size):
+        with pytest.raises(Exception) as numpy_error:
+            np.random.default_rng([0, -1])
+        seeds = mixed_seeds(size)[:-1] + [-1]
+        with pytest.raises(type(numpy_error.value)):
+            base_features(registry, seeds)
+        with pytest.raises(type(numpy_error.value)):
+            expert_features(registry.experts[0], seeds, {})
 
     def test_block_means_are_global_avg_pool(self, registry, rng):
         spec = registry.experts[4]

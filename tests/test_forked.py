@@ -29,6 +29,15 @@ def test_share_w_runs_in_child_w():
             workers.map([None] * 4)
 
 
+def test_each_child_runs_in_child_once_before_it_serves():
+    started = []
+    with Workers(lambda _share: (os.getpid(), len(started)), 3, in_child=lambda: started.append(1)) as workers:
+        first = workers.map([None] * 3)
+        assert first == [(os.getpid(), 0)] + [(process.pid, 1) for process, _conn in workers.children]
+        assert workers.map([None] * 3) == first
+    assert started == []
+
+
 def test_lowest_failing_share_wins_and_the_next_map_is_clean():
     with Workers(square, 3) as workers:
         with pytest.raises(ValueError, match="^share of 0 failed$"):  # the caller's and child 2's fail
