@@ -85,12 +85,21 @@ class AdapterOutput:
 # graph builders (leaves are autodiff nodes)
 
 
+_lifted: tuple[AdapterParams, AdapterParams] | None = None  # (params, its forward-only lift)
+
+
 def lift(params: AdapterParams, trainable=frozenset()) -> tuple[AdapterParams, dict[str, ad.Node]]:
     """Wrap a read-only view of every tensor leaf in a Node; returns the tracked
     trainable nodes. A view sees in-place writes to its array (the optimizer's,
     the probes'), and an op that writes through it raises. `trainable` is a set
-    of tensor names.
+    of tensor names. A forward-only lift (no `trainable`) is kept for the last
+    params object lifted so; the memo holds that object, so its id cannot be
+    reused. Frozen containers over read-only views of the live arrays make this
+    sound. A lift with trainable leaves, which collect gradients, is not kept.
     """
+    global _lifted
+    if not trainable and _lifted is not None and _lifted[0] is params:
+        return _lifted[1], {}
     tracked: dict[str, ad.Node] = {}
 
     def fn(name, arr):
@@ -101,7 +110,10 @@ def lift(params: AdapterParams, trainable=frozenset()) -> tuple[AdapterParams, d
             tracked[name] = node
         return node
 
-    return visit(params, fn), tracked
+    lifted = visit(params, fn)
+    if not trainable:
+        _lifted = (params, lifted)
+    return lifted, tracked
 
 
 def _linear(x: ad.Node, p: LinearParams) -> ad.Node:
@@ -399,11 +411,6 @@ def transformer_block(x: FeatureMap, params: TransformerBlockParams, heads: int 
     return FeatureMap.from_tokens(out.value, x.height, x.width)
 
 
-# adapter_apply's one-entry memo: the last params object it served, and that
-# object lifted. Holding the object itself means a new one can never match it.
-_served: tuple[AdapterParams, AdapterParams] | None = None
-
-
 def adapter_apply(
     base: FeatureMap,
     expert_features: Mapping[str, FeatureMap],
@@ -414,18 +421,11 @@ def adapter_apply(
 ) -> AdapterOutput:
     """Forward pass returning output tokens plus per-block gate weights (a batch of one).
 
-    Each params object is lifted once, while it is the last one served. That is
-    sound because params containers are frozen and the lifted leaves are
-    read-only views of the params' own arrays: an in-place write to an array
-    is seen by the next request, and the graph cannot write one. Unrouted
-    experts' extractors are lifted but never enter the graph.
+    `lift` lifts each params object once, while it is the last one lifted
+    forward-only. Unrouted experts' extractors are lifted but never enter the graph.
     """
-    global _served
-    served = _served
-    if served is None or served[0] is not params:
-        served = _served = (params, lift(params)[0])
     sample = ForwardInput(base, expert_features, selection, question)
-    out, gates = build_forward_graph([sample], served[1], config)
+    out, gates = build_forward_graph([sample], lift(params)[0], config)
     return AdapterOutput(
         tokens=out.value[0],
         gate_weights=tuple(GateWeights(g.value[0]) for g in gates),

@@ -5,8 +5,9 @@ autodiff nodes as leaves when a forward graph is built (see network.lift).
 They are frozen, with `blocks` and `reducers` stored as tuples and each
 block's `extractors` as a read-only mapping: a params object's structure never
 changes once built, and only its arrays are written in place (by the optimizer
-and the gradient probes). network.adapter_apply relies on this to lift each
-params object once.
+and the gradient probes). network.lift relies on this to lift each params
+object once for forward-only passes: its leaves are read-only views of the live
+arrays, so they see each in-place write.
 Parameter directories hold one MOVT file per tensor plus a manifest mapping
 tensor name to file.
 """

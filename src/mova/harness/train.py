@@ -130,17 +130,17 @@ class _CorpusRunner:
     here for training, evaluation and every gradient check. Reads no files.
 
     The runner owns its params. It copies the params it is given once, at
-    construction, into one shared `mmap` buffer; `params` are writable views of
-    that buffer, shaped like the params, and `arrays` names them. The optimizer
-    and the gradient probes write them in place. Every batch pass runs its
-    microbatches through `_run`, in every process on `_slab`: read-only views of
-    the same buffer, so a forked worker sees each write with no copy. In a
-    worker, `params` and `arrays` are the slab's views too. A pass of
-    two or more microbatches on a host with more than one usable CPU runs them
-    data-parallel: process w of P (this one is 0, the forked workers 1..P-1)
-    runs the w-th of P contiguous ranges of microbatches, and this process adds
-    losses, gradients and gate weights in microbatch order, so the bits are
-    those of one process.
+    construction, into one shared `mmap` buffer; `params` are views of that
+    buffer, shaped like the params, and `arrays` names them. The optimizer and
+    the gradient probes write them in place. Every batch pass runs its
+    microbatches through `_run`, which lifts `params` in every process, so a
+    forked worker sees each write with no copy. `params` is one object for the
+    runner's life, lifted forward-only once per process; in a worker its views
+    are read-only. A pass of two or more microbatches on a host with more than
+    one usable CPU runs them data-parallel: process w of P (this one is 0, the
+    forked workers 1..P-1) runs the w-th of P contiguous ranges of microbatches,
+    and this process adds losses, gradients and gate weights in microbatch
+    order, so the bits are those of one process.
     Workers keep nothing between passes: stage inputs they record come back
     with their reply, and a resumed pass sends each share its stage inputs.
     Use the runner as a context manager: leaving it ends its workers.
@@ -173,19 +173,18 @@ class _CorpusRunner:
         pairs = named_arrays(params)
         ends = np.cumsum([array.size for _name, array in pairs])
         buffer = mmap.mmap(-1, 8 * int(ends[-1]))  # shared with every worker forked later
-        flat, frozen = np.frombuffer(buffer), np.frombuffer(memoryview(buffer).toreadonly())
+        flat = np.frombuffer(buffer)
         np.concatenate([array for _name, array in pairs], axis=None, out=flat)
-        self.arrays, slab = {}, {}  # {name: writable view}, in visit order; the same, read-only
+        self.arrays = {}  # {name: view of the buffer}, in visit order
         for (name, array), end in zip(pairs, ends):
             self.arrays[name] = flat[end - array.size : end].reshape(array.shape)
-            slab[name] = frozen[end - array.size : end].reshape(array.shape)
         self.params = visit(params, lambda name, _array: self.arrays[name])
-        self._slab = visit(params, lambda name, _array: slab[name])  # what `_run` lifts; no process can write it
 
     def _read_only(self) -> None:
-        """In a forked worker: `params` and `arrays` become the slab's read-only
-        views, so no write there can reach the caller's params."""
-        self.params, self.arrays = self._slab, dict(named_arrays(self._slab))
+        """In a forked worker: the views in `arrays`, also the leaves of `params`, become
+        read-only, so no write reaches the caller's params. Nothing is rebound."""
+        for array in self.arrays.values():
+            array.flags.writeable = False
 
     def __enter__(self) -> "_CorpusRunner":
         return self
@@ -276,12 +275,11 @@ class _CorpusRunner:
         return [result for results, _records in replies for result in results]
 
     def _run(self, share) -> tuple[list, list]:
-        """One process's share of a pass, run on the slab's params under the caller's
-        numpy error state: its microbatches' results in order, and the stage inputs
-        each recorded (None unless the pass keeps them). The first microbatch that
-        raises ends it."""
+        """One process's share of a pass under the caller's numpy error state: its
+        microbatches' results in order, and the stage inputs each recorded (None
+        unless the pass keeps them). The first microbatch that raises ends it."""
         kind, batch_size, trainable, keeps, jobs, errstate = share
-        lifted, tracked = lift(self._slab, trainable)
+        lifted, tracked = lift(self.params, trainable)
         results, records = [], []
         with np.errstate(**errstate):
             for samples, resume in jobs:

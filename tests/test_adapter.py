@@ -422,8 +422,9 @@ class TestAdapterForward:
 
 
 class TestLiftedOnce:
-    """adapter_apply lifts each params object once and reuses it while that
-    object comes back; the lifted leaves are read-only views of its arrays."""
+    """lift keeps one forward-only lift, of the last params object lifted so, and
+    adapter_apply serves through it; the lifted leaves are read-only views of the
+    object's arrays."""
 
     SELECTION = ExpertSelection((1, 4, 6))
 
@@ -448,36 +449,57 @@ class TestLiftedOnce:
         assert self.request(other, config, registry).tobytes() == (2.0 * first).tobytes()
         assert self.request(params, config, registry).tobytes() == first.tobytes()
 
-    def test_a_write_through_the_view_raises(self, params, config, registry):
-        self.request(params, config, registry)
-        served, lifted = network._served
-        assert served is params
+    def test_a_write_through_the_view_raises(self, params):
+        """A forward-only lift is kept for its object; its leaves raise on a
+        write and see an in-place write to the object's arrays."""
+        params = clone_params(params)
+        lifted, tracked = lift(params)
+        assert tracked == {} and lift(params)[0] is lifted
         with pytest.raises(ValueError, match="read-only"):
             lifted.projector_out.weight.value[0, 0] = 1.0
+        params.projector_out.weight[0, 0] = 7.0
+        assert lift(params)[0].projector_out.weight.value[0, 0] == 7.0
+
+    def test_each_object_gets_its_own_lift_and_a_trainable_lift_is_not_kept(self, params):
+        first, second = clone_params(params), clone_params(params)
+        lifted = lift(first)[0]
+        other = lift(second)[0]
+        assert other is not lifted and lift(second)[0] is other
+        assert other.projector_out.weight.value.base is second.projector_out.weight
+        trainable, tracked = lift(second, {"projector.out.weight"})
+        assert list(tracked) == ["projector.out.weight"]
+        assert trainable.projector_out.weight is tracked["projector.out.weight"]
+        assert trainable is not other and lift(second, {"projector.out.weight"})[0] is not trainable
+        assert lift(second)[0] is other
+        third = clone_params(params)
+        trainable = lift(third, {"projector.out.weight"})[0]
+        assert lift(third)[0] is not trainable
+        assert not lift(third)[0].projector_out.weight.requires_grad
 
     def test_requests_lift_once_with_a_pinned_node_count(self, params, config, registry, monkeypatch):
-        """The count guard: with one params object only the first request lifts,
-        and a K=3 request builds exactly 108 nodes, none of them a lifted leaf."""
-        counts = {"lift": 0, "nodes": 0}
-        original_lift, original_init = network.lift, ad.Node.__init__
+        """The count guard: with one params object only the first request walks
+        its tensors, and a K=3 request builds exactly 108 nodes, none of them a
+        lifted leaf."""
+        counts = {"visit": 0, "nodes": 0}
+        original_visit, original_init = network.visit, ad.Node.__init__
 
-        def counting_lift(*args, **kwargs):
-            counts["lift"] += 1
-            return original_lift(*args, **kwargs)
+        def counting_visit(*args, **kwargs):
+            counts["visit"] += 1
+            return original_visit(*args, **kwargs)
 
         def counting_init(node, *args, **kwargs):
             counts["nodes"] += 1
             original_init(node, *args, **kwargs)
 
-        monkeypatch.setattr(network, "lift", counting_lift)
+        monkeypatch.setattr(network, "visit", counting_visit)
         monkeypatch.setattr(ad.Node, "__init__", counting_init)
-        params = clone_params(params)  # an object adapter_apply has not served
+        params = clone_params(params)  # an object lift has not kept
         per_request = []
         for _ in range(3):
             before = counts["nodes"]
             self.request(params, config, registry)
             per_request.append(counts["nodes"] - before)
-        assert counts["lift"] == 1
+        assert counts["visit"] == 1
         assert per_request[0] == 108 + len(named_arrays(params))
         assert per_request[1:] == [108, 108]
 

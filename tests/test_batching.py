@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from conftest import with_cpus
 
+from mova.adapter import network
 from mova.adapter.config import desk_config
 from mova.adapter.params import init_params, named_arrays, stage_of
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.errors import MovaError, ShapeError, TrainingError
 from mova.experts import default_registry, generate_expert_feature
-from mova.forked import usable_cpus
 from mova.harness.train import MICROBATCH, _CorpusRunner, _fails_as, probe_gradients
 from mova.routing import ExpertSelection
 from mova.routing_data import generate_synthetic_corpus, load_samples
@@ -347,12 +347,36 @@ def test_unpicklable_worker_error_keeps_its_text(corpus, monkeypatch):
     assert str(errors[2]) == str(errors[1])
 
 
-@pytest.mark.skipif(usable_cpus() < 2, reason="one usable CPU forks no worker")
-@pytest.mark.parametrize("through", ["node", "slab"])
-def test_a_worker_cannot_write_the_params_slab(corpus, monkeypatch, through):
-    """A worker that writes a param, through its lifted node or straight into its
-    view of the shared slab, raises, and the slab keeps the bits it had before the pass."""
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_forward_only_passes_lift_once_and_see_writes(corpus, monkeypatch, cpus):
+    """Three value passes lift `runner.params` once in this process. After an
+    in-place write to `runner.arrays`, the value pass, full and resumed, and
+    evaluate have the bits of a fresh runner built on the written params."""
     registry, samples, params = corpus
+    with_cpus(monkeypatch, cpus)
+    walked = []
+    original = network.visit
+    monkeypatch.setattr(network, "visit", lambda p, fn: walked.append(p) or original(p, fn))
+    with make_runner(registry, samples, params) as runner:
+        kept = []
+        runner.batch_loss(samples, every_name(params), kept)
+        walked.clear()
+        before = [runner.batch_loss_value(samples) for _ in range(3)]
+        assert len(walked) == 1 and walked[0] is runner.params
+        for name in one_per_stage(params).values():
+            runner.arrays[name].flat[1] += 0.25
+        seen = runner.batch_loss_value(samples), resume_each_stage(runner, kept), runner.evaluate(samples)
+        assert len(walked) == 1 and runner.processes == cpus
+        with make_runner(registry, samples, runner.params) as fresh:
+            assert (fresh.batch_loss_value(samples), resume_each_stage(fresh, kept), fresh.evaluate(samples)) == seen
+    assert before == before[:1] * 3 and seen[0] != before[0]
+
+
+def check_a_worker_write_fails(corpus, monkeypatch, through):
+    """A worker that makes the `through` write fails its share of a gradient or a
+    value pass with numpy's read-only error, and the caller's params keep their bytes."""
+    registry, samples, params = corpus
+    with_cpus(monkeypatch, 2)
     parent = os.getpid()
     original = _CorpusRunner._microbatch
 
@@ -360,42 +384,34 @@ def test_a_worker_cannot_write_the_params_slab(corpus, monkeypatch, through):
         if os.getpid() != parent:
             if through == "node":
                 lifted.blocks[0].transformer.norm_attn.gamma.value[0] = 2.0
+            elif through == "slab":
+                self.params.blocks[0].transformer.norm_attn.gamma[0] = 2.0
+            elif through == "params":
+                self.params.projector_out.weight[0, 0] = 123.0
             else:
-                self._slab.blocks[0].transformer.norm_attn.gamma[0] = 2.0
+                self.arrays["projector.out.weight"][0, 0] = 123.0
         return original(self, kind, chunk, batch_size, lifted, *args)
 
     monkeypatch.setattr(_CorpusRunner, "_microbatch", microbatch)
     with make_runner(registry, samples, params) as runner:
-        before = [array.tobytes() for _name, array in named_arrays(runner._slab)]
-        with pytest.raises(ValueError, match="read-only"):
-            runner.batch_loss(samples, every_name(params))
-        assert runner.processes == 2
-        for (name, slab), copy in zip(named_arrays(runner._slab), before):
-            assert slab.tobytes() == copy, name
+        before = {name: array.tobytes() for name, array in runner.arrays.items()}
+        for run in (lambda: runner.batch_loss(samples, every_name(params)), lambda: runner.batch_loss_value(samples)):
+            with pytest.raises(ValueError, match="read-only"):
+                run()
+            assert runner.processes == 2
+            assert {name: array.tobytes() for name, array in runner.arrays.items()} == before
+            assert runner.params.projector_out.weight[0, 0] != 123.0
+
+
+@pytest.mark.parametrize("through", ["node", "slab"])
+def test_a_worker_cannot_write_the_params_slab(corpus, monkeypatch, through):
+    """Through its lifted node, or straight into its `params` view of the shared
+    buffer, a worker's write to a param fails and the buffer keeps its bits."""
+    check_a_worker_write_fails(corpus, monkeypatch, through)
 
 
 @pytest.mark.parametrize("through", ["params", "arrays"])
 def test_a_worker_cannot_write_the_callers_params(corpus, monkeypatch, through):
-    """A worker that writes through `runner.params` or `runner.arrays` fails its
-    share, and the caller's params keep their bytes."""
-    registry, samples, params = corpus
-    with_cpus(monkeypatch, 2)
-    parent = os.getpid()
-    original = _CorpusRunner._microbatch
-
-    def microbatch(self, *args):
-        if os.getpid() != parent:
-            if through == "params":
-                self.params.projector_out.weight[0, 0] = 123.0
-            else:
-                self.arrays["projector.out.weight"][0, 0] = 123.0
-        return original(self, *args)
-
-    monkeypatch.setattr(_CorpusRunner, "_microbatch", microbatch)
-    with make_runner(registry, samples, params) as runner:
-        before = {name: array.tobytes() for name, array in runner.arrays.items()}
-        with pytest.raises(ValueError, match="read-only"):
-            runner.batch_loss_value(samples)
-        assert runner.processes == 2
-        assert {name: array.tobytes() for name, array in runner.arrays.items()} == before
-        assert runner.params.projector_out.weight[0, 0] != 123.0
+    """Through `runner.params` or `runner.arrays`, a worker's write fails and the
+    caller's params keep their bytes."""
+    check_a_worker_write_fails(corpus, monkeypatch, through)
