@@ -4,11 +4,19 @@ Layout: magic ``4D 4F 56 54`` ("MOVT"), version byte 0x01, rank byte, then
 rank little-endian uint32 extents, then product-of-extents little-endian
 IEEE-754 float32 values in row-major order. Values are widened to float64 on
 load and narrowed to float32 on save.
+
+``save_tensor`` overwrites an existing file in place: it opens without
+``O_TRUNC``, writes the whole file at once and cuts it only when the old file
+was longer. Truncating a file that holds data and writing it again cost about
+0.25 ms per fuse request on ext4. The write is not atomic: a save that fails
+after the open leaves an empty file, which ``load_tensor`` rejects.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -24,14 +32,28 @@ def save_tensor(path, array) -> None:
     arr = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
     if arr.ndim < 1 or arr.ndim > 255:
         raise ValidationError(f"MOVT rank must be in [1, 255], got {arr.ndim}")
+    if not all(1 <= d < 2**32 for d in arr.shape):  # uint32, as load_tensor reads them
+        raise ValidationError(f"MOVT extents must be in [1, 2**32 - 1], got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NumericError("refusing to save non-finite values")
-    payload = arr.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<BB", VERSION, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(payload)
+    data = MAGIC + struct.pack(f"<BB{arr.ndim}I", VERSION, arr.ndim, *arr.shape)
+    data += arr.astype("<f4").tobytes()
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if os.fstat(fd).st_size > len(data):  # devices report 0 and are never cut
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ValidationError(f"{path}: cannot write MOVT file ({exc})") from exc
 
 
 def load_tensor(path) -> np.ndarray:

@@ -554,6 +554,16 @@ class TestParamsPersistence:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_save_over_existing_directory_roundtrips_bitwise(self, params, config, registry, tmp_path):
+        save_params(params, tmp_path / "params")
+        second = init_params(config, registry, seed=12)
+        save_params(second, tmp_path / "params")
+        loaded = dict(named_arrays(load_params(tmp_path / "params", config, registry)))
+        arrays = list(named_arrays(second))
+        assert len(arrays) == len(loaded) == 216
+        for name, arr in arrays:
+            assert loaded[name].tobytes() == arr.astype(np.float32).astype(np.float64).tobytes()
+
     def test_load_rejects_missing_tensor(self, params, config, registry, tmp_path):
         save_params(params, tmp_path / "params")
         (tmp_path / "params" / "projector.out.weight.movt").unlink()

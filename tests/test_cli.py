@@ -236,6 +236,23 @@ class TestFuse:
         second = run_cli(capsys, *args, "--out", str(tmp_path / "b.movt"))
         assert (tmp_path / "a.movt").read_bytes() == (tmp_path / "b.movt").read_bytes()
         assert first[1].replace("a.movt", "") == second[1].replace("b.movt", "")
+        # Overwritten in place, a longer existing file is cut to the fresh bytes.
+        (tmp_path / "c.movt").write_bytes(b"\xff" * 10240)
+        third = run_cli(capsys, *args, "--out", str(tmp_path / "c.movt"))
+        assert (tmp_path / "c.movt").read_bytes() == (tmp_path / "a.movt").read_bytes()
+        assert first[1].replace("a.movt", "") == third[1].replace("c.movt", "")
+
+    def test_unwritable_out_names_the_file_and_stage(self, capsys):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        code, out, err = run_cli(
+            capsys, "fuse", "--question", "q", "--strategy", "scripted", "--response", "B",
+            "--out", "/dev/full",
+        )
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: [io] /dev/full: cannot write MOVT file")
+        assert "internal error" not in err
 
     def test_empty_scripted_response_fails_with_routing_stage(self, capsys, tmp_path):
         code, _out, err = run_cli(

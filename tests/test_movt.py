@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -77,3 +78,83 @@ def test_rejects_truncated_payload(tmp_path, rng):
 def test_rejects_non_finite_values(tmp_path):
     with pytest.raises(NumericError):
         save_tensor(tmp_path / "t.movt", np.array([np.nan]))
+
+
+@pytest.mark.parametrize("old_shape", [(4, 8), (3,), (1,)], ids=["longer", "same-size", "shorter"])
+def test_overwrite_gives_fresh_bytes(tmp_path, rng, old_shape):
+    new = rng.standard_normal(3)
+    fresh, reused = tmp_path / "fresh.movt", tmp_path / "reused.movt"
+    save_tensor(fresh, new)
+    save_tensor(reused, rng.standard_normal(old_shape))
+    save_tensor(reused, new)
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_overwrite_never_truncates_on_open(tmp_path, rng, monkeypatch):
+    path = tmp_path / "t.movt"
+    save_tensor(path, rng.standard_normal(64))
+    flags = []
+    real_open = os.open
+
+    def spy(file, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    save_tensor(path, rng.standard_normal(2))
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+    assert len(path.read_bytes()) == 6 + 4 + 4 * 2
+
+
+def test_devices_are_written_without_cutting():
+    if not os.path.exists("/dev/null"):
+        pytest.skip("no /dev/null")
+    save_tensor("/dev/null", np.ones(4))
+
+
+def test_write_errors_name_the_file(tmp_path):
+    with pytest.raises(ValidationError, match="cannot write MOVT file"):
+        save_tensor(str(tmp_path / "nul\0byte.movt"), np.ones(2))
+    with pytest.raises(ValidationError, match="missing/t.movt: cannot write MOVT file"):
+        save_tensor(tmp_path / "missing" / "t.movt", np.ones(2))
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with pytest.raises(ValidationError, match="^/dev/full: cannot write MOVT file"):
+        save_tensor("/dev/full", np.ones(2))
+
+
+@pytest.mark.parametrize(
+    ("error", "caught"), [(OSError(5, "injected"), ValidationError), (RuntimeError, RuntimeError)]
+)
+def test_failure_after_open_leaves_empty_file(tmp_path, rng, monkeypatch, error, caught):
+    path = tmp_path / "t.movt"
+    save_tensor(path, rng.standard_normal(16))
+
+    def fail(fd):
+        raise error
+
+    monkeypatch.setattr(os, "fstat", fail)
+    with pytest.raises(caught):
+        save_tensor(path, rng.standard_normal(2))
+    monkeypatch.undo()
+    assert path.read_bytes() == b""
+    with pytest.raises(ValidationError, match="magic"):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize(
+    ("array", "error"),
+    [
+        (np.array([1.0, np.inf]), NumericError),
+        (np.zeros((0, 3)), ValidationError),
+        (np.zeros((2**32, 0)), ValidationError),
+        (np.zeros((0, 2**32)), ValidationError),
+    ],
+)
+def test_rejected_tensor_leaves_existing_file_untouched(tmp_path, rng, array, error):
+    path = tmp_path / "t.movt"
+    save_tensor(path, rng.standard_normal((3, 2)))
+    before = path.read_bytes()
+    with pytest.raises(error):
+        save_tensor(path, array)
+    assert path.read_bytes() == before
