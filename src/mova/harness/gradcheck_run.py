@@ -37,8 +37,8 @@ def probe_planted(runner: _CorpusRunner, entries: dict, eps: float) -> dict[str,
     """One batch_loss over the runner's samples, training exactly the `entries`
     tensors, then probe_gradients resumed from what it kept."""
     kept: list = []
-    _loss, grads = runner.batch_loss(runner.samples, set(entries), kept)
-    return probe_gradients(runner, runner.samples, grads, entries, kept, eps)
+    _loss, grad = runner.batch_loss(runner.samples, set(entries), kept)
+    return probe_gradients(runner, runner.samples, grad, entries, kept, eps)
 
 
 def full_gradient_check(eps: float = 1e-5, tol: float = 1e-4) -> dict:

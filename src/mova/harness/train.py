@@ -10,6 +10,7 @@ corpus samples, so a zero learning rate leaves the loss trace constant.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import mmap
 import time
 from dataclasses import dataclass, field
@@ -129,18 +130,20 @@ class _CorpusRunner:
     """The toy loss over a list of samples: built, differentiated and resumed
     here for training, evaluation and every gradient check. Reads no files.
 
-    The runner owns its params. It copies the params it is given once, at
-    construction, into one shared `mmap` buffer; `params` are views of that
-    buffer, shaped like the params, and `arrays` names them. The optimizer and
-    the gradient probes write them in place. Every batch pass runs its
-    microbatches through `_run`, which lifts `params` in every process, so a
-    forked worker sees each write with no copy. `params` is one object for the
-    runner's life, lifted forward-only once per process; in a worker its views
-    are read-only. A pass of two or more microbatches on a host with more than
-    one usable CPU runs them data-parallel: process w of P (this one is 0, the
-    forked workers 1..P-1) runs the w-th of P contiguous ranges of microbatches,
-    and this process adds losses, gradients and gate weights in microbatch
-    order, so the bits are those of one process.
+    The runner owns its params: it copies the ones it is given, once, into
+    `flat`, one float64 vector in a shared `mmap` buffer, tensors in `visit`
+    order. `segments` maps each name to its slice, and `params` are shaped views
+    of the slices, which `arrays` names. Every pass lifts `params` in each
+    process (forward-only, once per process), so a forked worker sees each
+    in-place write with no copy; in a worker `flat` and its views are read-only.
+    A gradient is one vector laid out like `flat`, applied in one subtraction
+    and probed by segment. A microbatch fills the segments of the tensors it
+    reached and leaves -0.0, the identity of IEEE addition, in the rest; a
+    segment that no microbatch reached reads +0.0. On more than one usable CPU
+    a pass of two or more microbatches runs data-parallel: process w of P (this
+    one is 0, the forked workers 1..P-1) runs the w-th of P contiguous ranges of
+    microbatches, and this process adds losses, gradients and gate weights in
+    microbatch order, so the bits are those of one process.
     Workers keep nothing between passes: stage inputs they record come back
     with their reply, and a resumed pass sends each share its stage inputs.
     Use the runner as a context manager: leaving it ends its workers.
@@ -171,19 +174,17 @@ class _CorpusRunner:
         self._inputs: dict[str, ForwardInput] = {}
         self._workers = Workers(self._run, 1)
         pairs = named_arrays(params)
-        ends = np.cumsum([array.size for _name, array in pairs])
-        buffer = mmap.mmap(-1, 8 * int(ends[-1]))  # shared with every worker forked later
-        flat = np.frombuffer(buffer)
-        np.concatenate([array for _name, array in pairs], axis=None, out=flat)
-        self.arrays = {}  # {name: view of the buffer}, in visit order
-        for (name, array), end in zip(pairs, ends):
-            self.arrays[name] = flat[end - array.size : end].reshape(array.shape)
+        starts = list(itertools.accumulate((array.size for _name, array in pairs), initial=0))
+        self.segments = {name: slice(lo, hi) for (name, _array), lo, hi in zip(pairs, starts, starts[1:])}
+        self.flat = np.frombuffer(mmap.mmap(-1, 8 * starts[-1]))  # shared with every worker forked later
+        np.concatenate([array for _name, array in pairs], axis=None, out=self.flat)
+        self.arrays = {name: self.flat[self.segments[name]].reshape(array.shape) for name, array in pairs}
         self.params = visit(params, lambda name, _array: self.arrays[name])
 
     def _read_only(self) -> None:
-        """In a forked worker: the views in `arrays`, also the leaves of `params`, become
-        read-only, so no write reaches the caller's params. Nothing is rebound."""
-        for array in self.arrays.values():
+        """In a forked worker: `flat` and the views in `arrays`, also the leaves of
+        `params`, become read-only, so no write reaches the caller's params."""
+        for array in (self.flat, *self.arrays.values()):
             array.flags.writeable = False
 
     def __enter__(self) -> "_CorpusRunner":
@@ -212,21 +213,18 @@ class _CorpusRunner:
             self._inputs[sample.sample_id] = ForwardInput(base, feats, selection, sample.question)
         return self._inputs[sample.sample_id]
 
-    def batch_loss(self, batch: list[Sample], trainable, keep=None) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean loss over the batch and its gradient; one tape per microbatch. A `keep`
-        list receives each microbatch's stage inputs as read-only arrays, whichever
-        process ran it, for batch_loss_value on any runner over the same samples."""
-        total, grads = 0.0, {}
-        for loss, microbatch_grads in self._pass("grad", batch, trainable, keep=keep):
+    def batch_loss(self, batch: list[Sample], trainable, keep=None) -> tuple[float, np.ndarray]:
+        """Mean loss over the batch and its gradient, laid out like `flat`; one tape per
+        microbatch. A `keep` list receives each microbatch's stage inputs as read-only arrays,
+        whichever process ran it, for batch_loss_value on any runner over the same samples."""
+        total, grad, reached = 0.0, np.full(self.flat.size, -0.0), set()
+        for loss, (microbatch_grad, names) in self._pass("grad", batch, trainable, keep=keep):
             total += loss
-            # A microbatch that gives a tensor no gradient adds nothing: adding
-            # zeros would turn a -0.0 into 0.0.
-            for name, grad in microbatch_grads.items():
-                grads[name] = grads[name] + grad if name in grads else grad
-        return total, {
-            name: grads[name] if name in grads else np.zeros_like(array)
-            for name, array in self.arrays.items() if name in trainable
-        }
+            grad += microbatch_grad
+            reached |= names
+        for name in self.segments.keys() - reached:
+            grad[self.segments[name]] = 0.0
+        return total, grad
 
     def batch_loss_value(self, batch: list[Sample], stage=0, kept=()) -> float:
         """The loss alone, finite or not: finite_diff_check judges a probe's value. Given
@@ -288,9 +286,9 @@ class _CorpusRunner:
         return results, records
 
     def _microbatch(self, kind, samples, batch_size, lifted, tracked, record, resume):
-        """One microbatch's loss, weighted by 1/batch_size, with its gradient
-        {tracked name: array} ("grad"), nothing ("value"), or its gate weights
-        ([(expert, weight)], count of (sample, block) gates) ("eval").
+        """One microbatch's loss, weighted by 1/batch_size, with its gradient (a vector
+        like `flat`, the names of the tensors it reached) ("grad"), nothing ("value"),
+        or its gate weights ([(expert, weight)], count of (sample, block) gates) ("eval").
 
         A sample's loss is the mean squared error between the leading pooled output
         components and its answer; `record` and `resume` record and resume the stage
@@ -316,11 +314,12 @@ class _CorpusRunner:
         value = _finite(loss, samples)
         if kind == "grad":
             ad.backward(loss)
-            grads = {}
+            grad, reached = np.full(self.flat.size, -0.0), set()
             for name, node in tracked.items():  # the leaves are shared by the run's microbatches
                 if node.grad is not None:
-                    grads[name], node.grad = node.grad, None
-            return value, grads
+                    grad[self.segments[name]], node.grad = node.grad.reshape(-1), None
+                    reached.add(name)
+            return value, (grad, reached)
         weights, count = [], 0
         for row, sample in enumerate(samples):
             sel = inputs[row].selection
@@ -343,21 +342,22 @@ def _finite(loss: ad.Node, samples: Sequence[Sample]) -> float:
 def probe_gradients(
     runner: _CorpusRunner,
     batch: list[Sample],
-    grads: Mapping[str, np.ndarray],
+    grad: np.ndarray,
     entries: Mapping[str, Sequence[int] | None],
     kept: Sequence,
     eps: float,
 ) -> dict[str, GradCheckReport]:
-    """Central differences of {tensor name: flat indices or None (all)} against `grads`,
-    probed in place in `runner.arrays`; each probe pass resumes, from what batch_loss
-    `kept` of `batch`, at the stage its tensor feeds."""
+    """Central differences of {tensor name: flat indices or None (all)} against that
+    tensor's segment of `grad`, probed in place in its segment of `runner.flat`; each
+    probe pass resumes, from what batch_loss `kept` of `batch`, at the stage its tensor feeds."""
     reports = {}
     for name, flats in entries.items():
         stage = stage_of(name, len(runner.params.blocks))
+        segment = runner.segments[name]
         reports[name] = finite_diff_check(
-            runner.arrays[name],
+            runner.flat[segment],
             lambda _block: runner.batch_loss_value(batch, stage=stage, kept=kept),
-            grads[name], eps=eps, op_name=name, indices=flats,
+            grad[segment], eps=eps, op_name=name, indices=flats,
         )
     return reports
 
@@ -366,14 +366,15 @@ def _spot_check_gradients(
     config: ToyTrainConfig,
     runner: _CorpusRunner,
     batch: list[Sample],
-    grads: Mapping[str, np.ndarray],
+    grad: np.ndarray,
+    trainable: set[str],
     kept: Sequence,
 ) -> dict:
-    """Central-difference probe of seeded entries of the step-0 gradient, resumed
-    from what step 0's batch_loss `kept`."""
+    """Central-difference probe of seeded entries of the `trainable` tensors' step-0
+    gradient, resumed from what step 0's batch_loss `kept`."""
     rng = np.random.default_rng([_GRADCHECK_SALT, config.seed])
     arrays = runner.arrays
-    names = sorted(grads)
+    names = sorted(trainable)
     entries: dict[str, list[int]] = {}
     budget = min(config.gradcheck_entries, sum(arrays[n].size for n in names))
     order = list(rng.permutation(len(names)))
@@ -381,7 +382,7 @@ def _spot_check_gradients(
         name = names[order[drawn % len(names)]]
         entries.setdefault(name, []).append(int(rng.integers(arrays[name].size)))
     try:
-        results = probe_gradients(runner, batch, grads, entries, kept, config.gradcheck_eps)
+        results = probe_gradients(runner, batch, grad, entries, kept, config.gradcheck_eps)
     except NumericError as exc:
         raise TrainingError(f"step-0 gradient check failed: {exc}") from exc
     worst = max((result.max_rel_error for result in results.values()), default=0.0)
@@ -453,13 +454,12 @@ def train_toy(
         for step in range(config.steps):
             with _fails_as(f"step {step}"):
                 kept = [] if step == 0 else None  # each stage's input, for step 0's spot check
-                loss, grads = runner.batch_loss(batch, trainable, kept)
+                loss, grad = runner.batch_loss(batch, trainable, kept)
                 trace.append(loss)
                 if step == 0:  # the probe ignores overflow itself and reports it once
-                    gradcheck_summary = _spot_check_gradients(config, runner, batch, grads, kept)
+                    gradcheck_summary = _spot_check_gradients(config, runner, batch, grad, trainable, kept)
                     kept = None  # frees the stage inputs before training goes on
-                for name, grad in grads.items():
-                    runner.arrays[name] -= config.learning_rate * grad
+                runner.flat -= config.learning_rate * grad
         with _fails_as(f"eval after {config.steps} steps"):
             eval_loss, mean_gates = runner.evaluate(runner.samples[: config.eval_samples])
     if not np.isfinite(eval_loss):

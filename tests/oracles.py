@@ -135,3 +135,18 @@ def expert_feature(spec, image_seed: int, answer=None) -> np.ndarray:
         data[:k] = data[:k] - data[:k].mean(axis=(1, 2), keepdims=True)
         data[:k] = data[:k] + np.asarray(answer)[:, None, None]
     return data
+
+
+def summed_gradient(microbatches, layout) -> np.ndarray:
+    """The batch gradient from each microbatch's {tensor name: gradient}, in
+    microbatch order: a tensor's first gradient as it is, each later one added
+    to the sum so far, and +0.0 for a tensor that no microbatch has. The tensors
+    are laid out one after another, as the (name, size) pairs of `layout`."""
+    out = []
+    for name, size in layout:
+        total = None
+        for grads in microbatches:
+            if name in grads:
+                total = grads[name] if total is None else total + grads[name]
+        out.append(np.zeros(size) if total is None else np.ravel(total))
+    return np.concatenate(out)

@@ -9,16 +9,20 @@ import signal
 import weakref
 
 import numpy as np
+import oracles
 import pytest
 from conftest import with_cpus
 
+from mova import forked
 from mova.adapter import network
 from mova.adapter.config import desk_config
 from mova.adapter.params import init_params, named_arrays, stage_of
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
 from mova.errors import MovaError, ShapeError, TrainingError
 from mova.experts import default_registry, generate_expert_feature
+from mova.harness import train
 from mova.harness.train import MICROBATCH, _CorpusRunner, _fails_as, probe_gradients
+from mova.numerics import autodiff as ad
 from mova.routing import ExpertSelection
 from mova.routing_data import generate_synthetic_corpus, load_samples
 
@@ -83,14 +87,14 @@ def test_batch_covers_the_intended_mix(setup):
 def test_batch_loss_matches_mean_of_one_sample_graphs(setup):
     _registry, runner, params = setup
     batch = runner.samples
-    loss, grads = runner.batch_loss(batch, every_name(params))
+    loss, grad = runner.batch_loss(batch, every_name(params))
     singles = [runner.batch_loss([sample], every_name(params)) for sample in batch]
     mean_loss = sum(l for l, _ in singles) / len(batch)
     assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
     assert loss == pytest.approx(runner.batch_loss_value(batch), rel=1e-15)
-    for name, grad in grads.items():
-        mean_grad = sum(g[name] for _, g in singles) / len(batch)
-        assert rel_diff(grad, mean_grad) <= 1e-12, name
+    for name, segment in runner.segments.items():
+        mean_grad = sum(g[segment] for _, g in singles) / len(batch)
+        assert rel_diff(grad[segment], mean_grad) <= 1e-12, name
 
 
 def test_batched_tokens_match_one_sample_forward(setup):
@@ -225,9 +229,9 @@ def test_parallel_passes_have_the_serial_bits(corpus, monkeypatch):
         for microbatch in (kept[0], p_kept[-1]):  # recorded by this process, and by a worker
             with pytest.raises(ValueError, match="read-only"):
                 microbatch[0][0, 0, 0] = 1.0
-        assert list(p_grads) == list(grads)
-        for name, grad in grads.items():
-            assert p_grads[name].tobytes() == grad.tobytes(), name
+        assert p_grads.shape == grads.shape
+        for name, segment in runner.segments.items():
+            assert p_grads[segment].tobytes() == grads[segment].tobytes(), name
         with_cpus(monkeypatch, 1)
         with make_runner(registry, batch, params) as runner:
             # A fresh one-process runner resumes from what several processes kept.
@@ -235,7 +239,72 @@ def test_parallel_passes_have_the_serial_bits(corpus, monkeypatch):
             # Some tensors get their whole gradient from the first microbatch: the
             # second routes none of experts 1, 3 and 5.
             _, tail = runner.batch_loss(samples[MICROBATCH:], every_name(params))
-        assert any(grads[name].any() and not tail[name].any() for name in grads)
+        assert any(grads[segment].any() and not tail[segment].any() for segment in runner.segments.values())
+
+
+def test_gradient_is_the_oracle_sum_of_microbatch_gradients(corpus, monkeypatch):
+    """At 1, 2 and 3 CPUs the batch gradient has the bytes of the oracle's sum of
+    each microbatch's per-tensor gradients, in microbatch order. Both batches run 3
+    microbatches, and the second and third route none of experts 1, 3 and 5. A
+    -0.0 that the first microbatch gives survives the sum; a tensor that no
+    microbatch reaches reads +0.0. A worker replies with one float64 vector per
+    microbatch and the names of the tensors it reached, never a per-tensor dict."""
+    registry, samples, params = corpus
+    unrouted = [params.expert_names[i] for i in (1, 3, 5)]
+    planted = f"block0.extract.{params.expert_names[1]}.query.weight"
+    batches = {
+        "mixed": samples + samples[MICROBATCH:] * 2,
+        "unrouted": samples[MICROBATCH:] * 6,
+    }
+    tracked, per_microbatch, replies = [], [], []
+    original_lift, original_backward, original_map = train.lift, ad.backward, forked.Workers.map
+
+    def lift(p, trainable=frozenset()):
+        lifted, nodes = original_lift(p, trainable)
+        tracked.append(nodes)
+        return lifted, nodes
+
+    def backward(loss):
+        original_backward(loss)
+        node = tracked[-1].get(planted)
+        if node is not None and node.grad is not None:
+            node.grad = node.grad.copy()
+            node.grad.flat[0] = -0.0
+        per_microbatch.append({name: n.grad.copy() for name, n in tracked[-1].items() if n.grad is not None})
+
+    def spied_map(self, shares):
+        out = original_map(self, shares)
+        if shares[0][0] == "grad":
+            replies.extend(out[1:])  # the workers' replies, as they came through the pipes
+        return out
+
+    monkeypatch.setattr(train, "lift", lift)
+    monkeypatch.setattr(ad, "backward", backward)
+    monkeypatch.setattr(forked.Workers, "map", spied_map)
+    layout = [(name, array.size) for name, array in named_arrays(params)]
+    reference = {}
+    for cpus in (1, 2, 3):
+        with_cpus(monkeypatch, cpus)
+        with make_runner(registry, samples, params) as runner:
+            for key, batch in batches.items():
+                per_microbatch.clear()
+                _loss, grad = runner.batch_loss(batch, every_name(params))
+                if cpus == 1:
+                    assert len(per_microbatch) == 3
+                    reference[key] = oracles.summed_gradient(per_microbatch, layout)
+                assert grad.tobytes() == reference[key].tobytes(), (cpus, key)
+            assert runner.processes == cpus
+        mixed, unrouted_grad = reference["mixed"], reference["unrouted"]
+        assert np.signbit(mixed[runner.segments[planted].start])
+        for name, segment in runner.segments.items():
+            if any(f".extract.{expert}." in name for expert in unrouted):
+                assert not unrouted_grad[segment].any() and not np.signbit(unrouted_grad[segment]).any(), name
+    assert len(replies) == 2 * (1 + 2)  # each batch: one worker at 2 CPUs, two at 3
+    for results, _records in replies:
+        for _loss, (vector, names) in results:
+            assert type(vector) is np.ndarray and vector.dtype == np.float64
+            assert vector.shape == runner.flat.shape
+            assert isinstance(names, set) and names <= set(runner.segments)
 
 
 def test_a_runner_writes_only_its_own_copy_of_the_params(corpus):
@@ -245,11 +314,10 @@ def test_a_runner_writes_only_its_own_copy_of_the_params(corpus):
     before = [array.tobytes() for _name, array in named_arrays(params)]
     with make_runner(registry, samples, params) as runner:
         kept = []
-        loss, grads = runner.batch_loss(samples, every_name(params), kept)
+        loss, grad = runner.batch_loss(samples, every_name(params), kept)
         entries = {"block0.gate.hidden.weight": [0, 5], "projector.out.weight": [3, 40]}
-        probe_gradients(runner, samples, grads, entries, kept, eps=1e-5)
-        for name, array in named_arrays(runner.params):
-            array -= 0.1 * grads[name]
+        probe_gradients(runner, samples, grad, entries, kept, eps=1e-5)
+        runner.flat -= 0.1 * grad
         assert runner.batch_loss_value(samples) != loss  # the runner reads what it wrote
     assert [array.tobytes() for _name, array in named_arrays(params)] == before
 

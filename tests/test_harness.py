@@ -213,9 +213,9 @@ class TestTrainToy:
         samples = load_samples(f"{corpus}/samples.jsonl")
         params = init_params(config.adapter, registry)
         runner = _CorpusRunner(registry, config.adapter, samples, _corpus_provider(config, registry), params)
-        grads = {name: np.full_like(arr, np.nan) for name, arr in named_arrays(params)}
+        grad = np.full(runner.flat.size, np.nan)
         with pytest.raises(TrainingError, match="step-0 gradient check failed: .*non-finite"):
-            _spot_check_gradients(config, runner, samples[:4], grads, ())
+            _spot_check_gradients(config, runner, samples[:4], grad, set(runner.segments), ())
 
     def test_spot_check_calls_only_batch_loss_value(self, corpus, registry, monkeypatch):
         """Step 0's spot check runs two batch_loss_value calls per probed entry,

@@ -57,11 +57,6 @@ def runs(draw):
     return config, registry, samples, chosen, draw(st.sampled_from(SCOPES))
 
 
-def gradient_bytes(runner, grads):
-    """The gradient's bytes in visit order."""
-    return b"".join(grads[name].tobytes() for name in runner.arrays if name in grads)
-
-
 def first_per_stage(runner):
     """The first tensor each stage reads, by name."""
     firsts = {}
@@ -74,7 +69,7 @@ def every_pass(runner, trainable):
     """batch_loss with the stage inputs it kept, a full and a resumed value pass
     with one element of each stage's first tensor moved, and evaluate."""
     kept = []
-    loss, grads = runner.batch_loss(runner.samples, trainable, kept)
+    loss, grad = runner.batch_loss(runner.samples, trainable, kept)
     resumed = {}
     for stage, name in first_per_stage(runner).items():
         array = runner.arrays[name]
@@ -87,7 +82,7 @@ def every_pass(runner, trainable):
             array.flat[0] = original
         assert resumed[name] == full, name
     stage_inputs = [[array.tobytes() for array in microbatch] for microbatch in kept]
-    return loss, gradient_bytes(runner, grads), stage_inputs, resumed, runner.evaluate(runner.samples)
+    return loss, grad.tobytes(), stage_inputs, resumed, runner.evaluate(runner.samples)
 
 
 @PROPERTY
