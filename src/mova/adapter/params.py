@@ -9,7 +9,10 @@ and the gradient probes). network.lift relies on this to lift each params
 object once for forward-only passes: its leaves are read-only views of the live
 arrays, so they see each in-place write.
 Parameter directories hold one MOVT file per tensor plus a manifest mapping
-tensor name to file.
+each tensor name to its file and to that file's SHA-256. The manifest is
+written last, atomically, and a load checks every file against it, so a
+directory loads as one save or not at all: a save interrupted between files
+leaves the old manifest, which the new files no longer match.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from mova.adapter.config import AdapterConfig
-from mova.errors import ValidationError, read_json_object
+from mova.errors import ValidationError, atomic_write, read_json_object
 from mova.experts import ExpertRegistry
 from mova.numerics.movt import load_tensor, save_tensor
 
@@ -237,16 +240,18 @@ def save_params(params: AdapterParams, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest: dict[str, str] = {}
+    digests: dict[str, str] = {}
     for name, arr in named_arrays(params):
-        filename = f"{name}.movt"
-        save_tensor(directory / filename, arr)
-        manifest[name] = filename
-    payload = {"expert_names": list(params.expert_names), "tensors": manifest}
-    (directory / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        manifest[name] = f"{name}.movt"
+        digests[name] = save_tensor(directory / manifest[name], arr)
+    payload = {"expert_names": list(params.expert_names), "sha256": digests, "tensors": manifest}
+    with atomic_write(directory / "manifest.json") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_params(directory, config: AdapterConfig, registry: ExpertRegistry) -> AdapterParams:
-    """Read a parameter directory; every manifest file name must be a plain name inside it."""
+    """Read a parameter directory; every manifest file name must be a plain name inside
+    it, and every file must have the SHA-256 that the manifest records."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -272,9 +277,14 @@ def load_params(directory, config: AdapterConfig, registry: ExpertRegistry) -> A
     for name, filename in tensors.items():
         if not isinstance(filename, str) or filename in ("", ".", "..") or Path(filename).name != filename:
             raise ValidationError(f"{manifest_path}: {name} file {filename!r} is not a plain file name")
+    digests = manifest.get("sha256")
+    if not isinstance(digests, dict) or set(digests) != expected:
+        raise ValidationError(
+            f"{manifest_path}: no SHA-256 digest for every tensor (saved by an older version?); save it again"
+        )
 
     def fn(name, arr):
-        loaded = load_tensor(directory / tensors[name])
+        loaded = load_tensor(directory / tensors[name], digests[name])
         if loaded.shape != arr.shape:
             raise ValidationError(
                 f"{directory}: tensor {name} has shape {loaded.shape}, expected {arr.shape}"

@@ -10,11 +10,14 @@ load and narrowed to float32 on save.
 was longer. Truncating a file that holds data and writing it again cost about
 0.25 ms per fuse request on ext4. The write is not atomic: a save that fails
 after the open leaves an empty file, which ``load_tensor`` rejects.
+``save_tensor`` returns the SHA-256 of the bytes it wrote, and ``load_tensor``
+can require one, so a set of files can be tied to one save.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 import os
 import struct
@@ -28,7 +31,8 @@ MAGIC = b"MOVT"
 VERSION = 1
 
 
-def save_tensor(path, array) -> None:
+def save_tensor(path, array) -> str:
+    """Write `array` as a MOVT file at `path`; returns the file's SHA-256 (hex)."""
     arr = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
     if arr.ndim < 1 or arr.ndim > 255:
         raise ValidationError(f"MOVT rank must be in [1, 255], got {arr.ndim}")
@@ -54,13 +58,17 @@ def save_tensor(path, array) -> None:
             os.close(fd)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ValidationError(f"{path}: cannot write MOVT file ({exc})") from exc
+    return hashlib.sha256(data).hexdigest()
 
 
-def load_tensor(path) -> np.ndarray:
+def load_tensor(path, sha256: str | None = None) -> np.ndarray:
+    """Read a MOVT file; with `sha256`, its bytes must have that SHA-256 (hex)."""
     try:
         raw = Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ValidationError(f"{path}: cannot read MOVT file ({exc})") from exc
+    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
+        raise ValidationError(f"{path}: SHA-256 differs from the one recorded at save")
     if len(raw) < 6 or raw[:4] != MAGIC:
         raise ValidationError(f"{path}: not a MOVT file (bad magic)")
     version, rank = struct.unpack_from("<BB", raw, 4)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import oracles
 from mova.adapter import network
+from mova.adapter import params as params_module
 from mova.adapter.config import AdapterConfig, desk_config, load_config, save_config
 from mova.adapter.network import (
     ForwardInput,
@@ -563,6 +565,60 @@ class TestParamsPersistence:
         assert len(arrays) == len(loaded) == 216
         for name, arr in arrays:
             assert loaded[name].tobytes() == arr.astype(np.float32).astype(np.float64).tobytes()
+
+    def test_interrupted_save_does_not_load(self, params, config, registry, tmp_path, monkeypatch):
+        """A second save into the same directory stops after 100 of its 216 files.
+        The old manifest stays, and the first new file no longer matches it."""
+        save_params(params, tmp_path / "params")
+        before = (tmp_path / "params" / "manifest.json").read_bytes()
+        calls = []
+
+        def save_tensor(path, array):
+            calls.append(path)
+            if len(calls) == 101:
+                raise KeyboardInterrupt
+            return original(path, array)
+
+        original = params_module.save_tensor
+        monkeypatch.setattr(params_module, "save_tensor", save_tensor)
+        with pytest.raises(KeyboardInterrupt):
+            save_params(init_params(config, registry, seed=12), tmp_path / "params")
+        assert (tmp_path / "params" / "manifest.json").read_bytes() == before
+        assert not [p for p in (tmp_path / "params").iterdir() if p.name.endswith(".tmp")]
+        first = named_arrays(params)[0][0]
+        with pytest.raises(ValidationError, match=rf"{first}\.movt: SHA-256 differs"):
+            load_params(tmp_path / "params", config, registry)
+
+    def test_swapped_tensor_files_do_not_load(self, params, config, registry, tmp_path):
+        save_params(params, tmp_path / "params")
+        a, b = (tmp_path / "params" / f"block0.attn.{n}.weight.movt" for n in ("query", "key"))
+        raw_a, raw_b = a.read_bytes(), b.read_bytes()
+        a.write_bytes(raw_b)
+        b.write_bytes(raw_a)
+        with pytest.raises(ValidationError, match=r"block0\.attn\.query\.weight\.movt: SHA-256 differs"):
+            load_params(tmp_path / "params", config, registry)
+
+    def test_cut_manifest_does_not_load(self, params, config, registry, tmp_path):
+        save_params(params, tmp_path / "params")
+        manifest = tmp_path / "params" / "manifest.json"
+        raw = manifest.read_bytes()
+        for cut in (len(raw) // 2, len(raw) - 3):
+            manifest.write_bytes(raw[:cut])
+            with pytest.raises(ValidationError, match="manifest.json: not valid JSON"):
+                load_params(tmp_path / "params", config, registry)
+
+    def test_manifest_without_digests_does_not_load(self, params, config, registry, tmp_path):
+        save_params(params, tmp_path / "params")
+        manifest = tmp_path / "params" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        for digests in (None, dict(list(doc["sha256"].items())[1:])):
+            if digests is None:
+                doc.pop("sha256")
+            else:
+                doc["sha256"] = digests
+            manifest.write_text(json.dumps(doc))
+            with pytest.raises(ValidationError, match="no SHA-256 digest for every tensor"):
+                load_params(tmp_path / "params", config, registry)
 
     def test_load_rejects_missing_tensor(self, params, config, registry, tmp_path):
         save_params(params, tmp_path / "params")

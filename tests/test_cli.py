@@ -274,6 +274,34 @@ class TestFuse:
         )
         assert len(payload["routing"]["experts"]) == 7
 
+    def test_params_dir_of_an_interrupted_save_is_one_error_line(self, capsys, monkeypatch, tmp_path):
+        """A second save stopped after 100 of 216 files leaves files of two saves:
+        fuse refuses the directory with one error line and prints nothing."""
+        from mova.adapter import params as params_module
+        from mova.adapter.config import desk_config
+        from mova.adapter.params import init_params, save_params
+
+        registry = default_registry()
+        save_params(init_params(desk_config(), registry), tmp_path / "params")
+        written = []
+        original = params_module.save_tensor
+
+        def save_tensor(path, array):
+            written.append(path)
+            if len(written) == 101:
+                raise KeyboardInterrupt
+            return original(path, array)
+
+        monkeypatch.setattr(params_module, "save_tensor", save_tensor)
+        with pytest.raises(KeyboardInterrupt):
+            save_params(init_params(desk_config(), registry, seed=12), tmp_path / "params")
+        code, out, err = run_cli(
+            capsys, "fuse", "--question", "q", "--strategy", "all",
+            "--params", str(tmp_path / "params"), "--out", str(tmp_path / "t.movt"),
+        )
+        assert (code, out) == (1, "")
+        assert err.count("error:") == 1 and err.startswith("error: ") and "SHA-256 differs" in err, err
+
     def test_adapter_config_file_is_honored(self, capsys, tmp_path):
         from mova.adapter.config import desk_config, save_config
 
