@@ -37,11 +37,11 @@ from mova.experts import (
 )
 from mova.harness.gradcheck_run import planted_runner, probe_planted
 from mova.harness.train import ToyTrainConfig, train_toy, training_batch_indices
+from mova.numerics import autodiff as ad
 from mova.numerics.movt import load_tensor, save_tensor
 from mova.numerics.ops import (
     bilinear_interpolate,
     global_avg_pool,
-    matmul,
     scaled_dot_attention,
     softmax,
 )
@@ -158,7 +158,8 @@ def _check_matmul_vs_naive():
                 for t in range(k):
                     acc += a[r, t] * b[t, s]
                 naive[r, s] = acc
-        assert np.max(np.abs(matmul(a, b) - naive)) < 1e-12
+        product = ad.linear(ad.constant(a), ad.constant(b)).value  # the matmul every layer runs
+        assert np.max(np.abs(product - naive)) < 1e-12
 
 
 def _check_purity_bitwise():

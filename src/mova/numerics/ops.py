@@ -1,4 +1,4 @@
-"""Deterministic dense kernels: matmul, softmax, erf, interpolation, pooling, attention.
+"""Deterministic dense kernels: softmax, erf, interpolation, pooling, attention.
 
 All functions are pure. Summation orders are fixed, so identical inputs give
 bitwise-identical outputs. ``stable_softmax``, ``dot_attention`` and
@@ -15,17 +15,6 @@ import numpy as np
 
 from mova.errors import EmptySupportError, ShapeError
 from mova.numerics.tensor import FeatureMap, as_finite_array
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of an m x k and a k x n matrix."""
-    a = as_finite_array(a, "matmul lhs")
-    b = as_finite_array(b, "matmul rhs")
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    return a @ b
 
 
 def stable_softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -181,12 +170,6 @@ def bilinear_interpolate(f: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
 def global_avg_pool(f: FeatureMap) -> np.ndarray:
     """Mean over all spatial positions, one value per channel."""
     return f.data.mean(axis=(1, 2))
-
-
-def avg_pool_2x(f: FeatureMap) -> FeatureMap:
-    """Halve both spatial extents by averaging disjoint 2x2 blocks."""
-    pooled = avg_pool_2x_tokens(f.tokens(), f.height, f.width)
-    return FeatureMap.from_tokens(pooled, f.height // 2, f.width // 2)
 
 
 def adaptive_avg_pool(f: FeatureMap, grid: int) -> FeatureMap:

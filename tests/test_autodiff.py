@@ -10,7 +10,7 @@ from mova.adapter.network import _attention
 from mova.errors import ShapeError
 from mova.numerics import autodiff as ad
 from mova.numerics.gradcheck import finite_diff_check
-from mova.numerics.ops import avg_pool_2x, scaled_dot_attention, softmax
+from mova.numerics.ops import avg_pool_2x_tokens, scaled_dot_attention, softmax
 from mova.numerics.tensor import FeatureMap
 
 
@@ -174,7 +174,7 @@ def test_tape_forward_is_bitwise_the_numerics_kernel(seed):
 
     f = FeatureMap(rng.standard_normal((3, 8, 6)))
     pooled = ad.avg_pool_2x_rows(ad.constant(f.tokens()), f.height, f.width)
-    assert avg_pool_2x(f).tokens().tobytes() == pooled.value.tobytes()
+    assert avg_pool_2x_tokens(f.tokens(), f.height, f.width).tobytes() == pooled.value.tobytes()
 
 
 def test_two_heads_attend_per_column_half():

@@ -7,13 +7,13 @@ from scipy.special import erf as scipy_erf
 
 import oracles
 from mova.errors import EmptySupportError, NumericError, ShapeError
+from mova.numerics import autodiff as ad
 from mova.numerics import ops
 from mova.numerics.gradcheck import finite_diff_check
 from mova.numerics.ops import (
-    avg_pool_2x,
+    avg_pool_2x_tokens,
     bilinear_interpolate,
     global_avg_pool,
-    matmul,
     scaled_dot_attention,
     softmax,
 )
@@ -31,6 +31,11 @@ def naive_matmul(a, b):
                 acc += a[r, t] * b[t, s]
             out[r, s] = acc
     return out
+
+
+def matmul(a, b):
+    """The forward value of the tape's linear op, the one matmul every layer runs."""
+    return ad.linear(ad.constant(a), ad.constant(b)).value
 
 
 class TestMatmul:
@@ -203,27 +208,26 @@ class TestPooling:
         assert np.max(np.abs(global_avg_pool(f) - naive)) < 1e-12
 
     def test_avg_pool_2x_constant(self):
-        f = FeatureMap(np.full((2, 6, 4), -1.5))
-        out = avg_pool_2x(f)
-        assert out.shape == (2, 3, 2)
-        assert np.all(out.data == -1.5)
+        out = avg_pool_2x_tokens(np.full((6 * 4, 2), -1.5), 6, 4)
+        assert out.shape == (3 * 2, 2)
+        assert np.all(out == -1.5)
 
     def test_avg_pool_2x_single_block(self):
         f = FeatureMap(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        assert np.array_equal(avg_pool_2x(f).data, [[[2.5]]])
+        assert np.array_equal(avg_pool_2x_tokens(f.tokens(), 2, 2), [[2.5]])
 
     def test_avg_pool_2x_matches_naive_block_mean(self, rng):
         f = FeatureMap(rng.standard_normal((3, 16, 16)))
-        out = avg_pool_2x(f)
+        out = avg_pool_2x_tokens(f.tokens(), 16, 16)  # row-major (8*8, 3) tokens
         for c in range(3):
             for y in range(8):
                 for x in range(8):
                     block = f.data[c, 2 * y : 2 * y + 2, 2 * x : 2 * x + 2]
-                    assert abs(out.data[c, y, x] - block.mean()) < 1e-12
+                    assert abs(out[y * 8 + x, c] - block.mean()) < 1e-12
 
     def test_avg_pool_2x_rejects_odd_extents(self, rng):
         with pytest.raises(ShapeError):
-            avg_pool_2x(FeatureMap(rng.standard_normal((1, 3, 4))))
+            avg_pool_2x_tokens(FeatureMap(rng.standard_normal((1, 3, 4))).tokens(), 3, 4)
 
 
 class TestScaledDotAttention:
