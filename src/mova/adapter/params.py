@@ -279,9 +279,7 @@ def load_params(directory, config: AdapterConfig, registry: ExpertRegistry) -> A
             raise ValidationError(f"{manifest_path}: {name} file {filename!r} is not a plain file name")
     digests = manifest.get("sha256")
     if not isinstance(digests, dict) or set(digests) != expected:
-        raise ValidationError(
-            f"{manifest_path}: no SHA-256 digest for every tensor (saved by an older version?); save it again"
-        )
+        raise ValidationError(f"{manifest_path}: no SHA-256 digest for every tensor; save the params again")
 
     def fn(name, arr):
         loaded = load_tensor(directory / tensors[name], digests[name])

@@ -10,8 +10,6 @@ load and narrowed to float32 on save.
 was longer. Truncating a file that holds data and writing it again cost about
 0.25 ms per fuse request on ext4. The write is not atomic: a save that fails
 after the open leaves an empty file, which ``load_tensor`` rejects.
-``save_tensor`` returns the SHA-256 of the bytes it wrote, and ``load_tensor``
-can require one, so a set of files can be tied to one save.
 """
 
 from __future__ import annotations
