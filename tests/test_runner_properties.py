@@ -1,6 +1,8 @@
 """The corpus runner over drawn configurations: a pass split across 2 or 3
-processes has the bits of the serial pass, and a pass resumed at a stage has
-the bits of the full pass.
+processes has the bits of the serial pass, a pass resumed at a stage has the
+bits of the full pass, each batched row is the one-sample forward's, each gate
+row lies on the simplex, a feature no sample routes changes nothing, and a
+pass through `lift`'s memo has the bits of a fresh lift.
 
 Each example draws an adapter config (1 to 4 blocks, any head count that
 divides the hidden width, either gating mode), a 7-expert registry with two
@@ -10,15 +12,18 @@ microbatches. Examples stay small: a few tokens per map, so one example runs
 in well under a second.
 """
 
+import numpy as np
 import pytest
 from conftest import with_cpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mova.adapter.config import GATING_MODES, AdapterConfig
-from mova.adapter.params import init_params, named_arrays, stage_of
+from mova.adapter.network import ForwardInput, adapter_apply, build_forward_graph, lift
+from mova.adapter.params import clone_params, init_params, named_arrays, stage_of
 from mova.experts import ExpertRegistry, ExpertSpec, Sample
 from mova.harness.train import MICROBATCH, SCOPES, _CorpusRunner, scope_names
+from mova.numerics.tensor import FeatureMap
 from mova.routing import ExpertSelection
 
 EXPERTS = 7
@@ -107,3 +112,58 @@ def test_parallel_and_resumed_passes_have_the_serial_bits(drawn):
         array.tobytes() for _name, array in named_arrays(init_params(config, registry))
     ]
 
+
+
+def forward_bits(inputs, lifted, config):
+    out, gates = build_forward_graph(inputs, lifted, config)
+    return out.value.tobytes(), [gate.value.tobytes() for gate in gates]
+
+
+@PROPERTY
+@given(drawn=runs())
+def test_batched_rows_gates_unrouted_features_and_the_lift_memo(drawn):
+    config, registry, samples, chosen, scope = drawn
+    params = init_params(config, registry)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        with_cpus(monkeypatch, 1)
+        with _CorpusRunner(registry, config, samples, lambda s: chosen[s.sample_id], params) as runner:
+            inputs = [runner.forward_input(s) for s in samples]
+            memo = lift(runner.params)[0]
+            # One step written in place: the memo's views must see it.
+            _loss, grad = runner.batch_loss(runner.samples, scope_names(params, scope))
+            runner.flat -= 0.5 * grad
+            assert lift(runner.params)[0] is memo
+            out, gates = build_forward_graph(inputs, memo, config)
+            assert forward_bits(inputs, lift(clone_params(runner.params))[0], config) == (
+                out.value.tobytes(), [gate.value.tobytes() for gate in gates])
+
+            kmax = max(inp.selection.k for inp in inputs)
+            assert len(gates) == (config.num_blocks if kmax else 0)
+            for row, inp in enumerate(inputs):
+                one = adapter_apply(inp.base, inp.expert_features, inp.selection, inp.question,
+                                    runner.params, config).tokens
+                scale = np.max(np.abs(one))
+                assert np.max(np.abs(out.value[row] - one)) <= 1e-12 * scale
+                k = inp.selection.k
+                for gate in gates:
+                    weights = gate.value[row]
+                    assert not weights[k:].any()
+                    if not k:
+                        continue
+                    if config.gating_mode == "uniform":
+                        assert (weights[:k] == 1.0 / k).all()
+                    else:
+                        assert (weights[:k] >= 0.0).all()
+                        assert abs(weights[:k].sum() - 1.0) <= 1e-12
+
+            # Every sample gains, then changes, a feature for each expert it does not route.
+            rng = np.random.default_rng(len(samples))
+            for size in (1.0, 100.0):
+                padded = []
+                for inp in inputs:
+                    feats = dict(inp.expert_features)
+                    for idx in set(range(EXPERTS)) - set(inp.selection.indices):
+                        spec = registry.experts[idx]
+                        feats[spec.name] = FeatureMap(size * rng.standard_normal(spec.shape))
+                    padded.append(ForwardInput(inp.base, feats, inp.selection, inp.question))
+                assert forward_bits(padded, memo, config) == forward_bits(inputs, memo, config)
