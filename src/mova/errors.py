@@ -90,8 +90,14 @@ def read_json_object(path, what: str) -> dict:
 def atomic_write(path):
     """A text file to write in place of `path`: `.<name>.<pid>.tmp` in the same
     directory, renamed onto `path` when the block ends normally and removed when
-    it fails or is interrupted, so no reader sees a partial file."""
+    it fails or is interrupted, so no reader sees a partial file. A `path` that
+    exists and is not a regular file (a FIFO, a device such as /dev/null) is
+    written in place instead: a rename would replace it with a regular file."""
     path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w") as fh:
+            yield fh
+        return
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "w") as fh:

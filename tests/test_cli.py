@@ -3,6 +3,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -197,6 +198,27 @@ class TestDataCommands:
         assert (code, stdout) == (1, "")
         assert err == f"error: cannot replace {out / 'samples.jsonl'}\n"
         assert list(out.iterdir()) == []  # no corpus file, no temporary file
+
+    def test_out_that_is_not_a_regular_file_is_written_in_place(
+        self, capsys, tmp_path, experts_file, corpus_dir
+    ):
+        """A FIFO stays a FIFO and receives the annotations; a rename would have
+        replaced it, as it would replace /dev/null."""
+        regular, fifo = tmp_path / "routing.jsonl", tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so that opening it to write does not block
+        try:
+            for out in (regular, fifo):
+                run_json(
+                    capsys, "build-routing-data", "--experts", experts_file,
+                    "--losses", f"{corpus_dir}/losses.jsonl", "--out", str(out),
+                )
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert received == regular.read_bytes()
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     @needs_a_forked_child
     def test_interrupt_ends_every_process(self, tmp_path):
