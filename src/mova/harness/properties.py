@@ -60,6 +60,7 @@ from mova.routing_data import (
     LossRecord,
     construct_routing_set,
     generate_synthetic_corpus,
+    probe_residuals,
 )
 
 _SUITE_SEED = 20240521
@@ -192,21 +193,11 @@ def _check_planted_probe():
     rng = np.random.default_rng(_SUITE_SEED + 6)
     for spec in registry.experts[3:5]:
         answers = rng.standard_normal((64, 4))
-        planted = np.stack(
-            [
-                global_avg_pool(generate_expert_feature(spec, 1000 + i, True, answers[i]))
-                for i in range(64)
-            ]
-        )
-        held_out = np.stack(
-            [
-                global_avg_pool(generate_expert_feature(spec, 5000 + i, False))
-                for i in range(64)
-            ]
-        )
-        w, *_ = np.linalg.lstsq(planted, answers, rcond=None)
-        planted_res = float(((planted @ w - answers) ** 2).mean())
-        held_res = float(((held_out @ w - answers) ** 2).mean())
+        planted = [global_avg_pool(generate_expert_feature(spec, 1000 + i, True, answers[i])) for i in range(64)]
+        held_out = [global_avg_pool(generate_expert_feature(spec, 5000 + i, False)) for i in range(64)]
+        # The corpus's probe, fit on the planted rows only.
+        residuals = probe_residuals(np.stack(planted + held_out), np.tile(answers, (2, 1)), np.arange(64))
+        planted_res, held_res = float(residuals[:64].mean()), float(residuals[64:].mean())
         assert planted_res < 1e-6
         assert held_res >= 10 * planted_res
 

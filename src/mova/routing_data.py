@@ -271,7 +271,7 @@ class CorpusManifest:
     answer_dim: int
 
 
-def _probe_residuals(features: np.ndarray, answers: np.ndarray, fit_rows: np.ndarray) -> np.ndarray:
+def probe_residuals(features: np.ndarray, answers: np.ndarray, fit_rows: np.ndarray) -> np.ndarray:
     """Per-sample MSE of the least-squares probe fit on `fit_rows`."""
     weights, *_ = np.linalg.lstsq(features[fit_rows], answers[fit_rows], rcond=None)
     diff = features @ weights - answers
@@ -369,12 +369,12 @@ def generate_synthetic_corpus(
     pooled_experts = [np.concatenate([experts[j] for _, experts in parts]) for j in range(n)]
 
     all_rows = np.arange(num_samples)
-    base_losses = _probe_residuals(pooled_base, answers, all_rows)
+    base_losses = probe_residuals(pooled_base, answers, all_rows)
     expert_losses = np.empty((num_samples, n))
     for j in range(n):
         rows = np.flatnonzero(planted_idx == j)
         fit_rows = rows if rows.size else all_rows
-        expert_losses[:, j] = _probe_residuals(pooled_experts[j], answers, fit_rows)
+        expert_losses[:, j] = probe_residuals(pooled_experts[j], answers, fit_rows)
 
     try:
         with np.errstate(over="raise"):
