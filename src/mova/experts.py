@@ -121,12 +121,6 @@ class ExpertRegistry:
                 return i
         raise ValidationError(f"unknown expert name {name!r}")
 
-    def by_letter(self, letter: str) -> int:
-        idx = string.ascii_uppercase.find(letter)
-        if not 0 <= idx < len(self.experts):
-            raise ValidationError(f"letter {letter!r} is outside the registry range")
-        return idx
-
 
 _SAMPLE_FIELDS = {
     "sample_id": Field(str),

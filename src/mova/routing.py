@@ -149,11 +149,11 @@ def parse_routing_response(response: str, registry: ExpertRegistry) -> ExpertSel
             raise EmptyResponseError(
                 f"unrecognized token {token!r} in routing response {response!r}"
             )
-        if string.ascii_uppercase.index(token) >= len(registry):
+        idx = string.ascii_uppercase.index(token)
+        if idx >= len(registry):
             raise UnknownExpertError(
                 f"letter {token!r} is outside the registry (experts A..{registry.experts[-1].letter})"
             )
-        idx = registry.by_letter(token)
         if idx not in indices:
             indices.append(idx)
     if not indices:
