@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mova.adapter.config import AdapterConfig
-from mova.adapter.network import adapter_apply
+from mova.adapter.network import ForwardInput, adapter_apply
 from mova.adapter.params import AdapterParams
 from mova.errors import MovaError, PipelineError
 from mova.experts import (
@@ -18,7 +18,7 @@ from mova.experts import (
 )
 from mova.harness.seeds import DEFAULT_IMAGE_SEED
 from mova.numerics.movt import save_tensor
-from mova.routing import RoutingContext, RoutingDecision, route
+from mova.routing import ExpertSelection, RoutingContext, RoutingDecision, route
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,19 @@ class PipelineResult:
         }
 
 
+def sample_input(registry: ExpertRegistry, sample: Sample, selection: ExpertSelection) -> ForwardInput:
+    """The adapter's input for one sample, as `mova fuse` and training both build
+    it: the base feature, then each routed expert's feature in selection order,
+    planted with the answer vector for the sample's planted expert."""
+    base = generate_base_feature(registry, sample.image_seed)
+    feats = {}
+    for idx in selection.indices:
+        spec = registry.experts[idx]
+        planted = spec.name == sample.planted_expert
+        feats[spec.name] = generate_expert_feature(spec, sample.image_seed, planted, sample.answer_vector)
+    return ForwardInput(base, feats, selection, sample.question)
+
+
 def _stage(stage: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -69,23 +82,14 @@ def run_pipeline(
 ) -> PipelineResult:
     sample = Sample(sample_id=sample_id, image_seed=image_seed, question=question)
     decision = _stage("routing", route, strategy, registry, sample, context)
-
-    def make_features():
-        base = generate_base_feature(registry, image_seed)
-        feats = {}
-        for idx in decision.selection.indices:
-            spec = registry.experts[idx]
-            feats[spec.name] = generate_expert_feature(spec, image_seed)
-        return base, feats
-
-    base, feats = _stage("features", make_features)
+    inputs = _stage("features", sample_input, registry, sample, decision.selection)
     output = _stage(
         "adapter",
         adapter_apply,
-        base,
-        feats,
-        decision.selection,
-        question,
+        inputs.base,
+        inputs.expert_features,
+        inputs.selection,
+        inputs.question,
         params,
         config,
     )

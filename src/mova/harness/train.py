@@ -29,11 +29,12 @@ from mova.experts import (
     ExpertRegistry,
     Sample,
     default_registry,
-    generate_base_feature,
-    generate_expert_feature,
+    generate_base_feature,  # noqa: F401 -- unused here; perfbench/tracer.py binds this name
+    generate_expert_feature,  # noqa: F401 -- unused here; perfbench/tracer.py binds this name
     load_registry,
 )
 from mova.forked import Workers, usable_cpus
+from mova.harness.pipeline import sample_input
 from mova.numerics import autodiff as ad
 from mova.numerics.gradcheck import GradCheckReport, finite_diff_check
 from mova.routing import ExpertSelection, oracle_selection
@@ -197,20 +198,11 @@ class _CorpusRunner:
         workers.__exit__(*exc_info)
 
     def forward_input(self, sample: Sample) -> ForwardInput:
-        """The sample's features, selection and question, generated once and cached."""
+        """The adapter's input for `sample` under `selection_for`, built by
+        `sample_input` as `mova fuse` builds it, once per sample id: expert
+        features are frozen, so every later pass reuses it."""
         if sample.sample_id not in self._inputs:
-            selection = self.selection_for(sample)
-            base = generate_base_feature(self.registry, sample.image_seed)
-            feats = {}
-            for idx in selection.indices:
-                spec = self.registry.experts[idx]
-                feats[spec.name] = generate_expert_feature(
-                    spec,
-                    sample.image_seed,
-                    planted=(spec.name == sample.planted_expert),
-                    answer_vector=sample.answer_vector,
-                )
-            self._inputs[sample.sample_id] = ForwardInput(base, feats, selection, sample.question)
+            self._inputs[sample.sample_id] = sample_input(self.registry, sample, self.selection_for(sample))
         return self._inputs[sample.sample_id]
 
     def batch_loss(self, batch: list[Sample], trainable, keep=None) -> tuple[float, np.ndarray]:
