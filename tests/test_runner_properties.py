@@ -113,9 +113,7 @@ def test_parallel_and_resumed_passes_have_the_serial_bits(drawn):
     ]
 
 
-
-def forward_bits(inputs, lifted, config):
-    out, gates = build_forward_graph(inputs, lifted, config)
+def graph_bits(out, gates):
     return out.value.tobytes(), [gate.value.tobytes() for gate in gates]
 
 
@@ -134,8 +132,8 @@ def test_batched_rows_gates_unrouted_features_and_the_lift_memo(drawn):
             runner.flat -= 0.5 * grad
             assert lift(runner.params)[0] is memo
             out, gates = build_forward_graph(inputs, memo, config)
-            assert forward_bits(inputs, lift(clone_params(runner.params))[0], config) == (
-                out.value.tobytes(), [gate.value.tobytes() for gate in gates])
+            bits = graph_bits(out, gates)
+            assert graph_bits(*build_forward_graph(inputs, lift(clone_params(runner.params))[0], config)) == bits
 
             kmax = max(inp.selection.k for inp in inputs)
             assert len(gates) == (config.num_blocks if kmax else 0)
@@ -166,4 +164,4 @@ def test_batched_rows_gates_unrouted_features_and_the_lift_memo(drawn):
                         spec = registry.experts[idx]
                         feats[spec.name] = FeatureMap(size * rng.standard_normal(spec.shape))
                     padded.append(ForwardInput(inp.base, feats, inp.selection, inp.question))
-                assert forward_bits(padded, memo, config) == forward_bits(inputs, memo, config)
+                assert graph_bits(*build_forward_graph(padded, memo, config)) == bits
