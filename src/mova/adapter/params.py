@@ -8,11 +8,12 @@ changes once built, and only its arrays are written in place (by the optimizer
 and the gradient probes). network.lift relies on this to lift each params
 object once for forward-only passes: its leaves are read-only views of the live
 arrays, so they see each in-place write.
-Parameter directories hold one MOVT file per tensor plus a manifest mapping
-each tensor name to its file and to that file's SHA-256. The manifest is
-written last, atomically, and a load checks every file against it, so a
-directory loads as one save or not at all: a save interrupted between files
-leaves the old manifest, which the new files no longer match.
+A parameter directory holds `params.movt`, one MOVT vector of every tensor in
+`visit` order (the layout of the trainer's buffer, see flat_views), and a
+`manifest.json` of the expert names and that file's SHA-256. The manifest is
+written last, atomically, and a load checks the vector against it, so a
+directory loads as one save or not at all: a save stopped during or after the
+vector's write leaves the old manifest, which the new bytes no longer match.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from mova.experts import ExpertRegistry
 from mova.numerics.movt import load_tensor, save_tensor
 
 _PARAM_SALT = 0x9A7A
+PARAMS_FILE = "params.movt"
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,21 @@ def named_arrays(params: AdapterParams) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def flat_views(template: AdapterParams, flat: np.ndarray) -> tuple[AdapterParams, dict[str, slice]]:
+    """`template`'s structure over shaped views of the vector `flat`, which holds
+    exactly its values, tensors in `visit` order; and each tensor name's slice of `flat`."""
+    segments: dict[str, slice] = {}
+    end = 0
+
+    def view(name, array):
+        nonlocal end
+        segments[name] = slice(end, end + array.size)
+        end += array.size
+        return flat[segments[name]].reshape(array.shape)
+
+    return visit(template, view), segments
+
+
 def clone_params(params: AdapterParams) -> AdapterParams:
     return visit(params, lambda _name, arr: arr.copy())
 
@@ -239,54 +256,35 @@ def init_params(config: AdapterConfig, registry: ExpertRegistry, seed: int | Non
 def save_params(params: AdapterParams, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest: dict[str, str] = {}
-    digests: dict[str, str] = {}
-    for name, arr in named_arrays(params):
-        manifest[name] = f"{name}.movt"
-        digests[name] = save_tensor(directory / manifest[name], arr)
-    payload = {"expert_names": list(params.expert_names), "sha256": digests, "tensors": manifest}
+    vector = np.concatenate([array for _name, array in named_arrays(params)], axis=None)
+    digest = save_tensor(directory / PARAMS_FILE, vector)
+    payload = {"expert_names": list(params.expert_names), "sha256": digest}
     with atomic_write(directory / "manifest.json") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_params(directory, config: AdapterConfig, registry: ExpertRegistry) -> AdapterParams:
-    """Read a parameter directory; every manifest file name must be a plain name inside
-    it, and every file must have the SHA-256 that the manifest records."""
+    """Read a parameter directory: `params.movt` must have the SHA-256 that the
+    manifest records and hold as many values as the config's params."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ValidationError(f"{directory}: missing manifest.json")
     manifest = read_json_object(manifest_path, "parameter manifest")
-    tensors = manifest.get("tensors", {})
-    expert_names = manifest.get("expert_names", [])
-    if not (isinstance(tensors, dict) and isinstance(expert_names, list)):
-        raise ValidationError(f"{manifest_path}: needs a 'tensors' object and an 'expert_names' list")
+    expert_names, digest = manifest.get("expert_names"), manifest.get("sha256")
+    if "tensors" in manifest or isinstance(digest, dict):
+        raise ValidationError(f"{manifest_path}: per-tensor files are an older format; save the params again")
+    if not (isinstance(expert_names, list) and isinstance(digest, str)):
+        raise ValidationError(f"{manifest_path}: needs an 'expert_names' list and a 'sha256' string")
     template = init_params(config, registry)
     if tuple(expert_names) != template.expert_names:
         raise ValidationError(
             f"{directory}: manifest expert names {expert_names} "
             f"do not match registry {list(template.expert_names)}"
         )
-    expected = {name for name, _ in named_arrays(template)}
-    if set(tensors) != expected:
-        missing = sorted(expected - set(tensors))
-        extra = sorted(set(tensors) - expected)
-        raise ValidationError(
-            f"{directory}: manifest tensors mismatch (missing {missing}, extra {extra})"
-        )
-    for name, filename in tensors.items():
-        if not isinstance(filename, str) or filename in ("", ".", "..") or Path(filename).name != filename:
-            raise ValidationError(f"{manifest_path}: {name} file {filename!r} is not a plain file name")
-    digests = manifest.get("sha256")
-    if not isinstance(digests, dict) or set(digests) != expected:
-        raise ValidationError(f"{manifest_path}: no SHA-256 digest for every tensor; save the params again")
-
-    def fn(name, arr):
-        loaded = load_tensor(directory / tensors[name], digests[name])
-        if loaded.shape != arr.shape:
-            raise ValidationError(
-                f"{directory}: tensor {name} has shape {loaded.shape}, expected {arr.shape}"
-            )
-        return loaded
-
-    return visit(template, fn)
+    path = directory / PARAMS_FILE
+    vector = load_tensor(path, digest)
+    size = sum(array.size for _name, array in named_arrays(template))
+    if vector.shape != (size,):
+        raise ValidationError(f"{path}: holds shape {vector.shape}, the config's params take {size} values")
+    return flat_views(template, vector)[0]

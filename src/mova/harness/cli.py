@@ -19,12 +19,7 @@ from mova.adapter.params import init_params, load_params
 from mova.errors import EmptyResponseError, MovaError, ValidationError, atomic_write
 from mova.experts import Sample, default_registry, load_registry
 from mova.harness.pipeline import run_pipeline
-from mova.harness.seeds import (
-    DEFAULT_CORPUS_SEED,
-    DEFAULT_IMAGE_SEED,
-    DEFAULT_ROUTE_SEED,
-    resolve_seed,
-)
+from mova.harness.seeds import resolve_seed
 from mova.routing import STRATEGIES, ExpertSelection, RoutingContext, route
 from mova.routing_data import (
     DEFAULT_CAP,
@@ -64,7 +59,7 @@ def _routing_context(args) -> RoutingContext:
     return RoutingContext(
         annotations={a.sample_id: a for a in load_annotations(args.annotations)} if args.annotations else None,
         losses={r.sample_id: r for r in load_loss_records(args.losses)} if args.losses else None,
-        seed=resolve_seed(args.seed, DEFAULT_ROUTE_SEED),
+        seed=resolve_seed(args.seed),
         cap=args.cap,
         response=args.response,
     )
@@ -115,7 +110,7 @@ def _cmd_gen_synthetic(args) -> int:
     manifest = generate_synthetic_corpus(
         registry,
         num_samples=args.samples,
-        seed=resolve_seed(args.seed, DEFAULT_CORPUS_SEED),
+        seed=resolve_seed(args.seed),
         out_dir=args.out,
         noise_scale=args.noise,
         answer_dim=args.answer_dim,
@@ -139,7 +134,7 @@ def _cmd_fuse(args) -> int:
     params = load_params(args.params, config, registry) if args.params else init_params(config, registry)
     result = run_pipeline(
         registry, args.question, args.strategy, _routing_context(args), config, params,
-        image_seed=resolve_seed(args.image_seed, DEFAULT_IMAGE_SEED), out_path=args.out,
+        image_seed=resolve_seed(args.image_seed), out_path=args.out,
         sample_id=args.sample_id,
     )
     _emit(result.summary_dict())
@@ -168,7 +163,7 @@ def _cmd_ablate(args) -> int:
         steps=args.steps,
         learning_rate=args.lr,
         batch_size=args.batch_size,
-        seed=resolve_seed(args.seed, DEFAULT_CORPUS_SEED),
+        seed=resolve_seed(args.seed),
         scope=args.scope,
         eval_samples=args.eval_samples,
     )

@@ -16,7 +16,7 @@ from mova.experts import (
     generate_base_feature,
     generate_expert_feature,
 )
-from mova.harness.seeds import DEFAULT_IMAGE_SEED
+from mova.harness.seeds import DEFAULT_SEED
 from mova.numerics.movt import save_tensor
 from mova.routing import ExpertSelection, RoutingContext, RoutingDecision, route
 
@@ -76,7 +76,7 @@ def run_pipeline(
     context: RoutingContext,
     config: AdapterConfig,
     params: AdapterParams,
-    image_seed: int = DEFAULT_IMAGE_SEED,
+    image_seed: int = DEFAULT_SEED,
     out_path=None,
     sample_id: str = "cli",
 ) -> PipelineResult:

@@ -1,4 +1,4 @@
-"""Default seeds and the MOVA_SEED environment override."""
+"""The default seed and the MOVA_SEED environment override."""
 
 from __future__ import annotations
 
@@ -6,20 +6,18 @@ import os
 
 from mova.errors import Field, ValidationError
 
-DEFAULT_IMAGE_SEED = 42
-DEFAULT_ROUTE_SEED = 42
-DEFAULT_CORPUS_SEED = 42
+DEFAULT_SEED = 42
 
 ENV_SEED = "MOVA_SEED"
 
 
-def resolve_seed(flag_value: int | None, default: int) -> int:
+def resolve_seed(flag_value: int | None) -> int:
     """Flag wins; otherwise MOVA_SEED if set; otherwise the built-in default."""
     env = os.environ.get(ENV_SEED)
     if flag_value is not None:
         seed = flag_value
     elif env is None:
-        seed = default
+        seed = DEFAULT_SEED
     else:
         try:
             seed = int(env)

@@ -10,7 +10,6 @@ corpus samples, so a zero learning rate leaves the loss trace constant.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import mmap
 import time
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ import numpy as np
 
 from mova.adapter.config import AdapterConfig, desk_config, parse_config
 from mova.adapter.network import ForwardInput, build_forward_graph, lift
-from mova.adapter.params import AdapterParams, init_params, named_arrays, stage_of, visit
+from mova.adapter.params import AdapterParams, flat_views, init_params, named_arrays, stage_of
 from mova.errors import (
     POSITIVE, Field, NumericError, TrainingError, ValidationError, check_fields, read_json_object,
 )
@@ -132,11 +131,12 @@ class _CorpusRunner:
     here for training, evaluation and every gradient check. Reads no files.
 
     The runner owns its params: it copies the ones it is given, once, into
-    `flat`, one float64 vector in a shared `mmap` buffer, tensors in `visit`
-    order. `segments` maps each name to its slice, and `params` are shaped views
-    of the slices, which `arrays` names. Every pass lifts `params` in each
-    process (forward-only, once per process), so a forked worker sees each
-    in-place write with no copy; in a worker `flat` and its views are read-only.
+    `flat`, one float64 vector in a shared `mmap` buffer, laid out as a saved
+    `params.movt`. `flat_views` gives `params`, shaped views of `flat` that
+    `arrays` names, and `segments`, each name's slice. Every pass lifts
+    `params` in each process (forward-only, once per process), so a forked
+    worker sees each in-place write with no copy; in a worker `flat` and its
+    views are read-only.
     A gradient is one vector laid out like `flat`, applied in one subtraction
     and probed by segment. A microbatch fills the segments of the tensors it
     reached and leaves -0.0, the identity of IEEE addition, in the rest; a
@@ -174,13 +174,11 @@ class _CorpusRunner:
         self.processes = 1  # the most processes that have run this runner's microbatches
         self._inputs: dict[str, ForwardInput] = {}
         self._workers = Workers(self._run, 1)
-        pairs = named_arrays(params)
-        starts = list(itertools.accumulate((array.size for _name, array in pairs), initial=0))
-        self.segments = {name: slice(lo, hi) for (name, _array), lo, hi in zip(pairs, starts, starts[1:])}
-        self.flat = np.frombuffer(mmap.mmap(-1, 8 * starts[-1]))  # shared with every worker forked later
-        np.concatenate([array for _name, array in pairs], axis=None, out=self.flat)
-        self.arrays = {name: self.flat[self.segments[name]].reshape(array.shape) for name, array in pairs}
-        self.params = visit(params, lambda name, _array: self.arrays[name])
+        vector = np.concatenate([array for _name, array in named_arrays(params)], axis=None)
+        self.flat = np.frombuffer(mmap.mmap(-1, vector.nbytes))  # shared with every worker forked later
+        self.flat[:] = vector
+        self.params, self.segments = flat_views(params, self.flat)
+        self.arrays = dict(named_arrays(self.params))
 
     def _read_only(self) -> None:
         """In a forked worker: `flat` and the views in `arrays`, also the leaves of

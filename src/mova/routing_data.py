@@ -327,6 +327,12 @@ def generate_synthetic_corpus(
     # Checked, not stored: an integer scale is written to manifest.json as given.
     Field(float, 0).check("noise_scale", noise_scale)
     Field(int, 1, min(spec.channels for spec in registry.experts)).check("answer_dim", answer_dim)
+    out_dir = Path(out_dir)
+    # Checked before the work, and not made until after it: a failed run leaves no directory.
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists() or path.is_symlink())
+    if not existing.is_dir():
+        what = "not a directory" if existing == out_dir else f"{existing} is not a directory"
+        raise ValidationError(f"{out_dir}: {what}")
     if planted_pool is None:
         pool = tuple(range(len(registry)))
     else:
@@ -384,7 +390,6 @@ def generate_synthetic_corpus(
     except FloatingPointError:
         raise ValidationError(f"noise_scale {noise_scale!r} makes a loss overflow") from None
 
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     samples_path = out_dir / "samples.jsonl"
     losses_path = out_dir / "losses.jsonl"

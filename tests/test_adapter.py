@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -31,14 +33,20 @@ from mova.errors import (
 from mova.experts import (
     ExpertRegistry,
     ExpertSpec,
+    Sample,
     default_registry,
     generate_base_feature,
     generate_expert_feature,
 )
+from mova.harness.train import _CorpusRunner
 from mova.numerics import autodiff as ad
+from mova.numerics.movt import load_tensor
 from mova.numerics.ops import bilinear_interpolate
 from mova.numerics.tensor import FeatureMap
 from mova.routing import ExpertSelection
+
+# SHA-256 of params.movt for init_params(desk_config(), default_registry()).
+PINNED_PARAMS_SHA256 = "a2ff654e625c6322350109cab653efccbba48199bf472ca24cac85549fb0daf2"
 
 
 @pytest.fixture
@@ -567,36 +575,37 @@ class TestParamsPersistence:
             assert loaded[name].tobytes() == arr.astype(np.float32).astype(np.float64).tobytes()
 
     def test_interrupted_save_does_not_load(self, params, config, registry, tmp_path, monkeypatch):
-        """A second save into the same directory stops after 100 of its 216 files.
-        The old manifest stays, and the first new file no longer matches it."""
+        """A second save into the same directory stops after params.movt is written,
+        or partway through its write, which leaves it empty. The old manifest stays,
+        and the new file no longer matches it."""
         save_params(params, tmp_path / "params")
         before = (tmp_path / "params" / "manifest.json").read_bytes()
-        calls = []
+        original_save, original_write = params_module.save_tensor, os.write
 
-        def save_tensor(path, array):
-            calls.append(path)
-            if len(calls) == 101:
-                raise KeyboardInterrupt
-            return original(path, array)
+        def save_then_stop(path, array):
+            original_save(path, array)
+            raise KeyboardInterrupt
 
-        original = params_module.save_tensor
-        monkeypatch.setattr(params_module, "save_tensor", save_tensor)
-        with pytest.raises(KeyboardInterrupt):
-            save_params(init_params(config, registry, seed=12), tmp_path / "params")
-        assert (tmp_path / "params" / "manifest.json").read_bytes() == before
-        assert not [p for p in (tmp_path / "params").iterdir() if p.name.endswith(".tmp")]
-        first = named_arrays(params)[0][0]
-        with pytest.raises(ValidationError, match=rf"{first}\.movt: SHA-256 differs"):
-            load_params(tmp_path / "params", config, registry)
+        def write_half_then_stop(fd, data):
+            original_write(fd, data[: len(data) // 2])
+            raise KeyboardInterrupt
 
-    def test_swapped_tensor_files_do_not_load(self, params, config, registry, tmp_path):
-        save_params(params, tmp_path / "params")
-        a, b = (tmp_path / "params" / f"block0.attn.{n}.weight.movt" for n in ("query", "key"))
-        raw_a, raw_b = a.read_bytes(), b.read_bytes()
-        a.write_bytes(raw_b)
-        b.write_bytes(raw_a)
-        with pytest.raises(ValidationError, match=r"block0\.attn\.query\.weight\.movt: SHA-256 differs"):
-            load_params(tmp_path / "params", config, registry)
+        for patch in ((params_module, "save_tensor", save_then_stop), (os, "write", write_half_then_stop)):
+            with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
+                m.setattr(*patch)
+                save_params(init_params(config, registry, seed=12), tmp_path / "params")
+            assert sorted(p.name for p in (tmp_path / "params").iterdir()) == ["manifest.json", "params.movt"]
+            assert (tmp_path / "params" / "manifest.json").read_bytes() == before
+            with pytest.raises(ValidationError, match=r"params\.movt: SHA-256 differs"):
+                load_params(tmp_path / "params", config, registry)
+        assert (tmp_path / "params" / "params.movt").stat().st_size == 0  # save_tensor cut its failed write
+
+    def test_params_file_of_another_save_does_not_load(self, params, config, registry, tmp_path):
+        save_params(params, tmp_path / "a")
+        save_params(init_params(config, registry, seed=12), tmp_path / "b")
+        (tmp_path / "a" / "params.movt").write_bytes((tmp_path / "b" / "params.movt").read_bytes())
+        with pytest.raises(ValidationError, match=r"params\.movt: SHA-256 differs"):
+            load_params(tmp_path / "a", config, registry)
 
     def test_cut_manifest_does_not_load(self, params, config, registry, tmp_path):
         save_params(params, tmp_path / "params")
@@ -610,18 +619,41 @@ class TestParamsPersistence:
     def test_manifest_without_digests_does_not_load(self, params, config, registry, tmp_path):
         save_params(params, tmp_path / "params")
         manifest = tmp_path / "params" / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        for digests in (None, dict(list(doc["sha256"].items())[1:])):
-            if digests is None:
-                doc.pop("sha256")
-            else:
-                doc["sha256"] = digests
+        names = {"expert_names": json.loads(manifest.read_text())["expert_names"]}
+        for doc in (names, {**names, "sha256": None}, {**names, "sha256": 5}, {**names, "sha256": ["0" * 64]}):
             manifest.write_text(json.dumps(doc))
-            with pytest.raises(ValidationError, match="no SHA-256 digest for every tensor"):
+            with pytest.raises(ValidationError, match="needs an 'expert_names' list and a 'sha256' string"):
                 load_params(tmp_path / "params", config, registry)
 
     def test_load_rejects_missing_tensor(self, params, config, registry, tmp_path):
         save_params(params, tmp_path / "params")
-        (tmp_path / "params" / "projector.out.weight.movt").unlink()
-        with pytest.raises(ValidationError):
+        (tmp_path / "params" / "params.movt").unlink()
+        with pytest.raises(ValidationError, match=r"params\.movt: cannot read MOVT file"):
             load_params(tmp_path / "params", config, registry)
+
+    def test_params_of_another_config_do_not_load(self, config, registry, tmp_path):
+        """A params.movt with its recorded digest, saved for a smaller gating MLP."""
+        smaller = replace(config, gating_hidden=8)
+        save_params(init_params(smaller, registry), tmp_path / "params")
+        sizes = [sum(a.size for _, a in named_arrays(init_params(c, registry))) for c in (smaller, config)]
+        assert sizes[0] < sizes[1]
+        message = rf"holds shape \({sizes[0]},\), the config's params take {sizes[1]} values"
+        with pytest.raises(ValidationError, match=message):
+            load_params(tmp_path / "params", config, registry)
+
+    def test_params_file_layout_is_pinned(self, tmp_path):
+        """params.movt holds the desk params in `visit` order, the trainer's buffer
+        layout: a change to that order or to init fails here by name."""
+        registry, config = default_registry(), desk_config()
+        params = init_params(config, registry)
+        save_params(params, tmp_path / "params")
+        assert sorted(p.name for p in (tmp_path / "params").iterdir()) == ["manifest.json", "params.movt"]
+        raw = (tmp_path / "params" / "params.movt").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == PINNED_PARAMS_SHA256
+        assert json.loads((tmp_path / "params" / "manifest.json").read_text()) == {
+            "expert_names": [spec.name for spec in registry.experts], "sha256": PINNED_PARAMS_SHA256,
+        }
+        sample = Sample(sample_id="s", image_seed=0, question="q", answer_vector=[0.0])
+        with _CorpusRunner(registry, config, [sample], lambda _s: ExpertSelection(()), params) as runner:
+            flat = runner.flat.astype(np.float32).astype(np.float64)
+        assert load_tensor(tmp_path / "params" / "params.movt").tobytes() == flat.tobytes()

@@ -199,6 +199,25 @@ class TestDataCommands:
         assert err == f"error: cannot replace {out / 'samples.jsonl'}\n"
         assert list(out.iterdir()) == []  # no corpus file, no temporary file
 
+    def test_out_that_cannot_be_a_directory_fails_before_the_work(self, capsys, monkeypatch, tmp_path):
+        """An --out that is a file or a dangling link, or lies under one, fails before
+        any feature is generated: one error line naming the path, nothing on stdout."""
+        from mova import routing_data
+
+        def base_features(*args):
+            raise AssertionError("features were generated")
+
+        monkeypatch.setattr(routing_data, "base_features", base_features)
+        (tmp_path / "existing.txt").write_text("")
+        (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+        for name in ("existing.txt", "link"):
+            bad = tmp_path / name
+            under = (bad / "c", f"{bad / 'c'}: {bad} is not a directory")
+            for out, where in ((bad, f"{bad}: not a directory"), under):
+                code, stdout, err = run_cli(capsys, "gen-synthetic", "--samples", "20", "--out", str(out))
+                assert (code, stdout, err) == (1, "", f"error: {where}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.txt", "link"]
+
     def test_out_that_is_not_a_regular_file_is_written_in_place(
         self, capsys, tmp_path, experts_file, corpus_dir
     ):
@@ -297,22 +316,19 @@ class TestFuse:
         assert len(payload["routing"]["experts"]) == 7
 
     def test_params_dir_of_an_interrupted_save_is_one_error_line(self, capsys, monkeypatch, tmp_path):
-        """A second save stopped after 100 of 216 files leaves files of two saves:
-        fuse refuses the directory with one error line and prints nothing."""
+        """A second save stopped after its params.movt is written, before its
+        manifest: fuse refuses the directory with one error line and prints nothing."""
         from mova.adapter import params as params_module
         from mova.adapter.config import desk_config
         from mova.adapter.params import init_params, save_params
 
         registry = default_registry()
         save_params(init_params(desk_config(), registry), tmp_path / "params")
-        written = []
         original = params_module.save_tensor
 
         def save_tensor(path, array):
-            written.append(path)
-            if len(written) == 101:
-                raise KeyboardInterrupt
-            return original(path, array)
+            original(path, array)
+            raise KeyboardInterrupt
 
         monkeypatch.setattr(params_module, "save_tensor", save_tensor)
         with pytest.raises(KeyboardInterrupt):
@@ -323,6 +339,30 @@ class TestFuse:
         )
         assert (code, out) == (1, "")
         assert err.count("error:") == 1 and err.startswith("error: ") and "SHA-256 differs" in err, err
+
+    def test_params_dir_of_one_file_per_tensor_is_one_error_line(self, capsys, tmp_path):
+        """A directory in the older format, one MOVT file per tensor with a digest and
+        a file name for each in the manifest, is refused: save the params again."""
+        from mova.adapter.config import desk_config
+        from mova.adapter.params import init_params, named_arrays
+        from mova.numerics.movt import save_tensor
+
+        registry = default_registry()
+        params = init_params(desk_config(), registry)
+        stale = tmp_path / "params"
+        stale.mkdir()
+        files = {name: f"{name}.movt" for name, _ in named_arrays(params)}
+        digests = {name: save_tensor(stale / files[name], array) for name, array in named_arrays(params)}
+        manifest = {"expert_names": list(params.expert_names), "sha256": digests, "tensors": files}
+        (stale / "manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run_cli(
+            capsys, "fuse", "--question", "q", "--strategy", "all",
+            "--params", str(stale), "--out", str(tmp_path / "t.movt"),
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "older format; save the params again" in err
+        assert not (tmp_path / "t.movt").exists()
 
     def test_adapter_config_file_is_honored(self, capsys, tmp_path):
         from mova.adapter.config import desk_config, save_config
@@ -673,18 +713,13 @@ class TestExitCodes:
         )
         toy_nan = tmp_path / "toy_nan.json"
         toy_nan.write_text(json.dumps({"corpus": str(nan_corpus), "steps": 1}))
-        # Parameter manifests: a file name outside the directory, and bad JSON.
+        # A parameter manifest that is not JSON.
         from mova.adapter.config import desk_config
         from mova.adapter.params import init_params, save_params
 
-        escaping, broken = tmp_path / "escaping", tmp_path / "broken"
-        for params_dir in (escaping, broken):
-            save_params(init_params(desk_config(), default_registry()), params_dir)
-        manifest = json.loads((escaping / "manifest.json").read_text())
-        (tmp_path / "outside.movt").write_bytes((escaping / "projector.out.weight.movt").read_bytes())
-        manifest["tensors"]["projector.out.weight"] = "../outside.movt"
-        (escaping / "manifest.json").write_text(json.dumps(manifest))
-        (broken / "manifest.json").write_text('{"tensors": ')
+        broken = tmp_path / "broken"
+        save_params(init_params(desk_config(), default_registry()), broken)
+        (broken / "manifest.json").write_text('{"sha256": ')
         fuse = ("fuse", "--question", "q", "--strategy", "all", "--out", str(tmp_path / "t.movt"))
         empty_routing, empty_truth = tmp_path / "empty_r.jsonl", tmp_path / "empty_t.jsonl"
         empty_routing.write_text("")
@@ -713,7 +748,6 @@ class TestExitCodes:
             (("train-toy", "--config", str(toy_nan)), "samples.jsonl:1: malformed sample"),
             *(((*fuse, "--experts", str(tmp_path / name)), f"{name}: malformed registry field ({field}")
               for name, field in registries.items()),
-            ((*fuse, "--params", str(escaping)), "'../outside.movt' is not a plain file name"),
             ((*fuse, "--params", str(broken)), "manifest.json: not valid JSON"),
             (("route", "--question", "q", "--strategy", "random", "--seed", "-1"),
              "seed must be >= 0"),
