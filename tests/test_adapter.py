@@ -47,6 +47,8 @@ from mova.routing import ExpertSelection
 
 # SHA-256 of params.movt for init_params(desk_config(), default_registry()).
 PINNED_PARAMS_SHA256 = "a2ff654e625c6322350109cab653efccbba48199bf472ca24cac85549fb0daf2"
+# SHA-256 of the newline-joined tensor names of the same params.
+PINNED_NAMES_SHA256 = "a03459a1b23277ff7bfdb4c938ca53cb60270663d5b2cb0848c42a8f989a6ff8"
 
 
 @pytest.fixture
@@ -141,6 +143,23 @@ class TestInitParams:
         cfg = AdapterConfig(hidden_dim=16, text_dim=8, llm_dim=32)
         with pytest.raises(ValidationError):
             init_params(cfg, registry)
+
+    def test_tensor_names_are_pinned(self, registry):
+        """The desk params' tensor names in `visit` order: the params.movt layout,
+        and the sorted list the step-0 spot check draws from, depend on them."""
+        names = [name for name, _ in named_arrays(init_params(desk_config(), registry))]
+        assert len(names) == 216
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == PINNED_NAMES_SHA256
+        # One name per renamed field: blocks, reducers, extractors, gating,
+        # transformer, the attn_* and ffn_* layers and the two projector layers.
+        for name in (
+            "block2.norm_ffn.beta", "reduce1.fc2.bias", "block0.extract.dinov2.value.weight",
+            "block1.gate.logits.bias", "block1.norm_attn.gamma", "block0.attn.query.weight",
+            "block1.attn.key.weight", "block2.attn.value.bias", "block0.attn.out.bias",
+            "block1.ffn.fc_in.weight", "block2.ffn.fc_out.bias", "projector.hidden.bias",
+            "projector.out.weight",
+        ):
+            assert name in names
 
 
 class TestExtractExpertKnowledge:
