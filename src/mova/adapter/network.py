@@ -12,7 +12,7 @@ spatially aligned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Mapping, Sequence
 
@@ -325,12 +325,7 @@ def build_forward_graph(
 
 def _constants(params):
     """Copy of a params dataclass with every array leaf wrapped in ad.constant."""
-    if params is None:
-        return None
-    if is_dataclass(params):
-        leaves = {f.name: _constants(getattr(params, f.name)) for f in fields(params)}
-        return replace(params, **leaves)
-    return ad.constant(params)
+    return visit(params, lambda _name, array: ad.constant(array))
 
 
 def extract_expert_knowledge(

@@ -1,13 +1,17 @@
-"""Adapter parameter containers, seeded initialization, and persistence.
+"""Adapter parameter containers, seeded initialization, tensor naming and persistence.
 
-The dataclasses hold float64 ndarrays. The same containers are reused with
-autodiff nodes as leaves when a forward graph is built (see network.lift).
-They are frozen, with `blocks` and `reducers` stored as tuples and each
-block's `extractors` as a read-only mapping: a params object's structure never
-changes once built, and only its arrays are written in place (by the optimizer
-and the gradient probes). network.lift relies on this to lift each params
-object once for forward-only passes: its leaves are read-only views of the live
-arrays, so they see each in-place write.
+The dataclasses hold float64 ndarrays. `visit` names each one by its path of
+fields from the top: their name parts joined with dots (`_RENAMES` gives the
+parts that differ from a field's name), a tuple item's index appended with no
+dot (`block0`) and a mapping entry's key with one (`block0.extract.dinov2`).
+The same containers are reused with autodiff nodes as leaves when a forward
+graph is built (see network.lift). They are frozen, with `blocks` and
+`reducers` stored as tuples and each block's `extractors` as a read-only
+mapping: a params object's structure never changes once built, and only its
+arrays are written in place (by the optimizer and the gradient probes).
+network.lift relies on this to lift each params object once for forward-only
+passes: its leaves are read-only views of the live arrays, so they see each
+in-place write.
 A parameter directory holds `params.movt`, one MOVT vector of every tensor in
 `visit` order (the layout of the trainer's buffer, see flat_views), and a
 `manifest.json` of the expert names and that file's SHA-256. The manifest is
@@ -20,10 +24,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -99,64 +104,42 @@ class AdapterParams:
     projector_out: LinearParams     # C -> llm_dim
 
 
-def visit(params: AdapterParams, fn: Callable[[str, object], object]) -> AdapterParams:
-    """Rebuild the structure applying fn(name, leaf) to every tensor leaf.
+# The tensor-name part of each field whose part is not its own name; "" adds none.
+_RENAMES = {
+    "blocks": "block", "reducers": "reduce", "extractors": "extract", "gating": "gate", "transformer": "",
+    "attn_query": "attn.query", "attn_key": "attn.key", "attn_value": "attn.value", "attn_out": "attn.out",
+    "ffn_in": "ffn.fc_in", "ffn_out": "ffn.fc_out",
+    "projector_hidden": "projector.hidden", "projector_out": "projector.out",
+}
 
-    This walk is the single source of truth for tensor naming; initialization
-    order, persistence, lifting, and training-scope filters all go through it.
-    """
 
-    def lin(prefix: str, p: LinearParams) -> LinearParams:
-        return LinearParams(
-            fn(f"{prefix}.weight", p.weight),
-            None if p.bias is None else fn(f"{prefix}.bias", p.bias),
-        )
+@cache
+def _name_parts(cls: type) -> tuple[tuple[str, str], ...] | None:
+    """(field, its tensor-name part) for each field of a params dataclass, in order."""
+    return tuple((f.name, _RENAMES.get(f.name, f.name)) for f in fields(cls)) if is_dataclass(cls) else None
 
-    def norm(prefix: str, p: LayerNormParams) -> LayerNormParams:
-        return LayerNormParams(fn(f"{prefix}.gamma", p.gamma), fn(f"{prefix}.beta", p.beta))
 
-    blocks = []
-    for i, block in enumerate(params.blocks):
-        pre = f"block{i}"
-        extractors = {
-            name: CrossAttentionParams(
-                query=lin(f"{pre}.extract.{name}.query", ca.query),
-                key=lin(f"{pre}.extract.{name}.key", ca.key),
-                value=lin(f"{pre}.extract.{name}.value", ca.value),
-                out=lin(f"{pre}.extract.{name}.out", ca.out),
-            )
-            for name, ca in block.extractors.items()
-        }
-        gating = GatingParams(
-            hidden=lin(f"{pre}.gate.hidden", block.gating.hidden),
-            logits=lin(f"{pre}.gate.logits", block.gating.logits),
-        )
-        tr = block.transformer
-        transformer = TransformerBlockParams(
-            attn_query=lin(f"{pre}.attn.query", tr.attn_query),
-            attn_key=lin(f"{pre}.attn.key", tr.attn_key),
-            attn_value=lin(f"{pre}.attn.value", tr.attn_value),
-            attn_out=lin(f"{pre}.attn.out", tr.attn_out),
-            norm_attn=norm(f"{pre}.norm_attn", tr.norm_attn),
-            ffn_in=lin(f"{pre}.ffn.fc_in", tr.ffn_in),
-            ffn_out=lin(f"{pre}.ffn.fc_out", tr.ffn_out),
-            norm_ffn=norm(f"{pre}.norm_ffn", tr.norm_ffn),
-        )
-        blocks.append(AdapterBlockParams(extractors=extractors, gating=gating, transformer=transformer))
-    reducers = tuple(
-        ResidualMlpParams(
-            fc1=lin(f"reduce{i}.fc1", r.fc1),
-            fc2=lin(f"reduce{i}.fc2", r.fc2),
-        )
-        for i, r in enumerate(params.reducers)
-    )
-    return AdapterParams(
-        expert_names=params.expert_names,
-        blocks=tuple(blocks),
-        reducers=reducers,
-        projector_hidden=lin("projector.hidden", params.projector_hidden),
-        projector_out=lin("projector.out", params.projector_out),
-    )
+def visit(params, fn: Callable[[str, np.ndarray], object]):
+    """Rebuild a params dataclass applying fn(name, array) to every array leaf: the one
+    source of tensor names and order, for persistence, lifting and training-scope filters."""
+
+    def walk(node, name):
+        if isinstance(node, np.ndarray):
+            return fn(name, node)
+        parts = _name_parts(type(node))
+        if parts is not None:
+            dot = f"{name}." if name else ""
+            values = []
+            for field, part in parts:
+                values.append(walk(getattr(node, field), dot + part if part else name))
+            return type(node)(*values)
+        if isinstance(node, tuple):
+            return tuple([walk(item, f"{name}{i}") for i, item in enumerate(node)])
+        if isinstance(node, Mapping):
+            return {key: walk(value, f"{name}.{key}") for key, value in node.items()}
+        return node  # a bias-free layer's None, an expert name
+
+    return walk(params, "")
 
 
 def stage_of(name: str, num_blocks: int) -> int:
