@@ -12,7 +12,7 @@ from mova.errors import Field, ValidationError
 from mova.experts import ExpertRegistry, Sample
 from mova.harness.train import SelectionProvider, ToyTrainConfig, train_toy
 from mova.routing import ExpertSelection
-from mova.routing_data import load_loss_records
+from mova.routing_data import checked_losses, load_loss_records
 
 _ABLATION_ROUTE_SALT = 0xAB1A7E
 
@@ -43,7 +43,8 @@ def _fixed_k_provider(config: ToyTrainConfig, registry: ExpertRegistry, k: int) 
         record = losses.get(sample.sample_id)
         if record is None:
             raise ValidationError(f"no loss record for sample {sample.sample_id!r}")
-        ranked = sorted(range(len(registry)), key=lambda j: (record.expert_losses[j], j))
+        scores = checked_losses(record, registry)
+        ranked = sorted(range(len(registry)), key=lambda j: (scores[j], j))
         # Registry-order output keeps fixed-K:N bitwise identical to all-experts.
         return ExpertSelection(tuple(sorted(ranked[:k])))
 
@@ -64,8 +65,7 @@ def _arm(config: ToyTrainConfig, registry: ExpertRegistry, mode: str):
     if mode == "random-routing":
         return config, _random_provider(config, registry)
     if mode == "all-experts":
-        everyone = ExpertSelection(tuple(range(len(registry))))
-        return config, lambda _sample: everyone
+        return replace(config, selection=tuple(spec.name for spec in registry.experts)), None
     match = _FIXED_K.match(mode)
     if match:
         return config, _fixed_k_provider(config, registry, int(match.group(1)))

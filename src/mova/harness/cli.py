@@ -65,10 +65,9 @@ def _routing_context(args) -> RoutingContext:
     )
 
 
-def _add_routing_flags(parser, with_question=True):
+def _add_routing_flags(parser):
     parser.add_argument("--experts", help="experts.json (default: built-in desk registry)")
-    if with_question:
-        parser.add_argument("--question", required=True)
+    parser.add_argument("--question", required=True)
     parser.add_argument("--strategy", required=True, choices=STRATEGIES)
     parser.add_argument("--annotations", help="routing.jsonl for the annotation strategy")
     parser.add_argument("--losses", help="losses.jsonl for the oracle strategy")

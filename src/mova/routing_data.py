@@ -99,19 +99,24 @@ class RoutingAnnotation:
             )
 
 
-def construct_routing_set(
-    record: LossRecord, registry: ExpertRegistry, cap: int = DEFAULT_CAP
-) -> RoutingAnnotation:
-    """Experts strictly beating the base loss, capped, ordered by ascending loss."""
-    _CAP.check("cap", cap)
+def checked_losses(record: LossRecord, registry: ExpertRegistry) -> tuple[float, ...]:
+    """The record's expert losses in registry order; refused unless there is one per expert."""
     if len(record.expert_losses) != len(registry):
         raise ValidationError(
             f"sample {record.sample_id!r}: {len(record.expert_losses)} expert losses "
             f"for a registry of {len(registry)}"
         )
+    return record.expert_losses
+
+
+def construct_routing_set(
+    record: LossRecord, registry: ExpertRegistry, cap: int = DEFAULT_CAP
+) -> RoutingAnnotation:
+    """Experts strictly beating the base loss, capped, ordered by ascending loss."""
+    _CAP.check("cap", cap)
     qualifying = [
         (loss, idx)
-        for idx, loss in enumerate(record.expert_losses)
+        for idx, loss in enumerate(checked_losses(record, registry))
         if loss < record.base_loss
     ]
     qualifying.sort()
@@ -391,6 +396,10 @@ def generate_synthetic_corpus(
         raise ValidationError(f"noise_scale {noise_scale!r} makes a loss overflow") from None
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Each file is replaced on its own, so the old corpus goes before any new file
+    # is written: a rewrite stopped part way leaves files of one generation only.
+    for name in ("manifest.json", "samples.jsonl", "losses.jsonl", "ground_truth.jsonl"):
+        (out_dir / name).unlink(missing_ok=True)
     samples_path = out_dir / "samples.jsonl"
     losses_path = out_dir / "losses.jsonl"
     truth_path = out_dir / "ground_truth.jsonl"

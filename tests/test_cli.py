@@ -239,6 +239,45 @@ class TestDataCommands:
         assert received == regular.read_bytes()
         assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
+    def test_interrupted_rewrite_leaves_no_file_of_the_old_corpus(self, capsys, monkeypatch, tmp_path):
+        """A rewrite removes the old corpus's four files before writing any new
+        one: stopped after `samples.jsonl`, it leaves that file and the user's
+        own, and oracle routing finds no loss record instead of the old ones."""
+        from mova import routing_data
+
+        out = tmp_path / "c"
+        run_json(capsys, "gen-synthetic", "--samples", "24", "--seed", "1", "--out", str(out))
+        (out / "notes.txt").write_text("mine")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(routing_data, "save_loss_records", interrupted)
+        code, stdout, err = run_cli(capsys, "gen-synthetic", "--samples", "24", "--seed", "2", "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: interrupted\n")
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "samples.jsonl"]
+        toy = tmp_path / "toy.json"
+        toy.write_text(json.dumps({"corpus": str(out), "steps": 1, "batch_size": 4, "eval_samples": 4}))
+        code, stdout, err = run_cli(capsys, "train-toy", "--config", str(toy))
+        assert (code, stdout) == (1, "")
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:") and "has no loss record in" in lines[0], err
+
+    def test_rewrite_failing_before_the_write_phase_keeps_the_old_corpus(self, capsys, monkeypatch, tmp_path):
+        from mova import routing_data
+
+        out = tmp_path / "c"
+        run_json(capsys, "gen-synthetic", "--samples", "24", "--seed", "1", "--out", str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def expert_features(*args):
+            raise OSError("no expert features")
+
+        monkeypatch.setattr(routing_data, "expert_features", expert_features)
+        code, stdout, err = run_cli(capsys, "gen-synthetic", "--samples", "24", "--seed", "2", "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: no expert features\n")
+        assert len(before) == 4 and {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @needs_a_forked_child
     def test_interrupt_ends_every_process(self, tmp_path):
         """Ctrl-C while the feature pooling runs in two processes."""
@@ -479,6 +518,22 @@ class TestTrainAndAblateCli:
         assert set(payload["modes"]) == {"all-experts", "fixed-K:7"}
         a, b = payload["modes"]["all-experts"], payload["modes"]["fixed-K:7"]
         assert a["eval_loss"] == b["eval_loss"]
+
+    @pytest.mark.parametrize("width", [6, 8])
+    def test_fixed_k_refuses_a_loss_record_of_another_width(self, capsys, corpus_dir, width):
+        """The fixed-K arm ranks a record's losses only when there is one per
+        registry expert, as the oracle arm does."""
+        losses_path = Path(corpus_dir) / "losses.jsonl"
+        records = [json.loads(line) for line in losses_path.read_text().splitlines()]
+        for record in records:
+            record["expert_losses"] = (record["expert_losses"] * 2)[:width]
+        losses_path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        code, out, err = run_cli(
+            capsys, "ablate", "--modes", "fixed-K:3", "--corpus", corpus_dir,
+            "--steps", "1", "--batch-size", "4", "--eval-samples", "4",
+        )
+        assert (code, out) == (1, "")
+        assert re.fullmatch(rf"error: [^\n]*sample 's\d+': {width} expert losses for a registry of 7\n", err), err
 
     def test_ablate_oracle_arm_without_losses_fails_cleanly(self, capsys, corpus_dir):
         (Path(corpus_dir) / "losses.jsonl").unlink()

@@ -191,12 +191,17 @@ def test_malformed_jsonl(base, data):
         mutated_text(text),
     ))
     if name == "routing.jsonl":
-        argv = ("route", "--question", "q", "--strategy", "annotation",
-                "--annotations", base / "corpus" / name, "--sample-id", "s00000")
+        commands = [("route", "--question", "q", "--strategy", "annotation",
+                     "--annotations", base / "corpus" / name, "--sample-id", "s00000")]
     else:
-        argv = ("train-toy", "--config", base / "toy.json")
+        commands = [("train-toy", "--config", base / "toy.json")]
+    if name == "losses.jsonl":
+        # The fixed-K arm reads the losses on its own; 4 eval samples route every sample.
+        commands.append(("ablate", "--modes", "fixed-K:3", "--corpus", base / "corpus",
+                         "--steps", "1", "--batch-size", "4", "--eval-samples", "4"))
     with replaced(base / "corpus" / name, content):
-        assert_contract(*run_main(*argv))
+        for argv in commands:
+            assert_contract(*run_main(*argv))
 
 
 @FUZZ
