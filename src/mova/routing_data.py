@@ -396,13 +396,14 @@ def generate_synthetic_corpus(
         raise ValidationError(f"noise_scale {noise_scale!r} makes a loss overflow") from None
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Each file is replaced on its own, so the old corpus goes before any new file
-    # is written: a rewrite stopped part way leaves files of one generation only.
-    for name in ("manifest.json", "samples.jsonl", "losses.jsonl", "ground_truth.jsonl"):
-        (out_dir / name).unlink(missing_ok=True)
     samples_path = out_dir / "samples.jsonl"
     losses_path = out_dir / "losses.jsonl"
     truth_path = out_dir / "ground_truth.jsonl"
+    manifest_path = out_dir / "manifest.json"
+    # Each file is replaced on its own, so the old corpus goes before any new file
+    # is written: a rewrite stopped part way leaves files of one generation only.
+    for path in (manifest_path, samples_path, losses_path, truth_path):
+        path.unlink(missing_ok=True)
     save_samples(samples_path, samples)
     save_loss_records(
         losses_path,
@@ -431,6 +432,6 @@ def generate_synthetic_corpus(
         "noise_scale": noise_scale,
         "answer_dim": answer_dim,
     }
-    with atomic_write(out_dir / "manifest.json") as fh:
+    with atomic_write(manifest_path) as fh:
         fh.write(json.dumps(on_disk, indent=2, sort_keys=True) + "\n")
     return manifest
