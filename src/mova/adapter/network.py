@@ -53,7 +53,8 @@ class GatingInput:
 
 @dataclass(frozen=True)
 class GateWeights:
-    """Softmax weights over the selected experts, in selection order."""
+    """Softmax weights over the selected experts, in selection order: a point of
+    the closed simplex, since the softmax can round a weight to 1.0 or 0.0."""
 
     weights: np.ndarray
 
@@ -61,13 +62,12 @@ class GateWeights:
         w = as_finite_array(self.weights, "gate weights")
         if w.ndim != 1 or w.size < 1:
             raise ShapeError(f"gate weights must be a non-empty vector, got {w.shape}")
+        for outside in (w < 0.0, w > 1.0):  # with a sum of 1, a weight above 1 forces one below 0
+            if outside.any():
+                i = int(outside.argmax())
+                raise ValidationError(f"gate weight {i} is {float(w[i])}, outside [0, 1]")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValidationError(f"gate weights sum to {w.sum()!r}, expected 1")
-        if w.size == 1:
-            if w[0] != 1.0:
-                raise ValidationError(f"single-expert gate weight must be exactly 1, got {w[0]!r}")
-        elif not np.all((w > 0.0) & (w < 1.0)):
-            raise ValidationError(f"gate weights must lie strictly in (0, 1), got {w!r}")
         object.__setattr__(self, "weights", w)
 
     @property

@@ -36,10 +36,12 @@ def save_tensor(path, array) -> str:
         raise ValidationError(f"MOVT rank must be in [1, 255], got {arr.ndim}")
     if not all(1 <= d < 2**32 for d in arr.shape):  # uint32, as load_tensor reads them
         raise ValidationError(f"MOVT extents must be in [1, 2**32 - 1], got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("refusing to save non-finite values")
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, refused below
+        payload = arr.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise NumericError(f"{path}: refusing to save values that are not finite in float32")
     data = MAGIC + struct.pack(f"<BB{arr.ndim}I", VERSION, arr.ndim, *arr.shape)
-    data += arr.astype("<f4").tobytes()
+    data += payload.tobytes()
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:

@@ -4,7 +4,7 @@ All functions are pure. Summation orders are fixed, so identical inputs give
 bitwise-identical outputs. ``stable_softmax``, ``dot_attention`` and
 ``avg_pool_2x_tokens`` are array kernels without a finiteness check that work
 over any leading (batch) axes: the autodiff tape takes its forward values from
-them, and the validated public functions below call them too.
+them, and the validated ``softmax`` below calls ``stable_softmax`` too.
 """
 
 from __future__ import annotations
@@ -192,21 +192,3 @@ def adaptive_avg_pool(f: FeatureMap, grid: int) -> FeatureMap:
         for j in range(grid):
             out[:, i, j] = f.data[:, ys[i]:ye[i], xs[j]:xe[j]].mean(axis=(1, 2))
     return FeatureMap(out)
-
-
-def scaled_dot_attention(q, k, v) -> np.ndarray:
-    """softmax(q k^T / sqrt(d)) v with each score row softmaxed independently."""
-    q = as_finite_array(q, "attention query")
-    k = as_finite_array(k, "attention key")
-    v = as_finite_array(v, "attention value")
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("attention expects 2-D token matrices")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
-    if q.shape[1] == 0:
-        raise ShapeError(f"query/key width must be >= 1, got {q.shape} and {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key/value token counts differ: {k.shape} vs {v.shape}")
-    if k.shape[0] == 0:
-        raise ShapeError(f"attention needs at least one key, got {k.shape}")
-    return dot_attention(q, k, v)[0]

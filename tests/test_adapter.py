@@ -22,11 +22,19 @@ from mova.adapter.network import (
     lift,
     transformer_block,
 )
-from mova.adapter.params import clone_params, init_params, load_params, named_arrays, save_params
+from mova.adapter.params import (
+    clone_params,
+    init_params,
+    load_params,
+    named_arrays,
+    save_params,
+    visit,
+)
 from mova.adapter.text import encode_text
 from mova.errors import (
     EmptySelectionError,
     FeatureMismatchError,
+    NumericError,
     ShapeError,
     ValidationError,
 )
@@ -233,7 +241,13 @@ class TestGateWeights:
         with pytest.raises(ValidationError):
             GateWeights(np.array([0.7, 0.7]))
         with pytest.raises(ValidationError):
-            GateWeights(np.array([1.0, 0.0]))
+            GateWeights(np.array([1.5, -0.5]))
+        assert GateWeights(np.array([1.0, 0.0])).k == 2  # an edge of the simplex
+
+    def test_refused_row_is_one_line_naming_the_weight(self):
+        with pytest.raises(ValidationError) as refused:
+            GateWeights(np.array([1.2, -0.2, 3e-18, 4e-18, 5e-18, 6e-18, 7e-18]))
+        assert str(refused.value) == "gate weight 1 is -0.2, outside [0, 1]"
 
 
 class TestFuse:
@@ -591,6 +605,15 @@ class TestParamsPersistence:
         arrays = list(named_arrays(second))
         assert len(arrays) == len(loaded) == 216
         for name, arr in arrays:
+            assert loaded[name].tobytes() == arr.astype(np.float32).astype(np.float64).tobytes()
+
+    def test_save_beyond_float32_range_keeps_the_earlier_save(self, params, config, registry, tmp_path):
+        save_params(params, tmp_path / "params")
+        huge = visit(params, lambda _name, array: array * 1e100)
+        with pytest.raises(NumericError, match="params.movt: refusing"):
+            save_params(huge, tmp_path / "params")
+        loaded = dict(named_arrays(load_params(tmp_path / "params", config, registry)))
+        for name, arr in named_arrays(params):
             assert loaded[name].tobytes() == arr.astype(np.float32).astype(np.float64).tobytes()
 
     def test_interrupted_save_does_not_load(self, params, config, registry, tmp_path, monkeypatch):

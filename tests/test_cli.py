@@ -354,6 +354,29 @@ class TestFuse:
         )
         assert len(payload["routing"]["experts"]) == 7
 
+    @pytest.mark.parametrize("bias", [40.0, 800.0])
+    def test_gate_rows_on_the_simplex_edge_fuse(self, capsys, tmp_path, bias):
+        """A logit bias of 40 makes the softmax round dinov2's gate weight to 1.0;
+        800 also rounds the other six to 0.0. Both rows are on the simplex."""
+        from mova.adapter.config import desk_config
+        from mova.adapter.params import init_params, save_params
+        from mova.numerics.movt import load_tensor
+
+        params = init_params(desk_config(), default_registry())
+        params.blocks[0].gating.logits.bias[:] = [bias, 0, 0, 0, 0, 0, 0]
+        save_params(params, tmp_path / "params")
+        code, out, err = run_cli(
+            capsys, "fuse", "--question", "q", "--strategy", "all",
+            "--params", str(tmp_path / "params"), "--out", str(tmp_path / "o.movt"),
+        )
+        assert (code, err) == (0, "")
+        block = json.loads(out)["gates"][0]
+        others = [w for name, w in block["weights"].items() if name != "dinov2"]
+        assert block["block"] == 1 and block["weights"]["dinov2"] == 1.0
+        assert len(others) == 6 and all(0.0 <= w < 1e-17 for w in others)
+        assert all(w == 0.0 for w in others) == (bias == 800.0)
+        assert load_tensor(tmp_path / "o.movt").shape == (16, 32)
+
     def test_params_dir_of_an_interrupted_save_is_one_error_line(self, capsys, monkeypatch, tmp_path):
         """A second save stopped after its params.movt is written, before its
         manifest: fuse refuses the directory with one error line and prints nothing."""

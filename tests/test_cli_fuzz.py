@@ -3,7 +3,8 @@
 Each file example corrupts one file that a command reads (experts.json,
 toy.json, a JSONL file, a parameter manifest or a MOVT tensor); each flag
 example gives one numeric flag NaN, an infinity, a negative, zero or a huge
-value. Both call `cli.main` in-process. Whatever the input, the exit code must
+value; an extreme-params example scales well-formed params by up to 1e45. All
+call `cli.main` in-process. Whatever the input, the exit code must
 be 0, 1 or 2, no exception may escape, a failure prints one `error:` line that
 is not an internal error, and a success prints strict JSON (no NaN or Infinity). Fuzzed numbers stay small
 where a valid one sets the amount of work, so no example trains for more than
@@ -15,16 +16,19 @@ import copy
 import hashlib
 import io
 import json
+import shutil
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mova.adapter.config import desk_config
-from mova.adapter.params import init_params, save_params
+from mova.adapter.config import GATING_MODES, desk_config, save_config
+from mova.adapter.params import init_params, save_params, visit
+from mova.errors import MovaError
 from mova.experts import default_registry, save_registry
 from mova.harness.cli import main
+from mova.numerics.movt import load_tensor
 from mova.routing_data import build_annotations, generate_synthetic_corpus
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
@@ -234,6 +238,38 @@ def test_malformed_movt(base, data):
     digested = json.dumps(manifest).encode()
     with replaced(base / "params" / "params.movt", content), replaced(base / "params" / "manifest.json", digested):
         assert_contract(*run_main(*fuse(base, "--params", base / "params")))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    exponent=st.integers(0, 45),
+    sign=st.sampled_from([1.0, -1.0]),
+    gating_mode=st.sampled_from(GATING_MODES),
+    scripted=st.booleans(),
+)
+def test_extreme_values_in_well_formed_params(base, exponent, sign, gating_mode, scripted):
+    """The desk params scaled by +-10**exponent: a save beyond float32's range is one
+    error line; otherwise fuse writes a file load_tensor reads, or fails with one line."""
+    save_config(desk_config(gating_mode=gating_mode), base / "adapter.json")
+    scale = sign * 10.0**exponent
+    params = visit(init_params(desk_config(), default_registry()), lambda _name, array: array * scale)
+    shutil.rmtree(base / "scaled", ignore_errors=True)
+    try:
+        save_params(params, base / "scaled")
+    except MovaError as exc:
+        assert "\n" not in str(exc)
+        return
+    strategy = ("--strategy", "scripted", "--response", "A, D") if scripted else ()
+    (base / "t.movt").unlink(missing_ok=True)
+    code, out, err = run_main(
+        *fuse(base, "--adapter-config", base / "adapter.json", "--params", base / "scaled", *strategy)
+    )
+    assert_contract(code, out, err)
+    if code == 0:
+        assert err == ""
+        load_tensor(base / "t.movt")
+    else:
+        assert code == 1 and err.count("\n") == 1, err
 
 
 # Flag values as typed on a command line. Integer flags reject the float spellings.

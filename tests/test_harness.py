@@ -10,7 +10,7 @@ from mova.adapter.network import GateWeights
 from mova.adapter.params import init_params, named_arrays
 from mova import errors, forked
 from mova.errors import PipelineError, TrainingError, ValidationError
-from mova.experts import default_registry
+from mova.experts import Sample, default_registry
 from mova.harness import properties, train
 from mova.harness.ablate import run_ablation
 from mova.harness.pipeline import run_pipeline
@@ -25,7 +25,7 @@ from mova.harness.train import (
     train_toy,
 )
 from mova.numerics.movt import load_tensor
-from mova.routing import RoutingContext
+from mova.routing import ExpertSelection, RoutingContext
 from mova.routing_data import generate_synthetic_corpus, load_samples
 
 
@@ -216,6 +216,17 @@ class TestTrainToy:
         grad = np.full(runner.flat.size, np.nan)
         with pytest.raises(TrainingError, match="step-0 gradient check failed: .*non-finite"):
             _spot_check_gradients(config, runner, samples[:4], grad, set(runner.segments), ())
+
+    def test_non_finite_loss_names_its_samples(self, registry):
+        """Under numpy's default error state an overflowing loss raises nothing, as in
+        gradcheck_run.probe_planted; the runner's own check then names the samples."""
+        config = desk_config()
+        params = init_params(config, registry)
+        big = Sample("big", 3, "q", (1e200, 2.0))
+        with _CorpusRunner(registry, config, [big], lambda _s: ExpertSelection((0,)), params) as runner:
+            with np.errstate(all="ignore"):
+                with pytest.raises(TrainingError, match="^non-finite loss on samples 'big'$"):
+                    runner.batch_loss(runner.samples, scope_names(params, "gating"))
 
     def test_spot_check_calls_only_batch_loss_value(self, corpus, registry, monkeypatch):
         """Step 0's spot check runs two batch_loss_value calls per probed entry,

@@ -76,8 +76,9 @@ def test_rejects_truncated_payload(tmp_path, rng):
 
 
 def test_rejects_non_finite_values(tmp_path):
-    with pytest.raises(NumericError):
-        save_tensor(tmp_path / "t.movt", np.array([np.nan]))
+    for array in (np.array([np.nan]), np.array([1e39]), np.array([-1e39])):  # NaN, or beyond float32's range
+        with pytest.raises(NumericError, match="t.movt: refusing"):
+            save_tensor(tmp_path / "t.movt", array)
 
 
 @pytest.mark.parametrize("old_shape", [(4, 8), (3,), (1,)], ids=["longer", "same-size", "shorter"])
@@ -149,6 +150,8 @@ def test_failure_after_open_leaves_empty_file(tmp_path, rng, monkeypatch, error,
         (np.zeros((0, 3)), ValidationError),
         (np.zeros((2**32, 0)), ValidationError),
         (np.zeros((0, 2**32)), ValidationError),
+        (np.array([1e39]), NumericError),
+        (np.array([-1e39]), NumericError),
     ],
 )
 def test_rejected_tensor_leaves_existing_file_untouched(tmp_path, rng, array, error):

